@@ -57,8 +57,9 @@ print(f"\nreplaced {len(replaced)} makers: {hit_weak} less capable, {hit_capable
 
 # score the mixed bench on the held-out performance split
 raw = rate_pair(performance.pooled_counts())
-combined = combine_decisions(performance, verdicts, forest.predict_propensity)
-roc_perf = build_roc(forest.predict_propensity(performance.features), performance.y)
+scores = forest.predict_propensity(performance.features)
+combined = combine_decisions(performance, verdicts, scores)
+roc_perf = build_roc(scores, performance.y)
 
 print(f"\nraw cohort pair:      fpr={raw.alpha:.4f} tpr={raw.beta:.4f}")
 print(f"combined bench pair:  fpr={combined.pair.alpha:.4f} tpr={combined.pair.beta:.4f}")

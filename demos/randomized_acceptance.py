@@ -23,7 +23,7 @@ het = generate_heterogeneous_cutoffs(
     HeterogeneousCutoffsSpec(n_makers=12, cases_per_maker=500, seed=5)
 )
 data = het.data
-scorer = lambda feats: feats[:, 0]  # the case score is the single feature
+scores = data.features[:, 0]  # the case score is the single feature
 
 # verdicts: swap out makers whose cutoff is far from the sweet spot
 verdicts = [
@@ -33,7 +33,7 @@ verdicts = [
 ]
 n_flagged = sum(v.replace for v in verdicts)
 raw = rate_pair(data.pooled_counts())
-full = combine_decisions(data, verdicts, scorer)
+full = combine_decisions(data, verdicts, scores)
 print(f"{len(data.makers)} makers, {n_flagged} flagged for replacement")
 print(f"raw cohort:        fpr={raw.alpha:.4f} tpr={raw.beta:.4f}")
 print(f"hard replacement:  fpr={full.pair.alpha:.4f} tpr={full.pair.beta:.4f}")
@@ -41,7 +41,7 @@ print(f"hard replacement:  fpr={full.pair.alpha:.4f} tpr={full.pair.beta:.4f}")
 print("\nlambda     fpr      tpr")
 for lam in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
     result = randomized_accept(
-        data, verdicts, AcceptanceSchedule.constant(lam), scorer, seed=0
+        data, verdicts, AcceptanceSchedule.constant(lam), scores, seed=0
     )
     print(f"  {lam:.1f}    {result.pair.alpha:.4f}   {result.pair.beta:.4f}")
 
@@ -50,7 +50,7 @@ print("hard-replacement bench; in between, one uniform draw per case decides.")
 
 # a rank-based schedule: the weakest makers get the highest lambda
 sched = AcceptanceSchedule.linear_by_rank(direction="less-capable-more", scope="all-makers")
-result = randomized_accept(data, verdicts, sched, scorer, seed=0)
+result = randomized_accept(data, verdicts, sched, scores, seed=0)
 lams = result.lambdas
 spread = sorted(lams.values())
 print(f"\nrank schedule lambdas: min={spread[0]:.2f} median={spread[len(spread)//2]:.2f} max={spread[-1]:.2f}")

@@ -9,12 +9,10 @@ closed-form truths exercise every stage.
 """
 
 from .core import (
-    CaseRecord,
     CohortDataset,
     ConfusionCounts,
     DegenerateMakerError,
     RatePair,
-    confusion_counts,
     rate_pair,
     read_cases_csv,
     stratified_split,

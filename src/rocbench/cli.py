@@ -274,13 +274,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_roc(args) -> int:
+def _scored_cases(args) -> tuple[CohortDataset, np.ndarray]:
+    """The cases file and the model's score of each case."""
     data = read_cases_csv(args.cases)
     if data.features is None:
         raise ValueError(f"{args.cases}: no feature columns; cannot score")
-    forest = load_forest(args.model)
-    roc = build_roc(forest.predict_propensity(data.features), data.y)
-    write_roc_csv(_out_file(args, "roc.csv"), roc)
+    return data, load_forest(args.model).predict_propensity(data.features)
+
+
+def _cmd_roc(args) -> int:
+    data, scores = _scored_cases(args)
+    write_roc_csv(_out_file(args, "roc.csv"), build_roc(scores, data.y))
     return 0
 
 
@@ -318,11 +322,10 @@ def _cmd_bench_bayes(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    data = read_cases_csv(args.cases)
+    data, scores = _scored_cases(args)
     verdicts = read_bayesian_csv(args.verdicts)
-    forest = load_forest(args.model)
     raw = rate_pair(data.pooled_counts())
-    combined = combine_decisions(data, verdicts, forest.predict_propensity)
+    combined = combine_decisions(data, verdicts, scores)
     write_combined_csv(
         _out_file(args, "combined.csv"),
         [("raw", raw, 0), ("combined", combined.pair, combined.n_replaced)],
@@ -331,25 +334,23 @@ def _cmd_combine(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    data = read_cases_csv(args.cases)
+    data, scores = _scored_cases(args)
     verdicts = read_bayesian_csv(args.verdicts)
-    forest = load_forest(args.model)
     fractions = _parse_floats(args.fractions)
-    points = replacement_path(data, verdicts, fractions, forest.predict_propensity)
+    points = replacement_path(data, verdicts, fractions, scores)
     write_path_csv(_out_file(args, "path.csv"), points)
     return 0
 
 
 def _cmd_randomized(args) -> int:
     cfg = _load_config(args)
-    data = read_cases_csv(args.cases)
+    data, scores = _scored_cases(args)
     verdicts = read_bayesian_csv(args.verdicts)
-    forest = load_forest(args.model)
     rows = []
     for lam in _parse_floats(args.lambdas):
         schedule = AcceptanceSchedule.constant(lam, scope=args.scope)
         result = randomized_accept(
-            data, verdicts, schedule, forest.predict_propensity,
+            data, verdicts, schedule, scores,
             substream(cfg.seed, "acceptance", _FMT % lam),
         )
         rows.append((lam, result.pair, cfg.seed))
@@ -373,7 +374,8 @@ def _cmd_report(args) -> int:
         raise ValueError(f"{args.cases}: no feature columns; cannot train")
     forest = train_forest(train.features, train.y, cfg.forest_params())
     roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
-    roc_perf = build_roc(forest.predict_propensity(performance.features), performance.y)
+    scores = forest.predict_propensity(performance.features)
+    roc_perf = build_roc(scores, performance.y)
 
     counts = classification.counts_by_maker()
     verdicts_freq = [
@@ -392,16 +394,15 @@ def _cmd_report(args) -> int:
         for m in classification.makers
     ]
 
-    scorer = forest.predict_propensity
     raw_pair = rate_pair(performance.pooled_counts())
-    combined_bayes = combine_decisions(performance, verdicts_bayes, scorer)
-    combined_freq = combine_decisions(performance, _freq_to_replacement(verdicts_freq), scorer)
+    combined_bayes = combine_decisions(performance, verdicts_bayes, scores)
+    combined_freq = combine_decisions(performance, _freq_to_replacement(verdicts_freq), scores)
     fractions = [round(0.1 * k, 1) for k in range(11)]
-    points = replacement_path(performance, verdicts_bayes, fractions, scorer)
+    points = replacement_path(performance, verdicts_bayes, fractions, scores)
     lam_rows = []
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         result = randomized_accept(
-            performance, verdicts_bayes, AcceptanceSchedule.constant(lam), scorer,
+            performance, verdicts_bayes, AcceptanceSchedule.constant(lam), scores,
             substream(cfg.seed, "acceptance", _FMT % lam),
         )
         lam_rows.append((lam, result.pair, cfg.seed))

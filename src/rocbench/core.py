@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
-    "CaseRecord",
     "ConfusionCounts",
     "RatePair",
     "CohortDataset",
     "DegenerateMakerError",
-    "confusion_counts",
     "tally_confusion",
     "rate_pair",
     "stratified_split",
@@ -38,13 +36,6 @@ __all__ = [
 
 class DegenerateMakerError(ValueError):
     """A maker whose cases lack one outcome class; rates are undefined."""
-
-
-class CaseRecord(NamedTuple):
-    maker_id: str
-    y: int
-    y_hat: int
-    features: tuple[float, ...] | None = None
 
 
 class RatePair(NamedTuple):
@@ -102,18 +93,6 @@ def tally_confusion(y: np.ndarray, y_hat: np.ndarray) -> ConfusionCounts:
     )
 
 
-def confusion_counts(cases: Iterable[CaseRecord]) -> ConfusionCounts:
-    """Tally the four confusion cells over a sequence of cases."""
-    cases = list(cases)
-    if not cases:
-        raise ValueError("empty case set")
-    y = np.fromiter((c.y for c in cases), dtype=np.int64, count=len(cases))
-    y_hat = np.fromiter((c.y_hat for c in cases), dtype=np.int64, count=len(cases))
-    if not (np.isin(y, (0, 1)).all() and np.isin(y_hat, (0, 1)).all()):
-        raise ValueError("y and y_hat must be 0 or 1")
-    return tally_confusion(y, y_hat)
-
-
 def rate_pair(counts: ConfusionCounts) -> RatePair:
     """Empirical (alpha, beta) of a maker's confusion counts.
 
@@ -169,36 +148,6 @@ class CohortDataset:
             if arr is not None:
                 arr.flags.writeable = False
 
-    # -- construction ------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records: Iterable[CaseRecord]) -> "CohortDataset":
-        records = list(records)
-        if not records:
-            raise ValueError("empty case set")
-        makers: list[str] = []
-        lookup: dict[str, int] = {}
-        idx = np.empty(len(records), dtype=np.int64)
-        y = np.empty(len(records), dtype=np.uint8)
-        y_hat = np.empty(len(records), dtype=np.uint8)
-        d = None if records[0].features is None else len(records[0].features)
-        feats = None if d is None else np.empty((len(records), d))
-        for i, rec in enumerate(records):
-            if rec.maker_id not in lookup:
-                lookup[rec.maker_id] = len(makers)
-                makers.append(rec.maker_id)
-            idx[i] = lookup[rec.maker_id]
-            if rec.y not in (0, 1) or rec.y_hat not in (0, 1):
-                raise ValueError(f"case {i}: y and y_hat must be 0 or 1")
-            y[i] = rec.y
-            y_hat[i] = rec.y_hat
-            has = None if rec.features is None else len(rec.features)
-            if has != d:
-                raise ValueError(f"case {i}: inconsistent feature arity")
-            if d is not None:
-                feats[i] = rec.features
-        return cls(makers, idx, y, y_hat, feats)
-
     # -- views -------------------------------------------------------
 
     @property
@@ -220,39 +169,48 @@ class CohortDataset:
             code = self.makers.index(maker_id)
         except ValueError:
             raise KeyError(f"unknown maker {maker_id!r}") from None
-        return np.flatnonzero(self.maker_index == code)
+        return _group_rows(self.maker_index, len(self.makers))[code]
 
     def iter_makers(self) -> Iterator[tuple[str, np.ndarray]]:
         """Yield (maker_id, row indices) in first-appearance order."""
-        for code, maker in enumerate(self.makers):
-            yield maker, np.flatnonzero(self.maker_index == code)
+        return zip(self.makers, _group_rows(self.maker_index, len(self.makers)))
 
     def counts_by_maker(self) -> dict[str, ConfusionCounts]:
-        out = {}
-        for maker, rows in self.iter_makers():
-            if rows.size:
-                out[maker] = tally_confusion(self.y[rows], self.y_hat[rows])
-        return out
+        """Confusion counts of every maker that has cases, in maker order."""
+        table = np.bincount(_maker_cells(self), minlength=4 * len(self.makers)).reshape(-1, 4)
+        return {
+            maker: ConfusionCounts(n11=int(t[3]), n01=int(t[1]), n10=int(t[2]), n00=int(t[0]))
+            for maker, t in zip(self.makers, table)
+            if t.any()
+        }
 
     def subset(self, rows: np.ndarray) -> "CohortDataset":
         """New cohort keeping the given case rows (maker table is re-derived)."""
         rows = np.asarray(rows, dtype=np.int64)
-        sub_idx = self.maker_index[rows]
-        kept_codes = sorted(set(sub_idx.tolist()), key=lambda c: c)
-        # preserve first-appearance order of the parent cohort
-        remap = {code: i for i, code in enumerate(kept_codes)}
+        # sorted codes keep the parent's maker order
+        kept_codes, new_idx = np.unique(self.maker_index[rows], return_inverse=True)
         makers = [self.makers[c] for c in kept_codes]
-        new_idx = np.fromiter((remap[c] for c in sub_idx), dtype=np.int64, count=rows.size)
         feats = None if self.features is None else self.features[rows]
         return CohortDataset(makers, new_idx, self.y[rows], self.y_hat[rows], feats)
 
-    def records(self) -> Iterator[CaseRecord]:
-        for i in range(self.n_cases):
-            feats = None if self.features is None else tuple(float(v) for v in self.features[i])
-            yield CaseRecord(self.makers[self.maker_index[i]], int(self.y[i]), int(self.y_hat[i]), feats)
-
     def pooled_counts(self) -> ConfusionCounts:
         return tally_confusion(self.y, self.y_hat)
+
+
+def _maker_cells(data: CohortDataset) -> np.ndarray:
+    """Per case ``4 * maker code + cell`` with cell = 2 * y + y_hat.
+
+    Cells 3, 1, 2, 0 are n11, n01, n10, n00; sorting by this key orders
+    the cases by maker and, within a maker, by confusion cell.
+    """
+    return 4 * data.maker_index + 2 * data.y.astype(np.int64) + data.y_hat
+
+
+def _group_rows(key: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """Row indices holding each key value 0 .. n_groups - 1, ascending."""
+    order = np.argsort(key, kind="stable")
+    ends = np.cumsum(np.bincount(key, minlength=n_groups))
+    return np.split(order, ends[:-1])
 
 
 def _split_quota(m: int, a: int, b: int) -> int:
@@ -275,19 +233,16 @@ def stratified_split(
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError(f"ratio must be two non-negative integers with positive sum, got {ratio}")
     rng = np.random.default_rng(seed)
-    cell = 2 * data.y.astype(np.int64) + data.y_hat
     first: list[np.ndarray] = []
     second: list[np.ndarray] = []
-    for _, rows in data.iter_makers():
-        for c in range(4):
-            group = rows[cell[rows] == c]
-            m = group.size
-            if m == 0:
-                continue
-            take = _split_quota(m, a, b)
-            perm = rng.permutation(m)
-            first.append(group[perm[:take]])
-            second.append(group[perm[take:]])
+    for group in _group_rows(_maker_cells(data), 4 * len(data.makers)):
+        m = group.size
+        if m == 0:
+            continue
+        take = _split_quota(m, a, b)
+        perm = rng.permutation(m)
+        first.append(group[perm[:take]])
+        second.append(group[perm[take:]])
     one = np.sort(np.concatenate(first)) if first else np.empty(0, dtype=np.int64)
     two = np.sort(np.concatenate(second)) if second else np.empty(0, dtype=np.int64)
     return data.subset(one), data.subset(two)

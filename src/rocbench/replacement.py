@@ -2,8 +2,9 @@
 
 Three evaluation modes share one primitive: for each case either keep
 the maker's recorded call or apply the machine rule
-``positive iff scorer(features) > threshold`` at the maker's personal
-replacement threshold.
+``positive iff score > threshold``, where ``score`` is the machine's
+score of that case (one array entry per case, computed once by the
+caller) and ``threshold`` the maker's personal replacement threshold.
 
 * ``combine_decisions``  replace exactly the makers whose verdict says so;
 * ``replacement_path``   force-replace the lowest-loss fraction of makers,
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,9 +37,6 @@ __all__ = [
     "write_randomized_csv",
     "write_combined_csv",
 ]
-
-Scorer = Callable[[np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class ReplacementVerdict:
@@ -65,15 +63,24 @@ def _verdict_map(verdicts) -> dict[str, ReplacementVerdict]:
     return {v.maker_id: v for v in verdicts}
 
 
-def _machine_calls(
-    data: CohortDataset, scorer: Scorer, thresholds_per_case: np.ndarray
-) -> np.ndarray:
-    if data.features is None:
-        raise ValueError("machine replacement needs case features")
-    scores = np.asarray(scorer(data.features), dtype=np.float64)
+def _checked_inputs(
+    data: CohortDataset, verdicts, scores
+) -> tuple[dict[str, ReplacementVerdict], np.ndarray]:
+    """Verdicts by maker, and the machine's call on every case.
+
+    The call is ``score > threshold`` at the case's maker threshold; it
+    is False for makers whose verdict carries no threshold.
+    """
+    vmap = _verdict_map(verdicts)
+    missing = [m for m in data.makers if m not in vmap]
+    if missing:
+        raise ValueError(f"no verdict for makers: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (data.n_cases,):
-        raise ValueError("scorer must return one score per case")
-    return (scores > thresholds_per_case).astype(np.uint8)
+        raise ValueError(f"scores must hold one score per case ({data.n_cases}), got shape {scores.shape}")
+    # a missing threshold becomes NaN, and no score is above NaN
+    thr_by_maker = np.array([vmap[m].threshold for m in data.makers], dtype=np.float64)
+    return vmap, scores > thr_by_maker[data.maker_index]
 
 
 @dataclass(frozen=True)
@@ -87,37 +94,27 @@ class CombinedResult:
         return len(self.replaced)
 
 
-def _evaluate(data: CohortDataset, replace_ids: set[str], thresholds: dict[str, float], scorer) -> CombinedResult:
-    lam_mask = np.isin(data.maker_index, [i for i, m in enumerate(data.makers) if m in replace_ids])
-    final = data.y_hat.copy()
-    if replace_ids:
-        thr = np.zeros(data.n_cases)
-        for i, m in enumerate(data.makers):
-            if m in replace_ids:
-                thr[data.maker_index == i] = thresholds[m]
-        machine = _machine_calls(data, scorer, thr)
-        final[lam_mask] = machine[lam_mask]
-    counts = tally_confusion(data.y, final)
+def _evaluate(data: CohortDataset, machine: np.ndarray, replace_by_maker: np.ndarray) -> CombinedResult:
+    counts = tally_confusion(data.y, np.where(replace_by_maker[data.maker_index], machine, data.y_hat))
     return CombinedResult(
         pair=rate_pair(counts),
         counts=counts,
-        replaced=tuple(sorted(replace_ids)),
+        replaced=tuple(sorted(m for m, r in zip(data.makers, replace_by_maker) if r)),
     )
 
 
 def combine_decisions(
     performance: CohortDataset,
     verdicts,
-    scorer: Scorer,
+    scores: np.ndarray,
 ) -> CombinedResult:
-    """Pooled rate pair with replace-flagged makers run by the machine."""
-    vmap = _verdict_map(verdicts)
-    missing = [m for m in performance.makers if m not in vmap]
-    if missing:
-        raise ValueError(f"no verdict for makers: {missing[:5]}{'...' if len(missing) > 5 else ''}")
-    replaced = {m for m in performance.makers if vmap[m].replace}
-    thresholds = {m: vmap[m].threshold for m in replaced}
-    return _evaluate(performance, replaced, thresholds, scorer)
+    """Pooled rate pair with replace-flagged makers run by the machine.
+
+    ``scores`` holds the machine's score of each performance case.
+    """
+    vmap, machine = _checked_inputs(performance, verdicts, scores)
+    replace = np.array([vmap[m].replace for m in performance.makers], dtype=bool)
+    return _evaluate(performance, machine, replace)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ def replacement_path(
     performance: CohortDataset,
     verdicts,
     fractions: Sequence[float],
-    scorer: Scorer,
+    scores: np.ndarray,
 ) -> list[PathPoint]:
     """Pooled pairs as the most replaceable makers are swapped out.
 
@@ -140,24 +137,23 @@ def replacement_path(
     the first round(f * n_makers) of them, halves rounding up.  Every
     maker needs a threshold since f = 1 replaces them all.
     """
-    vmap = _verdict_map(verdicts)
-    missing = [m for m in performance.makers if m not in vmap]
-    if missing:
-        raise ValueError(f"no verdict for makers: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    vmap, machine = _checked_inputs(performance, verdicts, scores)
     for m in performance.makers:
         if vmap[m].threshold is None:
             raise ValueError(f"maker {m} has no threshold; the sweep must be able to replace everyone")
         if "min_loss" not in vmap[m].diagnostics:
             raise ValueError(f"maker {m} verdict lacks a min_loss diagnostic")
-    ranked = sorted(performance.makers, key=lambda m: (vmap[m].diagnostics["min_loss"], m))
+    makers = performance.makers
+    ranked = sorted(range(len(makers)), key=lambda i: (vmap[makers[i]].diagnostics["min_loss"], makers[i]))
     out = []
     for f in fractions:
         f = float(f)
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fraction {f} outside [0, 1]")
         k = int(math.floor(f * len(ranked) + 0.5))
-        chosen = set(ranked[:k])
-        result = _evaluate(performance, chosen, {m: vmap[m].threshold for m in chosen}, scorer)
+        replace = np.zeros(len(makers), dtype=bool)
+        replace[ranked[:k]] = True
+        result = _evaluate(performance, machine, replace)
         out.append(PathPoint(fraction=f, n_replaced=k, pair=result.pair))
     return out
 
@@ -233,7 +229,7 @@ def randomized_accept(
     performance: CohortDataset,
     verdicts,
     schedule: AcceptanceSchedule,
-    scorer: Scorer,
+    scores: np.ndarray,
     seed: int | np.random.Generator,
 ) -> RandomizedResult:
     """Per-case coin flip between maker and machine decisions.
@@ -241,27 +237,19 @@ def randomized_accept(
     One uniform draw per case, in cohort order: the machine's call is
     used when the draw is at or below the maker's lambda.  lambda = 0
     reproduces the makers exactly and lambda = 1 the machine exactly.
+    ``scores`` holds the machine's score of each performance case.
     """
-    vmap = _verdict_map(verdicts)
-    missing = [m for m in performance.makers if m not in vmap]
-    if missing:
-        raise ValueError(f"no verdict for makers: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    vmap, machine = _checked_inputs(performance, verdicts, scores)
     lams = schedule.resolve(performance.makers, vmap)
     lam_per_case = np.asarray([lams[m] for m in performance.makers])[performance.maker_index]
     rng = np.random.default_rng(seed)
     u = rng.random(performance.n_cases)
     use_machine = (lam_per_case > 0.0) & (u <= lam_per_case)
-    final = performance.y_hat.copy()
     if use_machine.any():
-        thr = np.zeros(performance.n_cases)
-        for i, m in enumerate(performance.makers):
-            if lams[m] > 0.0:
-                if vmap[m].threshold is None:
-                    raise ValueError(f"maker {m} has positive lambda but no threshold")
-                thr[performance.maker_index == i] = vmap[m].threshold
-        machine = _machine_calls(performance, scorer, thr)
-        final[use_machine] = machine[use_machine]
-    counts = tally_confusion(performance.y, final)
+        for m in performance.makers:
+            if lams[m] > 0.0 and vmap[m].threshold is None:
+                raise ValueError(f"maker {m} has positive lambda but no threshold")
+    counts = tally_confusion(performance.y, np.where(use_machine, machine, performance.y_hat))
     return RandomizedResult(pair=rate_pair(counts), counts=counts, lambdas=lams)
 
 

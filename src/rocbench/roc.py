@@ -104,7 +104,8 @@ class RocCurve:
 
     def auc(self) -> float:
         """Area under the polyline (trapezoid rule)."""
-        return float(np.trapezoid(self.betas, self.alphas))
+        a, b = self.alphas, self.betas
+        return float(np.sum(np.diff(a) * (b[1:] + b[:-1]) / 2.0))
 
     # -- curve as a function -------------------------------------------
 
@@ -321,17 +322,17 @@ def np_best_vertex(roc: RocCurve, phi: float, eta: float) -> tuple[RatePair, flo
 # -- CSV interchange ---------------------------------------------------
 #
 # Format: header  threshold,fpr,tpr  with one row per vertex, ordered by
-# strictly decreasing threshold.
-
-_FMT = "%.10g"
+# strictly decreasing threshold.  Values are written in the shortest form
+# that parses back to the same float: adjacent scores may differ only in
+# their last digits, and a rounded form would merge them.
 
 
 def write_roc_csv(path, roc: RocCurve) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fpr", "tpr"])
-        for t, a, b in zip(roc.thresholds, roc.alphas, roc.betas):
-            writer.writerow([_FMT % t, _FMT % a, _FMT % b])
+        for row in zip(roc.thresholds, roc.alphas, roc.betas):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def read_roc_csv(path) -> RocCurve:

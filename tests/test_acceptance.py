@@ -159,7 +159,8 @@ def _complementarity_run(seed: int):
     )
     forest = train_forest(train.features, train.y, params)
     roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
-    roc_perf = build_roc(forest.predict_propensity(performance.features), performance.y)
+    scores = forest.predict_propensity(performance.features)
+    roc_perf = build_roc(scores, performance.y)
     counts = classification.counts_by_maker()
     verdicts = [
         benchmark_maker_bayesian(
@@ -168,7 +169,7 @@ def _complementarity_run(seed: int):
         )
         for m in classification.makers
     ]
-    combined = combine_decisions(performance, verdicts, forest.predict_propensity)
+    combined = combine_decisions(performance, verdicts, scores)
     raw = rate_pair(performance.pooled_counts())
     above = combined.pair.beta > roc_perf.tpr_at_fpr(combined.pair.alpha)
     dominates = combined.pair.alpha <= raw.alpha and combined.pair.beta >= raw.beta
@@ -229,7 +230,7 @@ def test_criterion_07_randomized_acceptance_boundaries():
         HeterogeneousCutoffsSpec(n_makers=10, cases_per_maker=200, seed=5)
     )
     data = het.data
-    scorer = lambda feats: feats[:, 0]  # noqa: E731 - the score IS the feature
+    scores = data.features[:, 0]  # the score IS the feature
     verdicts = [
         ReplacementVerdict(
             maker_id=m, replace=bool(c > 0.5), threshold=0.4,
@@ -238,10 +239,10 @@ def test_criterion_07_randomized_acceptance_boundaries():
         for m, c in zip(data.makers, het.cutoffs)
     ]
     raw_counts = data.pooled_counts()
-    deterministic = combine_decisions(data, verdicts, scorer)
+    deterministic = combine_decisions(data, verdicts, scores)
 
-    lam0 = randomized_accept(data, verdicts, AcceptanceSchedule.constant(0.0), scorer, seed=0)
-    lam1 = randomized_accept(data, verdicts, AcceptanceSchedule.constant(1.0), scorer, seed=0)
+    lam0 = randomized_accept(data, verdicts, AcceptanceSchedule.constant(0.0), scores, seed=0)
+    lam1 = randomized_accept(data, verdicts, AcceptanceSchedule.constant(1.0), scores, seed=0)
     assert lam0.counts == raw_counts, f"lambda=0 counts {lam0.counts} != raw {raw_counts}"
     assert lam1.counts == deterministic.counts, (
         f"lambda=1 counts {lam1.counts} != deterministic replacement {deterministic.counts}"
@@ -249,7 +250,7 @@ def test_criterion_07_randomized_acceptance_boundaries():
 
     tprs = np.array([
         randomized_accept(
-            data, verdicts, AcceptanceSchedule.constant(0.5), scorer, seed=s
+            data, verdicts, AcceptanceSchedule.constant(0.5), scores, seed=s
         ).pair.beta
         for s in range(200)
     ])

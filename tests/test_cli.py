@@ -73,12 +73,17 @@ class TestTrainAndRoc:
         assert roc.n_points >= 2
         assert 0.5 < roc.auc() <= 1.0
 
-    def test_featureless_cases_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "combine", "path", "randomized"])
+    def test_featureless_cases_rejected(self, command, workdir, verdicts, tmp_path, capsys):
         path = tmp_path / "bare.csv"
         path.write_text("maker_id,y,y_hat\nm0,1,0\nm0,0,1\n")
-        assert main(["train", "--cases", str(path), "--out", str(tmp_path / "f.json")]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert "feature" in err["error"]
+        argv = [command, "--cases", str(path), "--out", str(tmp_path / "out")]
+        if command != "train":
+            argv += ["--verdicts", str(verdicts), "--model", str(workdir["model"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "feature" in json.loads(err)["error"]
 
 
 class TestBenchmarks:

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rocbench.core import (
-    CaseRecord,
     CohortDataset,
     ConfusionCounts,
     DegenerateMakerError,
     RatePair,
-    confusion_counts,
     rate_pair,
     read_cases_csv,
     stratified_split,
@@ -59,16 +57,6 @@ class TestConfusionCounts:
         with pytest.raises(ValueError):
             tally_confusion(np.array([0, 2]), np.array([0, 1]))
 
-    def test_confusion_counts_from_records(self):
-        records = [
-            CaseRecord("a", 1, 1, None),
-            CaseRecord("a", 0, 1, None),
-            CaseRecord("a", 1, 0, None),
-            CaseRecord("a", 0, 0, None),
-            CaseRecord("a", 0, 0, None),
-        ]
-        assert confusion_counts(records) == ConfusionCounts(1, 1, 1, 2)
-
 
 class TestRatePair:
     def test_arithmetic(self):
@@ -90,14 +78,13 @@ class TestRatePair:
 
 
 def small_cohort():
-    records = [
-        CaseRecord("beta", 1, 1, (0.5, 1.0)),
-        CaseRecord("alfa", 0, 1, (0.1, 2.0)),
-        CaseRecord("beta", 0, 0, (0.7, 0.5)),
-        CaseRecord("alfa", 1, 0, (0.9, 0.0)),
-        CaseRecord("alfa", 1, 1, (0.2, 0.3)),
-    ]
-    return CohortDataset.from_records(records)
+    return CohortDataset(
+        makers=["beta", "alfa"],
+        maker_index=np.array([0, 1, 0, 1, 1]),
+        y=np.array([1, 0, 0, 1, 1]),
+        y_hat=np.array([1, 1, 0, 0, 1]),
+        features=np.array([[0.5, 1.0], [0.1, 2.0], [0.7, 0.5], [0.9, 0.0], [0.2, 0.3]]),
+    )
 
 
 class TestCohortDataset:
@@ -214,6 +201,112 @@ class TestStratifiedSplit:
         for m in right.counts_by_maker()["m"].__dict__.values():
             assert m == want_right
         assert left.n_cases == 4 * (13 - want_right)
+
+
+# -- loop references ------------------------------------------------------
+#
+# The per-maker mask and per-case loop versions the grouped code replaced;
+# the property tests below require the fast paths to match them exactly.
+
+
+def loop_iter_makers(data):
+    for code, maker in enumerate(data.makers):
+        yield maker, np.flatnonzero(data.maker_index == code)
+
+
+def loop_counts_by_maker(data):
+    out = {}
+    for maker, rows in loop_iter_makers(data):
+        if rows.size:
+            out[maker] = tally_confusion(data.y[rows], data.y_hat[rows])
+    return out
+
+
+def loop_subset(data, rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    sub_idx = data.maker_index[rows]
+    kept_codes = sorted(set(sub_idx.tolist()))
+    remap = {code: i for i, code in enumerate(kept_codes)}
+    makers = [data.makers[c] for c in kept_codes]
+    new_idx = np.fromiter((remap[c] for c in sub_idx), dtype=np.int64, count=rows.size)
+    return CohortDataset(makers, new_idx, data.y[rows], data.y_hat[rows], data.features[rows])
+
+
+def loop_stratified_split(data, ratio, seed):
+    a, b = ratio
+    rng = np.random.default_rng(seed)
+    cell = 2 * data.y.astype(np.int64) + data.y_hat
+    first, second = [], []
+    for _, rows in loop_iter_makers(data):
+        for c in range(4):
+            group = rows[cell[rows] == c]
+            if group.size == 0:
+                continue
+            take = group.size - (group.size * b) // (a + b)
+            perm = rng.permutation(group.size)
+            first.append(group[perm[:take]])
+            second.append(group[perm[take:]])
+    one = np.sort(np.concatenate(first)) if first else np.empty(0, dtype=np.int64)
+    two = np.sort(np.concatenate(second)) if second else np.empty(0, dtype=np.int64)
+    return loop_subset(data, one), loop_subset(data, two)
+
+
+@st.composite
+def cohorts(draw):
+    """Random cohorts; some makers may have no cases at all."""
+    n_makers = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    column = lambda elements: np.array(  # noqa: E731
+        draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.int64
+    )
+    makers = draw(st.permutations([f"m{k}" for k in range(n_makers)]))
+    return CohortDataset(
+        makers,
+        column(st.integers(0, n_makers - 1)),
+        column(st.integers(0, 1)),
+        column(st.integers(0, 1)),
+        np.arange(n, dtype=np.float64).reshape(-1, 1),
+    )
+
+
+def assert_same_cohort(got, want):
+    assert got.makers == want.makers
+    for name in ("maker_index", "y", "y_hat", "features"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestGroupingMatchesLoops:
+    @given(cohorts())
+    @settings(max_examples=200, deadline=None)
+    def test_iter_makers(self, data):
+        got = list(data.iter_makers())
+        want = list(loop_iter_makers(data))
+        assert [m for m, _ in got] == [m for m, _ in want]
+        for (_, rows), (_, ref) in zip(got, want):
+            np.testing.assert_array_equal(rows, ref)
+        for maker, ref in want:
+            np.testing.assert_array_equal(data.maker_cases(maker), ref)
+
+    @given(cohorts())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_by_maker(self, data):
+        got = data.counts_by_maker()
+        want = loop_counts_by_maker(data)
+        assert list(got.items()) == list(want.items())
+
+    @given(cohorts(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_subset(self, data, pick):
+        rows = pick.draw(st.lists(st.integers(0, max(data.n_cases - 1, 0)), max_size=data.n_cases))
+        assert_same_cohort(data.subset(rows), loop_subset(data, rows))
+
+    @given(cohorts(), st.integers(0, 2**31 - 1), st.integers(0, 5), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_stratified_split(self, data, seed, a, b):
+        got = stratified_split(data, (a, b), seed)
+        want = loop_stratified_split(data, (a, b), seed)
+        for g, w in zip(got, want):
+            assert_same_cohort(g, w)
 
 
 class TestCasesCsv(object):

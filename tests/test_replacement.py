@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rocbench.core import CohortDataset, RatePair, tally_confusion
 from rocbench.replacement import (
@@ -16,11 +18,7 @@ from rocbench.replacement import (
 )
 
 
-def scorer(X):
-    return X[:, 0]
-
-
-def cohort(with_features=True):
+def cohort():
     """Three makers, four cases each; machine at threshold 0.5 is perfect."""
     y = [1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0]
     y_hat = [0, 0, 1, 1, 1, 0, 1, 0, 1, 0, 0, 1]  # a all wrong, b all right, c half
@@ -30,7 +28,7 @@ def cohort(with_features=True):
         maker_index=np.repeat([0, 1, 2], 4),
         y=np.array(y),
         y_hat=np.array(y_hat),
-        features=np.array(x).reshape(-1, 1) if with_features else None,
+        features=np.array(x).reshape(-1, 1),
     )
 
 
@@ -55,7 +53,7 @@ class TestVerdict:
 class TestCombineDecisions:
     def test_pooled_pair_recomputed_by_hand(self):
         data = cohort()
-        res = combine_decisions(data, verdicts(), scorer)
+        res = combine_decisions(data, verdicts(), data.features[:, 0])
         # makers a and c go to the machine, which is perfect here;
         # b keeps its own (also perfect) calls
         assert res.pair == RatePair(0.0, 1.0)
@@ -66,7 +64,7 @@ class TestCombineDecisions:
     def test_no_replacements_equals_raw(self):
         data = cohort()
         keep = [ReplacementVerdict(m, False, None) for m in "abc"]
-        res = combine_decisions(data, keep, scorer)
+        res = combine_decisions(data, keep, data.features[:, 0])
         assert res.pair == RatePair(0.5, 0.5)
         assert res.counts == tally_confusion(data.y, data.y_hat)
         assert res.replaced == ()
@@ -78,26 +76,28 @@ class TestCombineDecisions:
             ReplacementVerdict("b", False, None),
             ReplacementVerdict("c", False, None),
         ]
-        res = combine_decisions(data, only_a, scorer)
+        res = combine_decisions(data, only_a, data.features[:, 0])
         # a fixed (4 right), b right, c half wrong: alpha 1/6, beta 5/6
         assert res.pair == RatePair(pytest.approx(1 / 6), pytest.approx(5 / 6))
 
     def test_missing_verdict_rejected(self):
+        data = cohort()
         with pytest.raises(ValueError, match="no verdict"):
-            combine_decisions(cohort(), verdicts()[:2], scorer)
+            combine_decisions(data, verdicts()[:2], data.features[:, 0])
 
     def test_verdict_mapping_accepted(self):
         data = cohort()
         vmap = {v.maker_id: v for v in verdicts()}
-        assert combine_decisions(data, vmap, scorer).pair == RatePair(0.0, 1.0)
+        assert combine_decisions(data, vmap, data.features[:, 0]).pair == RatePair(0.0, 1.0)
 
-    def test_features_required_for_replacement(self):
-        with pytest.raises(ValueError, match="features"):
-            combine_decisions(cohort(with_features=False), verdicts(), scorer)
-
-    def test_scorer_shape_validated(self):
+    def test_scores_shape_validated(self):
+        data = cohort()
         with pytest.raises(ValueError, match="one score per case"):
-            combine_decisions(cohort(), verdicts(), lambda X: X[:2, 0])
+            combine_decisions(data, verdicts(), data.features[:2, 0])
+        with pytest.raises(ValueError, match="one score per case"):
+            replacement_path(data, verdicts(), [0.0], data.features)
+        with pytest.raises(ValueError, match="one score per case"):
+            randomized_accept(data, verdicts(), AcceptanceSchedule.constant(0.5), data.features[1:, 0], seed=0)
 
     def test_threshold_rule_is_strict_greater(self):
         data = cohort()
@@ -107,7 +107,7 @@ class TestCombineDecisions:
             ReplacementVerdict("b", False, None),
             ReplacementVerdict("c", False, None),
         ]
-        res = combine_decisions(data, v, scorer)
+        res = combine_decisions(data, v, data.features[:, 0])
         # a's machine calls are 0,0,0,0: two misses join c's errors
         assert res.counts.n10 == 3
         assert res.pair.beta == pytest.approx(0.5)
@@ -116,7 +116,7 @@ class TestCombineDecisions:
 class TestReplacementPath:
     def test_sweep_points(self):
         data = cohort()
-        pts = replacement_path(data, verdicts(), [0.0, 1 / 3, 2 / 3, 1.0], scorer)
+        pts = replacement_path(data, verdicts(), [0.0, 1 / 3, 2 / 3, 1.0], data.features[:, 0])
         assert [p.n_replaced for p in pts] == [0, 1, 2, 3]
         assert pts[0].pair == RatePair(0.5, 0.5)
         # lowest-loss maker a is swapped first
@@ -125,7 +125,8 @@ class TestReplacementPath:
         assert pts[3].pair == RatePair(0.0, 1.0)
 
     def test_halves_round_up(self):
-        pts = replacement_path(cohort(), verdicts(), [0.5], scorer)
+        data = cohort()
+        pts = replacement_path(data, verdicts(), [0.5], data.features[:, 0])
         assert pts[0].n_replaced == 2  # 1.5 rounds to 2
 
     def test_rank_ties_break_by_maker_id(self):
@@ -135,15 +136,16 @@ class TestReplacementPath:
             ReplacementVerdict("b", True, 0.5, {"min_loss": 0.0}),
             ReplacementVerdict("c", True, 0.5, {"min_loss": 0.0}),
         ]
-        pts = replacement_path(data, tied, [1 / 3], scorer)
+        pts = replacement_path(data, tied, [1 / 3], data.features[:, 0])
         # only "a" replaced: same pooled pair as the single-maker oracle
         assert pts[0].pair == RatePair(pytest.approx(1 / 6), pytest.approx(5 / 6))
 
     def test_every_maker_needs_threshold(self):
         bad = verdicts()
         bad[1] = ReplacementVerdict("b", False, None, {"min_loss": 0.9})
+        data = cohort()
         with pytest.raises(ValueError, match="threshold"):
-            replacement_path(cohort(), bad, [0.0], scorer)
+            replacement_path(data, bad, [0.0], data.features[:, 0])
 
     def test_min_loss_diagnostic_required(self):
         bad = [
@@ -151,12 +153,14 @@ class TestReplacementPath:
             ReplacementVerdict("b", False, 0.5),
             ReplacementVerdict("c", True, 0.5, {"min_loss": 0.3}),
         ]
+        data = cohort()
         with pytest.raises(ValueError, match="min_loss"):
-            replacement_path(cohort(), bad, [0.0], scorer)
+            replacement_path(data, bad, [0.0], data.features[:, 0])
 
     def test_fraction_range_validated(self):
+        data = cohort()
         with pytest.raises(ValueError):
-            replacement_path(cohort(), verdicts(), [1.5], scorer)
+            replacement_path(data, verdicts(), [1.5], data.features[:, 0])
 
 
 class TestAcceptanceSchedule:
@@ -207,34 +211,34 @@ class TestRandomizedAccept:
     def test_lambda_zero_equals_raw_exactly(self):
         data = cohort()
         sched = AcceptanceSchedule.constant(0.0, scope="all-makers")
-        res = randomized_accept(data, verdicts(), sched, scorer, seed=123)
+        res = randomized_accept(data, verdicts(), sched, data.features[:, 0], seed=123)
         assert res.counts == tally_confusion(data.y, data.y_hat)
         assert res.pair == RatePair(0.5, 0.5)
 
     def test_lambda_one_equals_machine_exactly(self):
         data = cohort()
         sched = AcceptanceSchedule.constant(1.0, scope="all-makers")
-        res = randomized_accept(data, verdicts(), sched, scorer, seed=77)
+        res = randomized_accept(data, verdicts(), sched, data.features[:, 0], seed=77)
         assert res.pair == RatePair(0.0, 1.0)
 
     def test_lambda_one_in_scope_equals_combined(self):
         data = cohort()
         sched = AcceptanceSchedule.constant(1.0)  # less-capable-only
-        res = randomized_accept(data, verdicts(), sched, scorer, seed=5)
-        combined = combine_decisions(data, verdicts(), scorer)
+        res = randomized_accept(data, verdicts(), sched, data.features[:, 0], seed=5)
+        combined = combine_decisions(data, verdicts(), data.features[:, 0])
         assert res.counts == combined.counts
 
     def test_deterministic_in_seed(self):
         data = cohort()
         sched = AcceptanceSchedule.constant(0.5, scope="all-makers")
-        a = randomized_accept(data, verdicts(), sched, scorer, seed=11)
-        b = randomized_accept(data, verdicts(), sched, scorer, seed=11)
+        a = randomized_accept(data, verdicts(), sched, data.features[:, 0], seed=11)
+        b = randomized_accept(data, verdicts(), sched, data.features[:, 0], seed=11)
         assert a.counts == b.counts
 
     def test_reports_resolved_lambdas(self):
         data = cohort()
         sched = AcceptanceSchedule.constant(0.25)
-        res = randomized_accept(data, verdicts(), sched, scorer, seed=0)
+        res = randomized_accept(data, verdicts(), sched, data.features[:, 0], seed=0)
         assert res.lambdas == {"a": 0.25, "b": 0.0, "c": 0.25}
 
     def test_positive_lambda_needs_threshold(self):
@@ -246,12 +250,89 @@ class TestRandomizedAccept:
         ]
         sched = AcceptanceSchedule.constant(1.0, scope="all-makers")
         with pytest.raises(ValueError, match="threshold"):
-            randomized_accept(data, bad, sched, scorer, seed=0)
+            randomized_accept(data, bad, sched, data.features[:, 0], seed=0)
 
     def test_missing_verdict_rejected(self):
         sched = AcceptanceSchedule.constant(0.5)
+        data = cohort()
         with pytest.raises(ValueError, match="no verdict"):
-            randomized_accept(cohort(), verdicts()[:1], sched, scorer, seed=0)
+            randomized_accept(data, verdicts()[:1], sched, data.features[:, 0], seed=0)
+
+
+# -- per-case loop references ---------------------------------------------
+
+
+def loop_combined_counts(data, vmap, scores):
+    final = []
+    for i in range(data.n_cases):
+        v = vmap[data.makers[data.maker_index[i]]]
+        final.append(int(scores[i] > v.threshold) if v.replace else int(data.y_hat[i]))
+    return tally_confusion(data.y, np.array(final))
+
+
+def loop_randomized_counts(data, vmap, lams, scores, seed):
+    u = np.random.default_rng(seed).random(data.n_cases)
+    final = []
+    for i in range(data.n_cases):
+        m = data.makers[data.maker_index[i]]
+        if lams[m] > 0.0 and u[i] <= lams[m]:
+            if any(lams[k] > 0.0 and vmap[k].threshold is None for k in data.makers):
+                return None  # the fast path must refuse this schedule
+            final.append(int(scores[i] > vmap[m].threshold))
+        else:
+            final.append(int(data.y_hat[i]))
+    return tally_confusion(data.y, np.array(final))
+
+
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]  # scores and thresholds tie often
+
+
+@st.composite
+def scored_cohorts(draw):
+    """Cohort with both outcomes, a score per case and a verdict per maker."""
+    n_makers = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 40))
+    ints = lambda lo, hi: draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))  # noqa: E731
+    y = ints(0, 1)
+    y[:2] = [0, 1]
+    data = CohortDataset(
+        [f"m{k}" for k in range(n_makers)], np.array(ints(0, n_makers - 1)), np.array(y),
+        np.array(ints(0, 1)),
+    )
+    scores = np.array(draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n)))
+    vmap = {}
+    for m in data.makers:
+        replace = draw(st.booleans())
+        thr = draw(st.sampled_from(GRID) if replace else st.sampled_from([None, *GRID]))
+        vmap[m] = ReplacementVerdict(m, replace, thr)
+    return data, vmap, scores
+
+
+class TestMatchesPerCaseLoop:
+    @given(scored_cohorts())
+    @settings(max_examples=200, deadline=None)
+    def test_combine_decisions(self, case):
+        data, vmap, scores = case
+        res = combine_decisions(data, vmap, scores)
+        assert res.counts == loop_combined_counts(data, vmap, scores)
+        assert res.replaced == tuple(sorted(m for m in data.makers if vmap[m].replace))
+
+    @given(
+        scored_cohorts(),
+        st.sampled_from(GRID),
+        st.sampled_from(["less-capable-only", "all-makers"]),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_randomized_accept(self, case, lam, scope, seed):
+        data, vmap, scores = case
+        sched = AcceptanceSchedule.constant(lam, scope=scope)
+        want = loop_randomized_counts(data, vmap, sched.resolve(data.makers, vmap), scores, seed)
+        if want is None:
+            with pytest.raises(ValueError, match="positive lambda but no threshold"):
+                randomized_accept(data, vmap, sched, scores, seed=seed)
+        else:
+            assert randomized_accept(data, vmap, sched, scores, seed=seed).counts == want
 
 
 class TestCsvWriters:
@@ -264,7 +345,7 @@ class TestCsvWriters:
 
     def test_path_rows(self, tmp_path):
         data = cohort()
-        pts = replacement_path(data, verdicts(), [0.0, 1.0], scorer)
+        pts = replacement_path(data, verdicts(), [0.0, 1.0], data.features[:, 0])
         path = tmp_path / "path.csv"
         write_path_csv(path, pts)
         assert path.read_bytes() == b"fraction,fpr,tpr\r\n0,0.5,0.5\r\n1,0,1\r\n"

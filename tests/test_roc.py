@@ -110,6 +110,15 @@ class TestCurveEvaluation:
         roc = RocCurve.from_pairs([(0, 0), (0.5, 0.75), (1, 1)])
         assert roc.auc() == pytest.approx(0.625)
 
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 300))
+    @settings(max_examples=50, deadline=None)
+    def test_auc_equals_numpy_trapezoid_bitwise(self, seed, n):
+        rng = np.random.default_rng(seed)
+        labels = np.r_[0, 1, rng.integers(0, 2, n - 2)]
+        roc = build_roc(rng.random(n).round(2), labels)
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        assert roc.auc() == float(trapezoid(roc.betas, roc.alphas))
+
     def test_auc_ignores_collinear_points(self):
         a = RocCurve.from_pairs([(0, 0), (0.5, 0.5), (1, 1)])
         assert a.auc() == pytest.approx(diagonal().auc())
@@ -296,6 +305,15 @@ class TestRocCsv:
         np.testing.assert_allclose(back.thresholds, roc.thresholds)
         np.testing.assert_allclose(back.alphas, roc.alphas)
         np.testing.assert_allclose(back.betas, roc.betas)
+
+    def test_round_trip_is_exact_for_close_scores(self, tmp_path):
+        # 0.5 and 0.5 + 1e-12 print alike under %.10g
+        roc = build_roc(np.array([0.5 + 1e-12, 0.5, 0.25]), np.array([1, 0, 1]))
+        path = tmp_path / "roc.csv"
+        write_roc_csv(path, roc)
+        back = read_roc_csv(path)
+        for name in ("thresholds", "alphas", "betas"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(roc, name))
 
     def test_reemit_identical_bytes(self, tmp_path):
         rng = np.random.default_rng(8)
