@@ -170,7 +170,9 @@ class CostBenefitLoss:
 
     ``cost(theta_m, alphas, betas)`` and ``benefit(theta_m, betas)``
     receive one candidate curve point and the draw arrays and must
-    return per-draw arrays.
+    return per-draw arrays.  The hooks are called once per candidate
+    from a Python loop over the dense candidate x draw mask, so this
+    loss is far slower than the cataloged kinds.
     """
 
     cost: Callable[[RatePair, np.ndarray, np.ndarray], np.ndarray]
@@ -192,8 +194,6 @@ def _diag_lambda(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _per_draw_weights(kind: LossKind, draws_a, draws_b, roc: RocCurve):
     """Domination benefit per draw for kinds that ignore the curve point."""
-    if kind is LossKind.BASELINE:
-        return np.ones_like(draws_a)
     if kind is LossKind.EUCLIDEAN:
         return roc.distance_to_curve(np.column_stack([draws_a, draws_b]))
     if kind is LossKind.DIAGONAL_VERTICAL:
@@ -203,6 +203,17 @@ def _per_draw_weights(kind: LossKind, draws_a, draws_b, roc: RocCurve):
         lam = _diag_lambda(draws_b - draws_a, draws_b - roc.fpr_at_tpr(draws_b))
         return 1.0 - lam
     return None
+
+
+def _run_counts(start: np.ndarray, stop: np.ndarray, size: int) -> np.ndarray:
+    """How many of the half-open runs [start_i, stop_i) cover each of 0..size-1.
+
+    A difference array: +1 where a run starts, -1 where it stops, then a
+    running sum.  Empty runs (stop_i <= start_i) cover nothing.
+    """
+    keep = start < stop
+    edges = np.bincount(start[keep], minlength=size + 1) - np.bincount(stop[keep], minlength=size + 1)
+    return np.cumsum(edges[:size])
 
 
 def _benefit_means(
@@ -216,8 +227,16 @@ def _benefit_means(
     """Mean over draws of (domination benefit) at each candidate point.
 
     The posterior expected loss at a candidate is 1 minus this mean.
+    Candidates must be sorted by fpr with nondecreasing curve values:
+    the baseline indicator counts contiguous runs of candidates (see
+    ``max_dominance``).  The weighted kinds and ``CostBenefitLoss``
+    evaluate the dense candidate x draw mask in chunks.
     """
     n_draws = draws_a.size
+    if kind is LossKind.BASELINE:
+        start = np.searchsorted(cand_b, draws_b, side="left")
+        stop = np.searchsorted(cand_a, draws_a, side="right")
+        return _run_counts(start, stop, cand_a.size) / n_draws
     w_draw = None if isinstance(kind, CostBenefitLoss) else _per_draw_weights(kind, draws_a, draws_b, roc)
     out = np.empty(cand_a.size)
     chunk = max(1, _CHUNK_CELLS // max(n_draws, 1))
@@ -270,6 +289,11 @@ def max_dominance(
     """Largest posterior mass a single curve point weakly dominates.
 
     Candidates are the shared fpr grid; ties pick the smallest fpr.
+    The grid is sorted and the curve value g is nondecreasing along it,
+    so the candidates that weakly dominate draw i (a_k <= alpha_i and
+    g_k >= beta_i) form one contiguous run of the grid.  The mass at
+    every candidate is an exact count over those runs, in
+    O((candidates + draws) log candidates) time.
     q_max = 0 means no curve point dominates any draw (all mass above
     the curve) and the maximizer is reported as undefined.
     """
@@ -380,6 +404,9 @@ def reversed_null_retain(
     by at least ``credible_level`` of the posterior mass; ABOVE keeps
     the maker when that share of mass sits strictly above the curve.
     A DOMINATE retention implies an ABOVE retention on the same draws.
+    DOMINATE counts contiguous runs as ``max_dominance`` does, mirrored:
+    the candidates draw i dominates (a_k >= alpha_i and g_k <= beta_i)
+    form one run of the sorted grid because g is nondecreasing along it.
     """
     if not 0.0 < credible_level < 1.0:
         raise ValueError("credible_level must be in (0, 1)")
@@ -387,19 +414,13 @@ def reversed_null_retain(
         support = float(np.mean(draws.betas > roc.tpr_at_fpr(draws.alphas)))
         return RetentionResult(retain=support >= credible_level, support=support, alpha_at=None)
     cand = curve_candidate_grid(roc, draws, grid_size)
-    g_cand = roc.tpr_at_fpr(cand)
-    best = 0.0
-    best_alpha = None
-    chunk = max(1, _CHUNK_CELLS // max(draws.n_draws, 1))
-    for lo in range(0, cand.size, chunk):
-        ca = cand[lo : lo + chunk, None]
-        cb = g_cand[lo : lo + chunk, None]
-        mass = ((draws.alphas[None, :] <= ca) & (draws.betas[None, :] >= cb)).mean(axis=1)
-        i = int(np.argmax(mass))
-        if mass[i] > best:
-            best = float(mass[i])
-            best_alpha = float(cand[lo + i])
-    return RetentionResult(retain=best >= credible_level, support=best, alpha_at=best_alpha)
+    start = np.searchsorted(cand, draws.alphas, side="left")
+    stop = np.searchsorted(roc.tpr_at_fpr(cand), draws.betas, side="right")
+    mass = _run_counts(start, stop, cand.size) / draws.n_draws
+    i = int(np.argmax(mass))
+    support = float(mass[i])
+    alpha_at = float(cand[i]) if support > 0.0 else None
+    return RetentionResult(retain=support >= credible_level, support=support, alpha_at=alpha_at)
 
 
 def benchmark_maker_bayesian(

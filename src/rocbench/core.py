@@ -261,11 +261,9 @@ def write_cases_csv(path, data: CohortDataset) -> None:
         writer = csv.writer(fh)
         d = data.n_features
         writer.writerow(["maker_id", "y", "y_hat"] + [f"f{j + 1}" for j in range(d)])
-        for i in range(data.n_cases):
-            row = [data.makers[data.maker_index[i]], str(int(data.y[i])), str(int(data.y_hat[i]))]
-            if d:
-                row += [_FMT % v for v in data.features[i]]
-            writer.writerow(row)
+        feats = data.features.tolist() if d else [()] * data.n_cases
+        for m, y, y_hat, f in zip(data.maker_index.tolist(), data.y.tolist(), data.y_hat.tolist(), feats):
+            writer.writerow([data.makers[m], y, y_hat] + [_FMT % v for v in f])
 
 
 def read_cases_csv(path) -> CohortDataset:
@@ -298,13 +296,16 @@ def read_cases_csv(path) -> CohortDataset:
             yhats.append(int(yhat_s))
             if d:
                 try:
-                    vals = [float(v) for v in row[3:]]
+                    feats.append([float(v) for v in row[3:]])
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: non-numeric feature") from None
-                if not all(np.isfinite(vals)):
-                    raise ValueError(f"{path}: line {lineno}: non-finite feature")
-                feats.append(vals)
         if not ys:
             raise ValueError(f"{path}: no case rows")
-        features = np.asarray(feats) if d else None
+        features = None
+        if d:
+            features = np.asarray(feats)
+            finite = np.isfinite(features).all(axis=1)
+            if not finite.all():
+                lineno = 2 + int(np.argmin(finite))
+                raise ValueError(f"{path}: line {lineno}: non-finite feature")
         return CohortDataset(makers, np.asarray(idx), np.asarray(ys), np.asarray(yhats), features)

@@ -110,7 +110,11 @@ class RocCurve:
     # -- curve as a function -------------------------------------------
 
     def tpr_at_fpr(self, alpha):
-        """Curve value g(alpha); accepts scalars or arrays."""
+        """Curve value g(alpha); accepts scalars or arrays.
+
+        Nondecreasing in alpha in floating point too, not only in exact
+        arithmetic: the dominance counts in ``bayes`` depend on it.
+        """
         a = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, 1.0)
         scalar = a.ndim == 0
         a = np.atleast_1d(a)
@@ -121,6 +125,9 @@ class RocCurve:
             chord = self._hi[k - 1] + (a - self._ua[k - 1]) * (
                 self._lo[k] - self._hi[k - 1]
             ) / (self._ua[k] - self._ua[k - 1])
+        # rounding can overshoot the chord's right end by an ulp just left
+        # of a knot
+        chord = np.minimum(chord, self._lo[k])
         out = np.where(exact, self._hi[j], chord)
         return float(out[0]) if scalar else out
 

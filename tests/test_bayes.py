@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rocbench.bayes import (
     CostBenefitLoss,
@@ -23,7 +25,7 @@ from rocbench.bayes import (
     write_bayesian_csv,
 )
 from rocbench.core import ConfusionCounts, RatePair
-from rocbench.roc import RocCurve
+from rocbench.roc import RocCurve, build_roc
 
 
 def steep_curve():
@@ -40,6 +42,48 @@ def make_draws(pairs):
     a, b = pairs[:, 0].copy(), pairs[:, 1].copy()
     t = np.column_stack([0.5 * b, 0.5 * a, 0.5 * (1 - b), 0.5 * (1 - a)])
     return PosteriorDraws(t=t, alphas=a, betas=b)
+
+
+def dense_mass(cand_a, cand_b, alphas, betas):
+    """Mass each candidate weakly dominates, from the candidate x draw mask.
+
+    Reference for the run counting in ``bayes``: a row sum of exact
+    1.0s divided by n_draws.
+    """
+    dom = (alphas[None, :] >= cand_a[:, None]) & (betas[None, :] <= cand_b[:, None])
+    return np.where(dom, 1.0, 0.0).sum(axis=1) / alphas.size
+
+
+def dense_reverse_mass(cand_a, cand_b, alphas, betas):
+    """Mass dominating each candidate, from the candidate x draw mask."""
+    return ((alphas[None, :] <= cand_a[:, None]) & (betas[None, :] >= cand_b[:, None])).mean(axis=1)
+
+
+@st.composite
+def curves_and_draws(draw):
+    """Empirical curves with tied scores and rates such as i/97, and draws
+    on knots, one ulp below knots, on the curve and anywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_neg = draw(st.sampled_from([1, 3, 10, 97]))
+    n_pos = draw(st.sampled_from([1, 4, 97]))
+    labels = np.r_[np.zeros(n_neg, int), np.ones(n_pos, int)]
+    # few score levels: ties, and runs of positives that make vertical runs
+    roc = build_roc(rng.integers(0, draw(st.integers(1, 30)), labels.size), labels)
+    n = draw(st.integers(1, 60))
+    k = rng.integers(0, roc.n_points, n)
+    ka, kb = roc.alphas[k], roc.betas[k]
+    below = np.nextafter(ka, 0.0)
+    u, v = rng.random(n), rng.random(n)
+    pairs = np.stack([
+        np.column_stack([ka, kb]),  # on a vertex
+        np.column_stack([below, roc.tpr_at_fpr(below)]),  # on the curve one ulp left of a knot
+        np.column_stack([below, kb]),
+        np.column_stack([ka, np.nextafter(kb, 0.0)]),
+        np.column_stack([u, roc.tpr_at_fpr(u)]),  # on the curve
+        np.column_stack([u, v]),
+    ])
+    source = rng.integers(0, pairs.shape[0], n)
+    return roc, make_draws(pairs[source, np.arange(n)])
 
 
 class TestDirichletParams:
@@ -180,6 +224,28 @@ class TestMaxDominance:
         assert res.q_max == max(q)
         assert res.alpha_d == grid[int(np.argmax(q))]
 
+    def test_draws_one_ulp_below_knot(self):
+        # an unclamped chord puts g(a0) one ulp above g(11/97); g is then
+        # not monotone, the dominating candidates are no longer one run,
+        # and the run count gives q_max 1/3
+        roc = RocCurve([3, 2, 1, 0], [0, 4 / 97, 11 / 97, 1], [0, 1 / 97, 12 / 97, 1])
+        a0 = np.nextafter(11 / 97, 0.0)
+        g0 = roc.tpr_at_fpr(a0)
+        assert g0 <= roc.tpr_at_fpr(11 / 97)
+        draws = make_draws([(a0, g0), (a0, g0), (0.9, 0.99)])
+        assert max_dominance(draws, roc, grid_size=8).q_max == 2 / 3
+
+    @given(curves_and_draws(), st.integers(2, 600))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_mask(self, case, grid_size):
+        roc, draws = case
+        cand = curve_candidate_grid(roc, draws, grid_size)
+        q = dense_mass(cand, roc.tpr_at_fpr(cand), draws.alphas, draws.betas)
+        i = int(np.argmax(q))
+        want = (0.0, None) if q[i] == 0.0 else (float(q[i]), float(cand[i]))
+        res = max_dominance(draws, roc, grid_size)
+        assert (res.q_max, res.alpha_d) == want
+
     def test_lower_curve_never_helps(self):
         params = posterior_params(ConfusionCounts(n11=40, n01=60, n10=60, n00=140))
         draws = sample_posterior(params, 500, 8)
@@ -268,6 +334,18 @@ class TestMinPosteriorLoss:
         value, theta = min_posterior_loss(draws, roc, LossKind.BASELINE)
         assert value == 1.0 - dom.q_max
         assert theta.alpha == dom.alpha_d
+
+    @given(curves_and_draws(), st.integers(2, 600))
+    @settings(max_examples=150, deadline=None)
+    def test_baseline_matches_dense_mask(self, case, grid_size):
+        roc, draws = case
+        cand = curve_candidate_grid(roc, draws, grid_size)
+        g = roc.tpr_at_fpr(cand)
+        q = dense_mass(cand, g, draws.alphas, draws.betas)
+        i = int(np.argmax(q))
+        value, theta = min_posterior_loss(draws, roc, LossKind.BASELINE, grid_size)
+        assert value == float(1.0 - q[i])
+        assert theta == RatePair(float(cand[i]), float(g[i]))
 
     def test_point_mass_fully_dominated(self):
         draws = make_draws([(0.5, 0.36)] * 3)
@@ -401,6 +479,17 @@ class TestReversedNullRetention:
             assert dom.support <= above.support + 1e-12
             if dom.retain:
                 assert above.retain
+
+    @given(curves_and_draws(), st.integers(2, 600), st.sampled_from([0.05, 0.5, 0.95]))
+    @settings(max_examples=150, deadline=None)
+    def test_dominate_matches_dense_mask(self, case, grid_size, level):
+        roc, draws = case
+        cand = curve_candidate_grid(roc, draws, grid_size)
+        mass = dense_reverse_mass(cand, roc.tpr_at_fpr(cand), draws.alphas, draws.betas)
+        i = int(np.argmax(mass))
+        support, alpha_at = (0.0, None) if mass[i] == 0.0 else (float(mass[i]), float(cand[i]))
+        res = reversed_null_retain(draws, roc, level, RetentionMethod.DOMINATE, grid_size)
+        assert (res.support, res.alpha_at, res.retain) == (support, alpha_at, support >= level)
 
     def test_level_validated(self):
         with pytest.raises(ValueError):

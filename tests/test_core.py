@@ -357,3 +357,11 @@ class TestCasesCsv(object):
         path.write_text("maker_id,y,y_hat,f1\nm,1,1,nan\n")
         with pytest.raises(ValueError, match="line 2"):
             read_cases_csv(path)
+
+    def test_non_finite_feature_line_after_good_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "maker_id,y,y_hat,f1,f2\nm,1,1,0.5,1\nm,0,1,2,-3\nm,1,0,nan,inf\nm,0,0,1,inf\n"
+        )
+        with pytest.raises(ValueError, match="line 4: non-finite"):
+            read_cases_csv(path)

@@ -119,6 +119,30 @@ class TestCurveEvaluation:
         trapezoid = getattr(np, "trapezoid", None) or np.trapz
         assert roc.auc() == float(trapezoid(roc.betas, roc.alphas))
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_nondecreasing_at_and_just_below_knots(self, seed):
+        # Each tied score level takes a random block of the negatives and
+        # of the positives, so knots sit at rates i/n_neg and j/n_pos, and
+        # a block without negatives makes a vertical run.  Rounding on a
+        # long chord could put g an ulp above the next knot's value just
+        # left of that knot, on about one such curve in 800: hence many
+        # curves per example.
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n_neg, n_pos = (int(n) for n in rng.integers(1, 200, 2))
+            levels = int(rng.integers(1, 6))
+            neg = np.diff(np.r_[0, np.sort(rng.integers(0, n_neg + 1, levels - 1)), n_neg])
+            pos = np.diff(np.r_[0, np.sort(rng.integers(0, n_pos + 1, levels - 1)), n_pos])
+            level = np.arange(levels, 0, -1)
+            roc = build_roc(
+                np.r_[np.repeat(level, neg), np.repeat(level, pos)],
+                np.r_[np.zeros(n_neg, int), np.ones(n_pos, int)],
+            )
+            knots = roc.knot_alphas
+            a = np.sort(np.concatenate([knots, np.nextafter(knots, 0.0), rng.random(20)]))
+            assert (np.diff(roc.tpr_at_fpr(a)) >= 0.0).all()
+
     def test_auc_ignores_collinear_points(self):
         a = RocCurve.from_pairs([(0, 0), (0.5, 0.5), (1, 1)])
         assert a.auc() == pytest.approx(diagonal().auc())
