@@ -22,7 +22,6 @@ minimized posterior loss <= 1 - level generalizes the baseline rule.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from typing import Callable
@@ -30,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ConfusionCounts, RatePair
+from .csvio import format_float, parse_float, read_table, write_table
 from .replacement import ReplacementVerdict
 from .roc import RocCurve
 
@@ -444,54 +444,44 @@ def benchmark_maker_bayesian(
 
 # -- CSV interchange ---------------------------------------------------
 #
-# Format: maker_id,q_max,alpha_d,loss_kind,min_loss,replace,threshold
-# with alpha_d empty when no curve point dominates any draw.
+# alpha_d is empty when no curve point dominates any draw.
 
-_FMT = "%.10g"
+_BAYES_HEADER = ("maker_id", "q_max", "alpha_d", "loss_kind", "min_loss", "replace", "threshold")
+_FLAG = {"true": True, "false": False}
+
+
+def _bayes_row(v: ReplacementVerdict) -> list[str]:
+    d = v.diagnostics
+    return [
+        v.maker_id,
+        format_float(d["q_max"]),
+        "" if np.isnan(d["alpha_d"]) else format_float(d["alpha_d"]),
+        d["loss_kind"],
+        format_float(d["min_loss"]),
+        "true" if v.replace else "false",
+        format_float(v.threshold),
+    ]
 
 
 def write_bayesian_csv(path, verdicts: list[ReplacementVerdict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["maker_id", "q_max", "alpha_d", "loss_kind", "min_loss", "replace", "threshold"])
-        for v in verdicts:
-            d = v.diagnostics
-            alpha_d = "" if np.isnan(d["alpha_d"]) else _FMT % d["alpha_d"]
-            writer.writerow(
-                [
-                    v.maker_id,
-                    _FMT % d["q_max"],
-                    alpha_d,
-                    d["loss_kind"],
-                    _FMT % d["min_loss"],
-                    "true" if v.replace else "false",
-                    _FMT % v.threshold,
-                ]
-            )
+    write_table(path, _BAYES_HEADER, map(_bayes_row, verdicts))
+
+
+def _parse_bayes_row(row: list[str]) -> ReplacementVerdict:
+    if row[5] not in _FLAG:
+        raise ValueError(f"replace must be true or false, got {row[5]!r}")
+    return ReplacementVerdict(
+        maker_id=row[0],
+        replace=_FLAG[row[5]],
+        threshold=parse_float(row[6]),
+        diagnostics={
+            "q_max": parse_float(row[1]),
+            "alpha_d": parse_float(row[2]) if row[2] else np.nan,
+            "loss_kind": row[3],
+            "min_loss": parse_float(row[4]),
+        },
+    )
 
 
 def read_bayesian_csv(path) -> list[ReplacementVerdict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["maker_id", "q_max", "alpha_d", "loss_kind", "min_loss", "replace", "threshold"]
-        if header != expected:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 7 or row[5] not in ("true", "false"):
-                raise ValueError(f"{path}: line {lineno}: malformed row")
-            out.append(
-                ReplacementVerdict(
-                    maker_id=row[0],
-                    replace=row[5] == "true",
-                    threshold=float(row[6]),
-                    diagnostics={
-                        "q_max": float(row[1]),
-                        "alpha_d": float(row[2]) if row[2] else np.nan,
-                        "loss_kind": row[3],
-                        "min_loss": float(row[4]),
-                    },
-                )
-            )
-        return out
+    return read_table(path, _BAYES_HEADER, _parse_bayes_row, unique="maker_id")

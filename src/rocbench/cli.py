@@ -29,6 +29,7 @@ import numpy as np
 
 from .bayes import DEFAULT_PRIOR_WEIGHT, LossKind, benchmark_maker_bayesian, read_bayesian_csv, write_bayesian_csv
 from .core import CohortDataset, rate_pair, read_cases_csv, stratified_split, write_cases_csv
+from .csvio import write_json
 from .forest import ForestParams, load_forest, save_forest, train_forest
 from .frequentist import benchmark_maker_frequentist, write_frequentist_csv
 from .replacement import (
@@ -160,12 +161,6 @@ def _out_file(args, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _pair_dict(pair) -> dict:
     return {"fpr": pair.alpha, "tpr": pair.beta}
 
@@ -251,7 +246,7 @@ def _cmd_split(args) -> int:
     name_a, name_b = (args.names.split(",") + ["a", "b"])[:2]
     write_cases_csv(os.path.join(out, f"{name_a}.csv"), left)
     write_cases_csv(os.path.join(out, f"{name_b}.csv"), right)
-    _write_json(
+    write_json(
         os.path.join(out, "split_manifest.json"),
         {
             "label": args.label,
@@ -407,8 +402,8 @@ def _cmd_report(args) -> int:
         )
         lam_rows.append((lam, result.pair, cfg.seed))
 
-    _write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
-    _write_json(
+    write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
+    write_json(
         os.path.join(out, "split_manifest.json"),
         {
             "min_cases": cfg.min_cases,
@@ -460,7 +455,7 @@ def _cmd_report(args) -> int:
         "case_labels": label_tally,
         "bayes_replaced": sum(1 for v in verdicts_bayes if v.replace),
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
+    write_json(os.path.join(out, "summary.json"), summary)
     return 0
 
 

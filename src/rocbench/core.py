@@ -15,11 +15,12 @@ where ``nab`` counts cases with ``y == a`` and ``y_hat == b``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .csvio import format_float, parse_float, read_table, write_table
 
 __all__ = [
     "ConfusionCounts",
@@ -253,59 +254,30 @@ def stratified_split(
 # Format: header  maker_id,y,y_hat[,f1,f2,...]  with one row per case,
 # y and y_hat literal 0/1, feature cells finite floats.
 
-_FMT = "%.10g"
+_CASES_HEADER = ("maker_id", "y", "y_hat")
+_BIT = {"0": 0, "1": 1}
 
 
 def write_cases_csv(path, data: CohortDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = data.n_features
-        writer.writerow(["maker_id", "y", "y_hat"] + [f"f{j + 1}" for j in range(d)])
-        feats = data.features.tolist() if d else [()] * data.n_cases
-        for m, y, y_hat, f in zip(data.maker_index.tolist(), data.y.tolist(), data.y_hat.tolist(), feats):
-            writer.writerow([data.makers[m], y, y_hat] + [_FMT % v for v in f])
+    header = [*_CASES_HEADER, *(f"f{j + 1}" for j in range(data.n_features))]
+    names = [data.makers[m] for m in data.maker_index.tolist()]
+    feats = [map(format_float, col) for col in data.features.T.tolist()] if data.n_features else []
+    write_table(path, header, zip(names, data.y.tolist(), data.y_hat.tolist(), *feats))
 
 
 def read_cases_csv(path) -> CohortDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    codes: dict[str, int] = {}
+
+    def case_row(row: list[str]) -> tuple:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if header[:3] != ["maker_id", "y", "y_hat"]:
-            raise ValueError(f"{path}: malformed header {header[:3]!r}")
-        d = len(header) - 3
-        makers: list[str] = []
-        lookup: dict[str, int] = {}
-        idx: list[int] = []
-        ys: list[int] = []
-        yhats: list[int] = []
-        feats: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3 + d:
-                raise ValueError(f"{path}: line {lineno}: expected {3 + d} fields, got {len(row)}")
-            maker, y_s, yhat_s = row[0], row[1], row[2]
-            if y_s not in ("0", "1") or yhat_s not in ("0", "1"):
-                raise ValueError(f"{path}: line {lineno}: y and y_hat must be literal 0 or 1")
-            if maker not in lookup:
-                lookup[maker] = len(makers)
-                makers.append(maker)
-            idx.append(lookup[maker])
-            ys.append(int(y_s))
-            yhats.append(int(yhat_s))
-            if d:
-                try:
-                    feats.append([float(v) for v in row[3:]])
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric feature") from None
-        if not ys:
-            raise ValueError(f"{path}: no case rows")
-        features = None
-        if d:
-            features = np.asarray(feats)
-            finite = np.isfinite(features).all(axis=1)
-            if not finite.all():
-                lineno = 2 + int(np.argmin(finite))
-                raise ValueError(f"{path}: line {lineno}: non-finite feature")
-        return CohortDataset(makers, np.asarray(idx), np.asarray(ys), np.asarray(yhats), features)
+            y, y_hat = _BIT[row[1]], _BIT[row[2]]
+        except KeyError:
+            raise ValueError("y and y_hat must be literal 0 or 1") from None
+        return (codes.setdefault(row[0], len(codes)), y, y_hat, *map(parse_float, row[3:]))
+
+    rows = read_table(path, _CASES_HEADER, case_row, prefix=True)
+    if not rows:
+        raise ValueError(f"{path}: no case rows")
+    table = np.array(rows)  # float64; maker codes and labels are exact
+    features = table[:, 3:] if table.shape[1] > 3 else None
+    return CohortDataset(list(codes), table[:, 0], table[:, 1], table[:, 2], features)

@@ -21,7 +21,6 @@ against "strictly below" uses the delta method along the curve.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ import numpy as np
 from scipy import stats
 
 from .core import ConfusionCounts, RatePair, rate_pair
+from .csvio import format_float, parse_float, read_table, write_table
 from .roc import DominatingSegment, RocCurve
 
 __all__ = [
@@ -279,45 +279,40 @@ def benchmark_maker_frequentist(
 
 # -- CSV interchange ---------------------------------------------------
 #
-# Format: maker_id,n,alpha_hat,beta_hat,case_label,c_lower,c_upper with
-# empty threshold cells for retained makers.
+# The threshold cells c_lower and c_upper are empty for retained makers.
 
-_FMT = "%.10g"
+_FREQ_HEADER = ("maker_id", "n", "alpha_hat", "beta_hat", "case_label", "c_lower", "c_upper")
+
+
+def _freq_row(v: FrequentistVerdict) -> list[str]:
+    seg = v.segment
+    return [
+        v.maker_id,
+        str(v.n),
+        format_float(v.pair.alpha),
+        format_float(v.pair.beta),
+        v.label.value,
+        "" if seg is None else format_float(seg.c_lower),
+        "" if seg is None else format_float(seg.c_upper),
+    ]
 
 
 def write_frequentist_csv(path, verdicts: list[FrequentistVerdict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["maker_id", "n", "alpha_hat", "beta_hat", "case_label", "c_lower", "c_upper"])
-        for v in verdicts:
-            lo = _FMT % v.segment.c_lower if v.segment is not None else ""
-            hi = _FMT % v.segment.c_upper if v.segment is not None else ""
-            writer.writerow(
-                [v.maker_id, str(v.n), _FMT % v.pair.alpha, _FMT % v.pair.beta, v.label.value, lo, hi]
-            )
+    write_table(path, _FREQ_HEADER, map(_freq_row, verdicts))
+
+
+def _parse_freq_row(row: list[str]) -> dict:
+    return {
+        "maker_id": row[0],
+        "n": int(row[1]),
+        "alpha_hat": parse_float(row[2]),
+        "beta_hat": parse_float(row[3]),
+        "case_label": CaseLabel(row[4]),
+        "c_lower": parse_float(row[5]) if row[5] else None,
+        "c_upper": parse_float(row[6]) if row[6] else None,
+    }
 
 
 def read_frequentist_csv(path) -> list[dict]:
     """Rows as dicts; thresholds are floats or None."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["maker_id", "n", "alpha_hat", "beta_hat", "case_label", "c_lower", "c_upper"]
-        if header != expected:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 7:
-                raise ValueError(f"{path}: line {lineno}: expected 7 fields")
-            rows.append(
-                {
-                    "maker_id": row[0],
-                    "n": int(row[1]),
-                    "alpha_hat": float(row[2]),
-                    "beta_hat": float(row[3]),
-                    "case_label": CaseLabel(row[4]),
-                    "c_lower": float(row[5]) if row[5] else None,
-                    "c_upper": float(row[6]) if row[6] else None,
-                }
-            )
-        return rows
+    return read_table(path, _FREQ_HEADER, _parse_freq_row, unique="maker_id")

@@ -16,7 +16,6 @@ caller) and ``threshold`` the maker's personal replacement threshold.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -24,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import CohortDataset, ConfusionCounts, RatePair, rate_pair, tally_confusion
+from .csvio import format_float, write_table
 
 __all__ = [
     "ReplacementVerdict",
@@ -255,30 +255,18 @@ def randomized_accept(
 
 # -- CSV interchange ---------------------------------------------------
 
-_FMT = "%.10g"
-
-
 def write_combined_csv(path, rows: list[tuple[str, RatePair, int]]) -> None:
     """Rows of (label, pooled pair, n_replaced)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "fpr", "tpr", "n_replaced"])
-        for label, pair, n_replaced in rows:
-            writer.writerow([label, _FMT % pair.alpha, _FMT % pair.beta, str(n_replaced)])
+    cells = ([label, format_float(p.alpha), format_float(p.beta), str(n)] for label, p, n in rows)
+    write_table(path, ("label", "fpr", "tpr", "n_replaced"), cells)
 
 
 def write_path_csv(path, points: list[PathPoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "fpr", "tpr"])
-        for pt in points:
-            writer.writerow([_FMT % pt.fraction, _FMT % pt.pair.alpha, _FMT % pt.pair.beta])
+    cells = ([format_float(pt.fraction), format_float(pt.pair.alpha), format_float(pt.pair.beta)] for pt in points)
+    write_table(path, ("fraction", "fpr", "tpr"), cells)
 
 
 def write_randomized_csv(path, rows: list[tuple[float, RatePair, int]]) -> None:
     """Rows of (lambda, pooled pair, seed)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "fpr", "tpr", "seed"])
-        for lam, pair, seed in rows:
-            writer.writerow([_FMT % lam, _FMT % pair.alpha, _FMT % pair.beta, str(seed)])
+    cells = ([format_float(lam), format_float(p.alpha), format_float(p.beta), str(seed)] for lam, p, seed in rows)
+    write_table(path, ("lambda", "fpr", "tpr", "seed"), cells)

@@ -15,12 +15,12 @@ curve value reaches b.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RatePair
+from .csvio import parse_float, read_table, write_table
 
 __all__ = [
     "RocCurve",
@@ -333,30 +333,17 @@ def np_best_vertex(roc: RocCurve, phi: float, eta: float) -> tuple[RatePair, flo
 # that parses back to the same float: adjacent scores may differ only in
 # their last digits, and a rounded form would merge them.
 
+_ROC_HEADER = ("threshold", "fpr", "tpr")
+
 
 def write_roc_csv(path, roc: RocCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for row in zip(roc.thresholds, roc.alphas, roc.betas):
-            writer.writerow([repr(float(v)) for v in row])
+    cols = (roc.thresholds.tolist(), roc.alphas.tolist(), roc.betas.tolist())
+    write_table(path, _ROC_HEADER, ([repr(v) for v in row] for row in zip(*cols)))
 
 
 def read_roc_csv(path) -> RocCurve:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["threshold", "fpr", "tpr"]:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        arr = np.asarray(rows)
-        return RocCurve(arr[:, 0], arr[:, 1], arr[:, 2])
+    rows = read_table(path, _ROC_HEADER, lambda row: [parse_float(v) for v in row])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    arr = np.asarray(rows)
+    return RocCurve(arr[:, 0], arr[:, 1], arr[:, 2])

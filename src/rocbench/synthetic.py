@@ -25,7 +25,6 @@ fixed seed gives a byte-identical dataset regardless of chunking.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +33,7 @@ from scipy.special import expit, logit
 from scipy.stats import norm
 
 from .core import CohortDataset, RatePair
+from .csvio import write_json
 from .rng import substream
 from .roc import RocCurve
 
@@ -404,6 +404,4 @@ def manifest_dict(spec) -> dict:
 
 
 def write_manifest(path, spec) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest_dict(spec), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, manifest_dict(spec))

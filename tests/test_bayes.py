@@ -1,5 +1,7 @@
 """Posterior sampling, dominance mass, the loss catalog, retention, CSV."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -561,3 +563,41 @@ class TestBayesianCsv:
         )
         with pytest.raises(ValueError, match="line 2"):
             read_bayesian_csv(path)
+
+    HEADER = "maker_id,q_max,alpha_d,loss_kind,min_loss,replace,threshold\n"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("m2,0.5,0.2,baseline,0.5,true,nan", "line 3: non-finite value 'nan'"),
+            ("m2,inf,0.2,baseline,0.5,false,0.3", "line 3: non-finite value 'inf'"),
+            ("m2,abc,0.2,baseline,0.5,false,0.3", "line 3: non-numeric value 'abc'"),
+            ("m2,0.5,nan,baseline,0.5,false,0.3", "line 3: non-finite value 'nan'"),
+            ("m2,0.5,0.2,baseline,,false,0.3", "line 3: non-numeric value ''"),
+            ("m2,0.5,0.2,baseline,0.5,yes,0.3", "line 3: replace must be true or false, got 'yes'"),
+            ("m2,0.5", "line 3: expected 7 fields, got 2"),
+            ("m1,0.5,0.2,baseline,0.5,false,0.3", "line 3: repeated maker_id 'm1'"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.HEADER}m1,0.9,0.2,baseline,0.1,true,0.3\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_bayesian_csv(path)
+
+    def test_repeated_maker_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"{self.HEADER}m1,0.9,0.2,baseline,0.1,true,0.3\n"
+            "m2,0.5,,baseline,0.5,false,0.4\nm1,0.1,,baseline,0.9,false,0.2\n"
+        )
+        with pytest.raises(ValueError, match="line 4: repeated maker_id 'm1'"):
+            read_bayesian_csv(path)
+
+    def test_empty_file_and_header_only(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            read_bayesian_csv(path)
+        path.write_text(self.HEADER)
+        assert read_bayesian_csv(path) == []

@@ -164,6 +164,31 @@ class TestCombinePathRandomized:
         assert float(lam0[1]) == pytest.approx(raw.alpha, rel=1e-9)
         assert float(lam0[2]) == pytest.approx(raw.beta, rel=1e-9)
 
+    def combine_error(self, workdir, tmp_path, capsys, rows):
+        """Run combine on a verdict file of ``rows``; expect one JSON error line."""
+        path = tmp_path / "verdicts_bayes.csv"
+        path.write_text("maker_id,q_max,alpha_d,loss_kind,min_loss,replace,threshold\n" + "".join(rows))
+        out = tmp_path / "combined.csv"
+        code = main([
+            "combine", "--cases", str(workdir["cases"]), "--verdicts", str(path),
+            "--model", str(workdir["model"]), "--out", str(out),
+        ])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(lines) == 1 and not out.exists()
+        return path, json.loads(lines[0])["error"]
+
+    def test_combine_rejects_nan_threshold(self, workdir, tmp_path, capsys):
+        makers = read_cases_csv(workdir["cases"]).makers
+        rows = [f"{m},0.99,0.1,baseline,0.01,true,{'nan' if i == 0 else '0.5'}\n" for i, m in enumerate(makers)]
+        path, err = self.combine_error(workdir, tmp_path, capsys, rows)
+        assert f"{path}: line 2: non-finite value 'nan'" in err
+
+    def test_combine_rejects_repeated_maker(self, workdir, tmp_path, capsys):
+        makers = read_cases_csv(workdir["cases"]).makers
+        rows = [f"{m},0.99,0.1,baseline,0.01,true,0.5\n" for m in (*makers, makers[0])]
+        path, err = self.combine_error(workdir, tmp_path, capsys, rows)
+        assert f"{path}: line {len(makers) + 2}: repeated maker_id '{makers[0]}'" in err
+
 
 class TestSplit:
     def test_split_files_and_manifest(self, workdir, tmp_path):

@@ -1,5 +1,7 @@
 """Confusion tallies, cohort storage, stratified splitting, case CSV."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,3 +367,43 @@ class TestCasesCsv(object):
         )
         with pytest.raises(ValueError, match="line 4: non-finite"):
             read_cases_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("m,1,1,abc", "line 3: non-numeric value 'abc'"),
+            ("m,1,1,nan", "line 3: non-finite value 'nan'"),
+            ("m,1,1,-inf", "line 3: non-finite value '-inf'"),
+            ("m,1,x,0.5", "line 3: y and y_hat must be literal 0 or 1"),
+            ("m,1,1", "line 3: expected 4 fields, got 3"),
+            ("m,1,1,0.5,2", "line 3: expected 4 fields, got 5"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"maker_id,y,y_hat,f1\nm,0,1,0.25\n{bad}\nm,1,1,nan\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_cases_csv(path)
+
+    def test_rows_checked_in_file_order(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("maker_id,y,y_hat,f1\nm,1,1,nan\nm,1\n")
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            read_cases_csv(path)
+
+    def test_empty_file_and_header_only(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            read_cases_csv(path)
+        path.write_text("maker_id,y,y_hat,f1\n")
+        with pytest.raises(ValueError, match="no case rows"):
+            read_cases_csv(path)
+
+    def test_makers_in_order_of_first_row(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        path.write_text("maker_id,y,y_hat\nb,1,0\na,0,0\nb,1,1\n")
+        data = read_cases_csv(path)
+        assert data.makers == ("b", "a")
+        np.testing.assert_array_equal(data.maker_index, [0, 1, 0])
+        np.testing.assert_array_equal(data.y_hat, [0, 0, 1])

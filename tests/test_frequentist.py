@@ -1,5 +1,7 @@
 """Sampling covariance, ellipse sets, three-way calls, delta test, CSV."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,41 @@ class TestFrequentistCsv:
         )
         with pytest.raises(ValueError, match="line 2"):
             read_frequentist_csv(path)
+
+    HEADER = "maker_id,n,alpha_hat,beta_hat,case_label,c_lower,c_upper\n"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("m2,1.5,0.1,0.6,case2,,", "line 3: invalid literal for int() with base 10: '1.5'"),
+            ("m2,100,0.1,0.6,case9,,", "line 3: 'case9' is not a valid CaseLabel"),
+            ("m2,100,nan,0.6,case2,,", "line 3: non-finite value 'nan'"),
+            ("m2,100,0.1,abc,case2,,", "line 3: non-numeric value 'abc'"),
+            ("m2,100,0.1,0.6,case1,inf,0.5", "line 3: non-finite value 'inf'"),
+            ("m2,100,0.1,0.6,case1,0.4,x", "line 3: non-numeric value 'x'"),
+            ("m2,100,0.1,0.6,case2,", "line 3: expected 7 fields, got 6"),
+            ("m1,100,0.1,0.6,case2,,", "line 3: repeated maker_id 'm1'"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{self.HEADER}m1,100,0.1,0.6,case1,0.4,0.5\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_frequentist_csv(path)
+
+    def test_repeated_maker_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"{self.HEADER}m1,100,0.1,0.6,case1,0.4,0.5\n"
+            "m2,80,0.2,0.5,case3,,\nm1,90,0.3,0.4,case2,,\n"
+        )
+        with pytest.raises(ValueError, match="line 4: repeated maker_id 'm1'"):
+            read_frequentist_csv(path)
+
+    def test_empty_file_and_header_only(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            read_frequentist_csv(path)
+        path.write_text(self.HEADER)
+        assert read_frequentist_csv(path) == []

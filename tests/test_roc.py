@@ -1,5 +1,7 @@
 """Curve construction, evaluation, geometry queries, CSV interchange."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -353,4 +355,28 @@ class TestRocCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
+            read_roc_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("abc,0.5,0.5", "line 3: non-numeric value 'abc'"),
+            ("0.5,nan,0.5", "line 3: non-finite value 'nan'"),
+            ("inf,0.5,0.5", "line 3: non-finite value 'inf'"),
+            ("0.5,0.5", "line 3: expected 3 fields, got 2"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"threshold,fpr,tpr\n2,0,0\n{bad}\n0,1,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_roc_csv(path)
+
+    def test_empty_file_and_header_only(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            read_roc_csv(path)
+        path.write_text("threshold,fpr,tpr\n")
+        with pytest.raises(ValueError, match="no data rows"):
             read_roc_csv(path)
