@@ -40,29 +40,34 @@ def read_table(path, header: Sequence[str], parse_row: Callable, *, prefix=False
 
     The header must equal ``header`` (start with it if ``prefix``), rows
     must be as wide as it, and column ``unique`` must not repeat.  A
-    ValueError raised for a row is re-raised as ``{path}: line N: ...``.
+    ValueError raised for a row is re-raised as ``{path}: line N: ...``,
+    and bytes that are not UTF-8 as ``{path}: not valid UTF-8 (...)``
+    (text is decoded in blocks, so without a line number).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None:
-            raise ValueError(f"{path}: empty file")
-        if (found[: len(header)] if prefix else found) != list(header):
-            raise ValueError(f"{path}: malformed header {found!r}")
-        key = None if unique is None else found.index(unique)
-        seen: set[str] = set()
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(found):
-                    raise ValueError(f"expected {len(found)} fields, got {len(row)}")
-                if key is not None:
-                    if row[key] in seen:
-                        raise ValueError(f"repeated {unique} {row[key]!r}")
-                    seen.add(row[key])
-                out.append(parse_row(row))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None:
+                raise ValueError(f"{path}: empty file")
+            if (found[: len(header)] if prefix else found) != list(header):
+                raise ValueError(f"{path}: malformed header {found!r}")
+            key = None if unique is None else found.index(unique)
+            seen: set[str] = set()
+            out = []
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    if len(row) != len(found):
+                        raise ValueError(f"expected {len(found)} fields, got {len(row)}")
+                    if key is not None:
+                        if row[key] in seen:
+                            raise ValueError(f"repeated {unique} {row[key]!r}")
+                        seen.add(row[key])
+                    out.append(parse_row(row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason}, byte 0x{exc.object[exc.start]:02x})") from None
     return out
 
 

@@ -9,13 +9,25 @@ lowest feature index then the smallest cut value.  Growth stops when a
 node is pure, smaller than ``min_samples_split``, or no cut reduces
 impurity.  A leaf predicts its positive fraction; the forest predicts
 the mean over trees.
+
+A tree is stored as parallel node arrays in breadth-first order (see
+``Tree``) and grown one depth level at a time.  The bootstrap rows are
+sorted once per feature; each level then evaluates the Gini expression
+at every distinct-value boundary of every open node in one vectorised
+pass, and a stable partition carries each node's rows, still sorted,
+into its children.  Rows of settled nodes drop out.  Prediction moves
+all rows down one level at a time.
+
+When ``max_features`` is at least the number of features every node
+uses every feature and nothing is drawn.  Otherwise each level draws
+the subsets of all its open nodes in one batch, in breadth-first node
+order, from the tree's substream after its bootstrap draw.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -23,7 +35,7 @@ from .rng import substream
 
 __all__ = [
     "ForestParams",
-    "TreeNode",
+    "Tree",
     "Forest",
     "train_forest",
     "forest_to_json",
@@ -31,6 +43,9 @@ __all__ = [
     "save_forest",
     "load_forest",
 ]
+
+FORMAT = 2  # forest JSON layout: flat node arrays per tree
+_ARRAYS = ("feature", "split", "left", "right", "prob")
 
 
 @dataclass(frozen=True)
@@ -50,24 +65,49 @@ class ForestParams:
             raise ValueError("min_samples_split must be >= 2")
 
 
-@dataclass
-class TreeNode:
-    feature: Optional[int] = None
-    split: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    prob: Optional[float] = None
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One tree as parallel node arrays, root first, breadth-first order.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    Internal node ``i`` sends a row to ``left[i]`` when its value of
+    ``feature[i]`` is at most ``split[i]``, else to ``right[i]``; children
+    come after their parent.  A leaf has ``feature == -1`` and predicts
+    ``prob``.  Unused entries hold 0.0 (``split``, ``prob``) or -1
+    (``left``, ``right``).
+    """
+
+    feature: np.ndarray
+    split: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value of each row of ``X``, all rows descending level by level."""
+        n = X.shape[0]
+        column_major = X.T.ravel()  # row r's value of feature f at f * n + r
+        children = np.column_stack([self.left, self.right]).ravel()
+        out = np.empty(n)
+        rows = np.arange(n)
+        node = np.zeros(n, dtype=np.int64)
+        feat = self.feature.take(node)
+        while rows.size:
+            leaf = feat < 0
+            if leaf.any():
+                out[rows[leaf]] = self.prob.take(node[leaf])
+                inner = ~leaf
+                rows, node, feat = rows[inner], node[inner], feat[inner]
+            go_right = column_major.take(feat * n + rows) > self.split.take(node)
+            node = children.take(2 * node + go_right)
+            feat = self.feature.take(node)
+        return out
 
 
 @dataclass
 class Forest:
     params: ForestParams
     n_features: int
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)
 
     def predict_propensity(self, X) -> np.ndarray:
         """Mean leaf positive-fraction over trees, one score per row."""
@@ -78,64 +118,152 @@ class Forest:
             raise ValueError("non-finite feature values")
         total = np.zeros(X.shape[0])
         for tree in self.trees:
-            out = np.empty(X.shape[0])
-            _predict_into(tree, X, np.arange(X.shape[0]), out)
-            total += out
+            total += tree.predict(X)
         return total / len(self.trees)
 
 
-def _gini_best_cut(X, y, rows, feats):
-    """Best (reduction, feature, cut) over candidate features, or None."""
-    n = rows.size
-    pos = float(y[rows].sum())
-    parent = 1.0 - (pos / n) ** 2 - ((n - pos) / n) ** 2
-    best = None
-    for f in feats:
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        sy = y[rows][order]
-        bounds = np.flatnonzero(np.diff(sv))
-        if bounds.size == 0:
-            continue
-        n_left = (bounds + 1).astype(np.float64)
-        n_right = n - n_left
-        pos_left = np.cumsum(sy)[bounds].astype(np.float64)
-        pos_right = pos - pos_left
-        g_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
-        g_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
-        weighted = (n_left * g_left + n_right * g_right) / n
-        j = int(np.argmin(weighted))  # first minimum: smallest cut wins within a feature
-        reduction = parent - float(weighted[j])
-        if reduction > 0.0 and (best is None or reduction > best[0]):
-            best = (reduction, int(f), float((sv[bounds[j]] + sv[bounds[j] + 1]) / 2.0))
-    return best
+def _settled(count, pos, min_samples_split):
+    return (pos == 0) | (pos == count) | (count < min_samples_split)
 
 
-def _grow(X, y, rows, params, rng, d):
-    n = rows.size
-    pos = int(y[rows].sum())
-    if pos == 0 or pos == n or n < params.min_samples_split:
-        return TreeNode(prob=pos / n)
-    m = min(params.max_features, d)
-    feats = np.sort(rng.choice(d, size=m, replace=False))
-    best = _gini_best_cut(X, y, rows, feats)
-    if best is None:
-        return TreeNode(prob=pos / n)
-    _, f, cut = best
-    mask = X[rows, f] <= cut
-    left = _grow(X, y, rows[mask], params, rng, d)
-    right = _grow(X, y, rows[~mask], params, rng, d)
-    return TreeNode(feature=f, split=cut, left=left, right=right)
+def _best_cuts(vals, labs, gstart, gcount, gpos, allowed):
+    """Best Gini cut of each (feature, node) group of one level.
+
+    ``vals``/``labs`` hold the level's samples feature by feature and,
+    within a feature, node by node, sorted by that feature's value; group
+    g covers ``gcount[g]`` positions from ``gstart[g]`` and has ``gpos[g]``
+    positives.  ``allowed`` (one flag per group, or None for all) limits
+    the search.  Returns the gain and the cut of every group; a gain of 0
+    means no cut.
+    """
+    boundary = np.empty(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=boundary[:-1])
+    boundary[gstart + gcount - 1] = False
+    if allowed is not None:
+        boundary &= np.repeat(allowed, gcount)
+    at = np.flatnonzero(boundary)
+    gain, cuts = np.zeros(gstart.size), np.zeros(gstart.size)
+    if at.size == 0:
+        return gain, cuts
+    group = np.repeat(np.arange(gstart.size), gcount).take(at)
+    start = gstart.take(group)
+    csum = np.zeros(labs.size + 1, dtype=np.int64)
+    np.cumsum(labs, out=csum[1:])
+
+    n = gcount.take(group).astype(np.float64)
+    n_left = (at + 1 - start).astype(np.float64)
+    n_right = n - n_left
+    pos_left = (csum.take(at + 1) - csum.take(start)).astype(np.float64)
+    pos_right = gpos.take(group).astype(np.float64) - pos_left
+    g_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
+    g_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
+    weighted = (n_left * g_left + n_right * g_right) / n
+
+    # first minimum per group: the smallest cut wins a tie
+    runs = np.bincount(group, minlength=gstart.size)
+    won = np.flatnonzero(runs)
+    runs = runs.take(won)
+    head = np.cumsum(runs) - runs
+    low = np.minimum.reduceat(weighted, head)
+    at_low = np.flatnonzero(weighted == np.repeat(low, runs))
+    first = at_low.take(np.searchsorted(at_low, head))
+
+    # Python floats (``**`` is C pow, not numpy's square), so the parent
+    # impurity rounds as the models' split rule has always rounded it
+    parent = np.array([
+        1.0 - (p / c) ** 2 - ((c - p) / c) ** 2
+        for p, c in zip(gpos.take(won).astype(np.float64).tolist(), gcount.take(won).tolist())
+    ])
+    gain[won] = parent - low
+    lo, hi = vals.take(at.take(first)), vals.take(at.take(first) + 1)
+    mid = (lo + hi) / 2.0
+    # the midpoint of adjacent doubles can round up to ``hi``, and a sum
+    # can overflow; ``lo`` then cuts the same rows
+    cuts[won] = np.where((mid >= lo) & (mid < hi), mid, lo)
+    return gain, cuts
 
 
-def _predict_into(node, X, rows, out):
-    if node.is_leaf:
-        out[rows] = node.prob
-        return
-    mask = X[rows, node.feature] <= node.split
-    _predict_into(node.left, X, rows[mask], out)
-    _predict_into(node.right, X, rows[~mask], out)
+def _grow_tree(X, y, rows, params: ForestParams, rng) -> Tree:
+    n, d = rows.size, X.shape[1]
+    xs = np.ascontiguousarray(X[rows].T).ravel()  # feature f of bootstrap sample s at f * n + s
+    ys = y[rows]
+    cap = 2 * n - 1  # every leaf holds at least one sample
+    feature = np.full(cap, -1, dtype=np.int64)
+    split = np.zeros(cap)
+    left = np.full(cap, -1, dtype=np.int64)
+    right = np.full(cap, -1, dtype=np.int64)
+    prob = np.zeros(cap)
+
+    ids, count, pos = np.array([0]), np.array([n]), np.array([int(ys.sum())])
+    n_nodes = 1
+    if _settled(count, pos, params.min_samples_split)[0]:
+        prob[0] = pos[0] / n
+        ids = ids[:0]
+    # the open samples of every feature, node by node, each node sorted by
+    # that feature: row f of the (d, m) layout, flattened
+    order = np.argsort(xs.reshape(d, n), axis=1, kind="stable").ravel()
+    feats = np.arange(d)
+    while ids.size:
+        k, m = ids.size, int(count.sum())
+        allowed = None
+        if params.max_features < d:
+            pick = np.argsort(rng.random((k, d)), axis=1)[:, : params.max_features]
+            allowed = np.zeros((d, k), dtype=bool)
+            allowed[pick, np.arange(k)[:, None]] = True
+            allowed = allowed.ravel()
+        start = np.cumsum(count) - count
+        gstart = (feats[:, None] * m + start).ravel()
+        offset = np.repeat(feats * n, m)
+        gain, cuts = _best_cuts(
+            xs.take(order + offset), ys.take(order), gstart, np.tile(count, d), np.tile(pos, d), allowed
+        )
+        gain, cuts = gain.reshape(d, k), cuts.reshape(d, k)
+        best = np.argmax(gain, axis=0)  # first feature of the largest gain
+        cut = cuts[best, np.arange(k)]
+        ok = gain[best, np.arange(k)] > 0.0
+        prob[ids[~ok]] = pos[~ok] / count[~ok]
+        n_split = int(ok.sum())
+        if n_split == 0:
+            break
+
+        # route the samples of splitting nodes; children get ids in node order
+        seg = np.repeat(np.arange(k), count)
+        sel = ok.take(seg)
+        samples, node = order[:m][sel], seg[sel]
+        go_left = xs.take(best.take(node) * n + samples) <= cut.take(node)
+        rank = np.cumsum(ok) - 1
+        child = 2 * rank.take(node) + ~go_left
+        c_count = np.bincount(child, minlength=2 * n_split)
+        c_pos = np.bincount(child, weights=ys.take(samples), minlength=2 * n_split).astype(np.int64)
+        c_ids = n_nodes + np.arange(2 * n_split)
+        n_nodes += 2 * n_split
+        feature[ids[ok]] = best[ok]
+        split[ids[ok]] = cut[ok]
+        left[ids[ok]], right[ids[ok]] = c_ids[0::2], c_ids[1::2]
+        done = _settled(c_count, c_pos, params.min_samples_split)
+        prob[c_ids[done]] = c_pos[done] / c_count[done]
+        ids, count, pos = c_ids[~done], c_count[~done], c_pos[~done]
+
+        # stable partition into the next layout, where each row holds the
+        # open children node by node.  The i-th kept-left sample of the
+        # whole layout moves to i plus the kept-right samples ahead of it
+        # there (those of earlier rows and of earlier nodes in its row);
+        # kept-right samples move the same way past kept-left ones.
+        side = np.zeros(n, dtype=np.int8)
+        side[samples] = np.where(done.take(child), 0, 2 - go_left)
+        sides = side.take(order)
+        kept_left = np.zeros(k, dtype=np.int64)
+        kept_right = np.zeros(k, dtype=np.int64)
+        kept_left[ok] = np.where(done[0::2], 0, c_count[0::2])
+        kept_right[ok] = np.where(done[1::2], 0, c_count[1::2])
+        n_left, n_right = int(kept_left.sum()), int(kept_right.sum())
+        shift_left = (feats[:, None] * n_right + np.cumsum(kept_right) - kept_right).ravel()
+        shift_right = (feats[:, None] * n_left + np.cumsum(kept_left)).ravel()
+        nxt = np.empty(d * (n_left + n_right), dtype=order.dtype)
+        nxt[np.arange(d * n_left) + np.repeat(shift_left, np.tile(kept_left, d))] = order[sides == 1]
+        nxt[np.arange(d * n_right) + np.repeat(shift_right, np.tile(kept_right, d))] = order[sides == 2]
+        order = nxt
+    return Tree(*(a[:n_nodes].copy() for a in (feature, split, left, right, prob)))
 
 
 def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
@@ -156,37 +284,16 @@ def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
     for i in range(params.n_trees):
         rng = substream(params.seed, "tree", i)
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        trees.append(_grow(X, y, rows, params, rng, d))
+        trees.append(_grow_tree(X, y, rows, params, rng))
     return Forest(params=params, n_features=d, trees=trees)
 
 
 # -- serialization -----------------------------------------------------
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"prob": node.prob}
-    return {
-        "feature": node.feature,
-        "split": node.split,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: dict) -> TreeNode:
-    if "prob" in data:
-        return TreeNode(prob=float(data["prob"]))
-    return TreeNode(
-        feature=int(data["feature"]),
-        split=float(data["split"]),
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
-    )
-
-
 def forest_to_json(forest: Forest) -> str:
     payload = {
+        "format": FORMAT,
         "params": {
             "n_trees": forest.params.n_trees,
             "max_features": forest.params.max_features,
@@ -195,18 +302,46 @@ def forest_to_json(forest: Forest) -> str:
             "seed": forest.params.seed,
         },
         "n_features": forest.n_features,
-        "trees": [_node_to_dict(t) for t in forest.trees],
+        "trees": [{name: getattr(t, name).tolist() for name in _ARRAYS} for t in forest.trees],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _tree_from_dict(data: dict, n_features: int) -> Tree:
+    ints = ("feature", "left", "right")
+    tree = Tree(*(np.asarray(data[a], dtype=np.int64 if a in ints else np.float64) for a in _ARRAYS))
+    n = tree.feature.size
+    if n == 0 or any(getattr(tree, a).shape != (n,) for a in _ARRAYS):
+        raise ValueError("node arrays of unequal length or empty")
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        raise ValueError("feature index out of range")
+    inner = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[inner], tree.right[inner]):
+        if ((child <= inner) | (child >= n)).any():
+            raise ValueError("child index out of range or not after its parent")
+    leaf_prob = tree.prob[tree.feature < 0]
+    if not ((leaf_prob >= 0.0) & (leaf_prob <= 1.0)).all():
+        raise ValueError("leaf prob outside [0, 1]")
+    return tree
+
+
 def forest_from_json(text: str) -> Forest:
     payload = json.loads(text)
+    if not isinstance(payload, dict) or "format" not in payload:
+        raise ValueError("forest JSON has no format field (nested trees from an older release; retrain)")
+    if payload["format"] != FORMAT:
+        raise ValueError(f"unknown forest format {payload['format']!r}, expected {FORMAT}")
     params = ForestParams(**payload["params"])
-    trees = [_node_from_dict(t) for t in payload["trees"]]
+    n_features = int(payload["n_features"])
+    trees = []
+    for i, data in enumerate(payload["trees"]):
+        try:
+            trees.append(_tree_from_dict(data, n_features))
+        except ValueError as exc:
+            raise ValueError(f"tree {i}: {exc}") from None
     if len(trees) != params.n_trees:
         raise ValueError("tree count disagrees with params")
-    return Forest(params=params, n_features=int(payload["n_features"]), trees=trees)
+    return Forest(params=params, n_features=n_features, trees=trees)
 
 
 def save_forest(path, forest: Forest) -> None:
@@ -217,4 +352,8 @@ def save_forest(path, forest: Forest) -> None:
 
 def load_forest(path) -> Forest:
     with open(path) as fh:
-        return forest_from_json(fh.read())
+        text = fh.read()
+    try:
+        return forest_from_json(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import ConfusionCounts, RatePair, rate_pair
 from .csvio import format_float, parse_float, read_table, write_table
@@ -181,7 +181,7 @@ def confidence_ellipse(center: RatePair, cov, level: float) -> EllipseSet:
     cov[0, 0] = max(cov[0, 0], _VAR_FLOOR)  # boundary rates collapse the ellipse
     cov[1, 1] = max(cov[1, 1], _VAR_FLOOR)
     cov.flags.writeable = False
-    q = float(stats.chi2.ppf(level, df=2))
+    q = float(2.0 * special.gammaincinv(1.0, level))  # chi-square(2) quantile, as scipy.stats computes it
     center = RatePair(float(center[0]), float(center[1]))
     return EllipseSet(center=center, cov=cov, level=level, chi2_quantile=q)
 
@@ -223,7 +223,7 @@ def delta_method_test(counts: ConfusionCounts, roc: RocCurve, size: float = 0.05
     if var <= 0.0:
         raise ValueError("boundary rates give a zero delta-method variance")
     stat = np.sqrt(counts.n) * (pair.beta - roc.tpr_at_fpr(pair.alpha)) / np.sqrt(var)
-    crit = float(stats.norm.ppf(size))
+    crit = float(special.ndtri(size))
     return DeltaTestResult(statistic=float(stat), critical=crit, reject=bool(stat <= crit))
 
 

@@ -346,4 +346,7 @@ def read_roc_csv(path) -> RocCurve:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows)
-    return RocCurve(arr[:, 0], arr[:, 1], arr[:, 2])
+    try:
+        return RocCurve(arr[:, 0], arr[:, 1], arr[:, 2])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
-from scipy.stats import norm
+from scipy.special import expit, logit, ndtr
 
 from .core import CohortDataset, RatePair
 from .csvio import write_json
@@ -230,7 +229,7 @@ def generate_predicted_doctor(spec: PredictedDoctorSpec) -> PredictedDoctorResul
 
         def predicted_score(feats):
             # P(u > cut - x1 + x2) under u ~ N(0, sd 2)
-            return norm.sf((cut - feats[:, 0] + feats[:, 1]) / 2.0)
+            return ndtr(-(cut - feats[:, 0] + feats[:, 1]) / 2.0)
 
     delta = g.random(spec.n)
     y = (truth_score(x) > delta).astype(np.uint8)

@@ -319,6 +319,21 @@ class TestErrorReporting:
         assert len(lines) == 1
         assert "error" in json.loads(lines[0])
 
+    def test_nested_model_from_older_release_is_json_exit_2(self, workdir, tmp_path, capsys):
+        model = tmp_path / "old.json"
+        model.write_text(json.dumps({
+            "n_features": 2,
+            "params": {"bootstrap": True, "max_features": 50, "min_samples_split": 20,
+                       "n_trees": 1, "seed": 3},
+            "trees": [{"feature": 0, "split": 0.5, "left": {"prob": 0.0}, "right": {"prob": 1.0}}],
+        }))
+        argv = ["roc", "--cases", str(workdir["cases"]), "--model", str(model), "--out", str(tmp_path / "roc.csv")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error.startswith(f"ValueError: {model}: forest JSON has no format field")
+
     def test_parser_errors_are_json(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench-bayes"])  # missing required flags

@@ -354,6 +354,12 @@ class TestCasesCsv(object):
         with pytest.raises(ValueError, match="line 3"):
             read_cases_csv(path)
 
+    def test_undecodable_byte_names_file(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        path.write_bytes(b"maker_id,y,y_hat,x1\n" + b"m,1,0,0.5\n" * 2000 + b"m,1,0,\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not valid UTF-8 (")):
+            read_cases_csv(path)
+
     def test_non_finite_feature_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("maker_id,y,y_hat,f1\nm,1,1,nan\n")

@@ -79,7 +79,7 @@ class TestReadTable:
         # text is decoded in blocks, ahead of the row being parsed
         path = tmp_path / "t.csv"
         path.write_bytes(b"a\r\n" + b"1\r\n" * 3000 + b"\xff\r\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError, match=r"t\.csv: not valid UTF-8 \(invalid start byte, byte 0xff\)$"):
             read_table(path, ("a",), tuple)
 
     def test_repeated_unique_column(self, tmp_path):

@@ -372,6 +372,12 @@ class TestRocCsv:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_roc_csv(path)
 
+    def test_invalid_curve_names_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("threshold,fpr,tpr\n0,0,0\n1,1,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: thresholds must be strictly decreasing")):
+            read_roc_csv(path)
+
     def test_empty_file_and_header_only(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")
