@@ -9,9 +9,11 @@ combined cohort, sweep the replacement path, and sweep randomized
 acceptance rates.
 
 Configuration comes from defaults, then an optional JSON config file,
-then flags (flags win).  Every random stage draws from a named
-substream of the single run seed, so reruns are byte-identical and
-stages can be reproduced in isolation.  Errors print one JSON line to
+then flags (flags win); a subcommand has flags only for the settings it
+reads, but its config file may hold any.  `report` and the subcommands
+share one function per stage, and every random stage draws from a named
+substream of the single run seed, so reruns are byte-identical and the
+chain reproduces `report`.  Errors print one JSON line to
 stderr and exit 2.  The ROCBENCH_OUT environment variable sets the
 default output directory.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from .bayes import DEFAULT_PRIOR_WEIGHT, LossKind, benchmark_maker_bayesian, read_bayesian_csv, write_bayesian_csv
 from .core import CohortDataset, rate_pair, read_cases_csv, stratified_split, write_cases_csv
-from .csvio import write_json
+from .csvio import format_float, write_json
 from .forest import ForestParams, load_forest, save_forest, train_forest
 from .frequentist import benchmark_maker_frequentist, write_frequentist_csv
 from .replacement import (
@@ -57,14 +59,17 @@ from .synthetic import (
 )
 
 OUT_ENV = "ROCBENCH_OUT"
-_FMT = "%.10g"
+# the sweeps `report` runs, and the defaults of `path` and `randomized`
+PATH_FRACTIONS = tuple(round(0.1 * k, 1) for k in range(11))
+LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+SCOPES = ("less-capable-only", "all-makers")  # the first is the default
 
 __all__ = ["RunConfig", "main"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved pipeline settings; every field has a flag of the same name."""
+    """Resolved pipeline settings; `report` has a flag for every field."""
 
     seed: int = 0
     outer_ratio: tuple[int, int] = (7, 3)  # classification : performance
@@ -135,8 +140,6 @@ def _load_config(args) -> RunConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-    if getattr(args, "no_bootstrap", False):
-        values["bootstrap"] = False
     for key in ("outer_ratio", "inner_ratio"):
         if isinstance(values.get(key), str):
             values[key] = _parse_ratio(values[key])
@@ -201,6 +204,40 @@ def _freq_to_replacement(verdicts) -> list[ReplacementVerdict]:
 
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
+
+
+# each stage below runs in `report` and in its subcommand; each maker draws from its own substream
+def _freq_verdicts(counts: dict, roc, cfg: RunConfig, cov_method: str = "bootstrap") -> list:
+    return [
+        benchmark_maker_frequentist(
+            m, c, roc, level=cfg.level, n_resamples=cfg.n_resamples,
+            seed=substream(cfg.seed, "bootstrap", m), cov_method=cov_method,
+        )
+        for m, c in counts.items()
+    ]
+
+
+def _bayes_verdicts(counts: dict, roc, cfg: RunConfig) -> list:
+    return [
+        benchmark_maker_bayesian(
+            m, c, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws,
+            seed=substream(cfg.seed, "posterior", m), credible_level=cfg.level,
+            kind=cfg.loss(), grid_size=cfg.grid_size,
+        )
+        for m, c in counts.items()
+    ]
+
+
+def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, scope=SCOPES[0]) -> list:
+    """(lambda, pooled pair, seed) per constant acceptance rate."""
+    rows = []
+    for lam in lambdas:
+        result = randomized_accept(
+            performance, verdicts, AcceptanceSchedule.constant(lam, scope=scope), scores,
+            substream(seed, "acceptance", format_float(lam)),
+        )
+        rows.append((lam, result.pair, seed))
+    return rows
 
 
 # -- subcommands ---------------------------------------------------------
@@ -283,36 +320,22 @@ def _cmd_roc(args) -> int:
     return 0
 
 
-def _cmd_bench_freq(args) -> int:
+def _bench_inputs(args) -> tuple:
+    """Counts of the makers with at least ``min_cases`` cases, the curve, the config."""
     cfg = _load_config(args)
-    data = read_cases_csv(args.cases)
-    data, _ = _filter_small_makers(data, cfg.min_cases)
-    roc = read_roc_csv(args.roc)
-    verdicts = [
-        benchmark_maker_frequentist(
-            m, counts, roc, level=cfg.level, n_resamples=cfg.n_resamples,
-            seed=substream(cfg.seed, "bootstrap", m), cov_method=args.cov,
-        )
-        for m, counts in data.counts_by_maker().items()
-    ]
-    write_frequentist_csv(_out_file(args, "verdicts_freq.csv"), verdicts)
+    data, _ = _filter_small_makers(read_cases_csv(args.cases), cfg.min_cases)
+    return data.counts_by_maker(), read_roc_csv(args.roc), cfg
+
+
+def _cmd_bench_freq(args) -> int:
+    counts, roc, cfg = _bench_inputs(args)
+    write_frequentist_csv(_out_file(args, "verdicts_freq.csv"), _freq_verdicts(counts, roc, cfg, args.cov))
     return 0
 
 
 def _cmd_bench_bayes(args) -> int:
-    cfg = _load_config(args)
-    data = read_cases_csv(args.cases)
-    data, _ = _filter_small_makers(data, cfg.min_cases)
-    roc = read_roc_csv(args.roc)
-    verdicts = [
-        benchmark_maker_bayesian(
-            m, counts, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws,
-            seed=substream(cfg.seed, "posterior", m), credible_level=cfg.level,
-            kind=cfg.loss(), grid_size=cfg.grid_size,
-        )
-        for m, counts in data.counts_by_maker().items()
-    ]
-    write_bayesian_csv(_out_file(args, "verdicts_bayes.csv"), verdicts)
+    counts, roc, cfg = _bench_inputs(args)
+    write_bayesian_csv(_out_file(args, "verdicts_bayes.csv"), _bayes_verdicts(counts, roc, cfg))
     return 0
 
 
@@ -330,9 +353,7 @@ def _cmd_combine(args) -> int:
 
 def _cmd_path(args) -> int:
     data, scores = _scored_cases(args)
-    verdicts = read_bayesian_csv(args.verdicts)
-    fractions = _parse_floats(args.fractions)
-    points = replacement_path(data, verdicts, fractions, scores)
+    points = replacement_path(data, read_bayesian_csv(args.verdicts), _parse_floats(args.fractions), scores)
     write_path_csv(_out_file(args, "path.csv"), points)
     return 0
 
@@ -341,14 +362,7 @@ def _cmd_randomized(args) -> int:
     cfg = _load_config(args)
     data, scores = _scored_cases(args)
     verdicts = read_bayesian_csv(args.verdicts)
-    rows = []
-    for lam in _parse_floats(args.lambdas):
-        schedule = AcceptanceSchedule.constant(lam, scope=args.scope)
-        result = randomized_accept(
-            data, verdicts, schedule, scores,
-            substream(cfg.seed, "acceptance", _FMT % lam),
-        )
-        rows.append((lam, result.pair, cfg.seed))
+    rows = _randomized_rows(data, verdicts, scores, cfg.seed, _parse_floats(args.lambdas), args.scope)
     write_randomized_csv(_out_file(args, "randomized.csv"), rows)
     return 0
 
@@ -373,34 +387,14 @@ def _cmd_report(args) -> int:
     roc_perf = build_roc(scores, performance.y)
 
     counts = classification.counts_by_maker()
-    verdicts_freq = [
-        benchmark_maker_frequentist(
-            m, counts[m], roc_val, level=cfg.level, n_resamples=cfg.n_resamples,
-            seed=substream(cfg.seed, "bootstrap", m),
-        )
-        for m in classification.makers
-    ]
-    verdicts_bayes = [
-        benchmark_maker_bayesian(
-            m, counts[m], roc_val, prior=cfg.prior_weight, n_draws=cfg.n_draws,
-            seed=substream(cfg.seed, "posterior", m), credible_level=cfg.level,
-            kind=cfg.loss(), grid_size=cfg.grid_size,
-        )
-        for m in classification.makers
-    ]
+    verdicts_freq = _freq_verdicts(counts, roc_val, cfg)
+    verdicts_bayes = _bayes_verdicts(counts, roc_val, cfg)
 
     raw_pair = rate_pair(performance.pooled_counts())
     combined_bayes = combine_decisions(performance, verdicts_bayes, scores)
     combined_freq = combine_decisions(performance, _freq_to_replacement(verdicts_freq), scores)
-    fractions = [round(0.1 * k, 1) for k in range(11)]
-    points = replacement_path(performance, verdicts_bayes, fractions, scores)
-    lam_rows = []
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        result = randomized_accept(
-            performance, verdicts_bayes, AcceptanceSchedule.constant(lam), scores,
-            substream(cfg.seed, "acceptance", _FMT % lam),
-        )
-        lam_rows.append((lam, result.pair, cfg.seed))
+    points = replacement_path(performance, verdicts_bayes, PATH_FRACTIONS, scores)
+    lam_rows = _randomized_rows(performance, verdicts_bayes, scores, cfg.seed)
 
     write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
     write_json(
@@ -468,22 +462,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _add_config_flags(p) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="run seed (all stages derive from it)")
-    p.add_argument("--level", type=float, help="confidence/credible level")
-    p.add_argument("--min-cases", dest="min_cases", type=int, help="minimum cases per maker")
-    p.add_argument("--outer-ratio", dest="outer_ratio", help="classification:performance, e.g. 7:3")
-    p.add_argument("--inner-ratio", dest="inner_ratio", help="train:validation, e.g. 4:3")
-    p.add_argument("--trees", dest="n_trees", type=int, help="forest size")
-    p.add_argument("--max-features", dest="max_features", type=int, help="features tried per node")
-    p.add_argument("--min-split", dest="min_samples_split", type=int, help="minimum node size to split")
-    p.add_argument("--no-bootstrap", action="store_true", help="fit trees on the raw sample")
-    p.add_argument("--resamples", dest="n_resamples", type=int, help="bootstrap resamples")
-    p.add_argument("--draws", dest="n_draws", type=int, help="posterior draws")
-    p.add_argument("--loss", dest="loss_kind", help="posterior loss kind")
-    p.add_argument("--grid", dest="grid_size", type=int, help="curve candidate grid size")
-    p.add_argument("--prior", dest="prior_weight", type=float, help="Dirichlet prior weight per cell")
+# RunConfig field -> its flag and argparse keywords; unset flags stay None
+_CONFIG_FLAGS = {
+    "seed": ("--seed", dict(type=int, help="run seed (all stages derive from it)")),
+    "level": ("--level", dict(type=float, help="confidence/credible level")),
+    "min_cases": ("--min-cases", dict(type=int, help="minimum cases per maker")),
+    "outer_ratio": ("--outer-ratio", dict(help="classification:performance, e.g. 7:3")),
+    "inner_ratio": ("--inner-ratio", dict(help="train:validation, e.g. 4:3")),
+    "n_trees": ("--trees", dict(type=int, help="forest size")),
+    "max_features": ("--max-features", dict(type=int, help="features tried per node")),
+    "min_samples_split": ("--min-split", dict(type=int, help="minimum node size to split")),
+    "bootstrap": ("--no-bootstrap", dict(action="store_false", default=None, help="fit trees on the raw sample")),
+    "n_resamples": ("--resamples", dict(type=int, help="bootstrap resamples")),
+    "n_draws": ("--draws", dict(type=int, help="posterior draws")),
+    "loss_kind": ("--loss", dict(help="posterior loss kind")),
+    "grid_size": ("--grid", dict(type=int, help="curve candidate grid size")),
+    "prior_weight": ("--prior", dict(type=float, help="Dirichlet prior weight per cell")),
+}
+
+
+def _add_config_flags(p, *fields: str) -> None:
+    """``--config`` plus the flags of the RunConfig ``fields`` the subcommand reads."""
+    p.add_argument("--config", help="JSON config file (any RunConfig key); flags override its values")
+    for name in fields:
+        flag, kwargs = _CONFIG_FLAGS[name]
+        p.add_argument(flag, dest=name, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="outer", help="substream label; vary it for nested splits")
     p.add_argument("--names", default="a,b", help="output basenames, e.g. classification,performance")
     p.add_argument("--out")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="fit the forest on a cases file")
     p.add_argument("--cases", required=True)
     p.add_argument("--out", help="model file (default forest.json)")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "n_trees", "max_features", "min_samples_split", "bootstrap")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("roc", help="score a cases file with a model and emit its curve")
@@ -535,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roc", required=True)
     p.add_argument("--cov", choices=["bootstrap", "asymptotic"], default="bootstrap")
     p.add_argument("--out", help="verdict file (default verdicts_freq.csv)")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "level", "min_cases", "n_resamples")
     p.set_defaults(func=_cmd_bench_freq)
 
     p = sub.add_parser("bench-bayes", help="posterior dominance verdict per maker")
     p.add_argument("--cases", required=True)
     p.add_argument("--roc", required=True)
     p.add_argument("--out", help="verdict file (default verdicts_bayes.csv)")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "level", "min_cases", "n_draws", "loss_kind", "grid_size", "prior_weight")
     p.set_defaults(func=_cmd_bench_bayes)
 
     p = sub.add_parser("combine", help="evaluate the cohort with flagged makers replaced")
@@ -556,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True)
     p.add_argument("--verdicts", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--fractions", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")
+    p.add_argument("--fractions", default=",".join(map(format_float, PATH_FRACTIONS)))
     p.add_argument("--out", help="default path.csv")
     p.set_defaults(func=_cmd_path)
 
@@ -564,16 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True)
     p.add_argument("--verdicts", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--lambdas", default="0,0.25,0.5,0.75,1")
-    p.add_argument("--scope", choices=["less-capable-only", "all-makers"], default="less-capable-only")
+    p.add_argument("--lambdas", default=",".join(map(format_float, LAMBDAS)))
+    p.add_argument("--scope", choices=SCOPES, default=SCOPES[0])
     p.add_argument("--out", help="default randomized.csv")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed")
     p.set_defaults(func=_cmd_randomized)
 
     p = sub.add_parser("report", help="full pipeline on one cases file")
     p.add_argument("--cases", required=True)
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
-    _add_config_flags(p)
+    _add_config_flags(p, *_CONFIG_FLAGS)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -186,11 +186,16 @@ class CohortDataset:
         }
 
     def subset(self, rows: np.ndarray) -> "CohortDataset":
-        """New cohort keeping the given case rows (maker table is re-derived)."""
+        """New cohort keeping the given case rows, in the given order.
+
+        Makers are ordered by first appearance in the kept rows, as
+        writing the subset to CSV and reading it back would order them.
+        """
         rows = np.asarray(rows, dtype=np.int64)
-        # sorted codes keep the parent's maker order
-        kept_codes, new_idx = np.unique(self.maker_index[rows], return_inverse=True)
-        makers = [self.makers[c] for c in kept_codes]
+        codes, first, inverse = np.unique(self.maker_index[rows], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        makers = [self.makers[c] for c in codes[order]]
+        new_idx = np.argsort(order)[inverse.reshape(-1)]
         feats = None if self.features is None else self.features[rows]
         return CohortDataset(makers, new_idx, self.y[rows], self.y_hat[rows], feats)
 

@@ -77,10 +77,6 @@ class BootstrapPairs:
     betas: np.ndarray
     n_redrawn: int
 
-    @property
-    def pairs(self) -> list[RatePair]:
-        return [RatePair(float(a), float(b)) for a, b in zip(self.alphas, self.betas)]
-
 
 def bootstrap_pairs(
     counts: ConfusionCounts, n_resamples: int, seed: int | np.random.Generator

@@ -85,8 +85,6 @@ class RocCurve:
         self._ua = ua
         self._lo = b[first]
         self._hi = b[last]
-        self._first = first
-        self._last = last
 
     # -- basic views ---------------------------------------------------
 
@@ -98,9 +96,6 @@ class RocCurve:
     def knot_alphas(self) -> np.ndarray:
         """Distinct vertex fpr values (read-only view)."""
         return self._ua
-
-    def pairs(self) -> list[RatePair]:
-        return [RatePair(float(x), float(y)) for x, y in zip(self.alphas, self.betas)]
 
     def auc(self) -> float:
         """Area under the polyline (trapezoid rule)."""

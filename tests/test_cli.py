@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rocbench.cli import RunConfig, main
-from rocbench.core import rate_pair, read_cases_csv
+from rocbench.core import rate_pair, read_cases_csv, write_cases_csv
 from rocbench.forest import load_forest
 from rocbench.roc import read_roc_csv
 
@@ -261,6 +261,103 @@ class TestReport:
         assert names == sorted(os.listdir(b))
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert mismatch == [] and errors == []
+
+
+@pytest.fixture(scope="module")
+def interleaved(tmp_path_factory):
+    """A cohort whose case rows are shuffled, so makers interleave in the file."""
+    root = tmp_path_factory.mktemp("chain")
+    assert main([
+        "simulate", "--dgp", "complementarity", "--n-cases", "3000", "--n-makers", "12",
+        "--seed", "3", "--out", str(root / "sim"),
+    ]) == 0
+    data = read_cases_csv(root / "sim" / "cases.csv")
+    shuffled = data.subset(np.random.default_rng(3).permutation(data.n_cases))
+    cases = root / "cases.csv"
+    write_cases_csv(cases, shuffled)
+    assert read_cases_csv(cases).makers != data.makers
+    return root, cases
+
+
+class TestChainReproducesReport:
+    def test_stage_by_stage_equals_report(self, interleaved):
+        root, cases = interleaved
+        run, chain = root / "run", root / "chain"
+        assert main(["report", "--cases", str(cases), "--out", str(run), "--min-cases", "1",
+                     "--trees", "5", "--min-split", "20", "--draws", "500", "--resamples", "30",
+                     "--seed", "3"]) == 0
+        config = ["--config", str(run / "config.json")]
+        steps = [
+            ["split", "--cases", str(cases), "--ratio", "7:3", "--label", "outer",
+             "--names", "class,perf", "--out", str(chain), *config],
+            ["split", "--cases", str(chain / "class.csv"), "--ratio", "4:3", "--label", "inner",
+             "--names", "train,val", "--out", str(chain), *config],
+            ["train", "--cases", str(chain / "train.csv"), "--out", str(chain / "forest.json"), *config],
+            ["roc", "--cases", str(chain / "val.csv"), "--model", str(chain / "forest.json"),
+             "--out", str(chain / "roc_validation.csv")],
+            ["roc", "--cases", str(chain / "perf.csv"), "--model", str(chain / "forest.json"),
+             "--out", str(chain / "roc_performance.csv")],
+        ]
+        for command in ("bench-freq", "bench-bayes"):
+            name = "verdicts_" + command.split("-")[1]
+            steps.append([command, "--cases", str(chain / "class.csv"), "--roc", str(chain / "roc_validation.csv"),
+                          "--out", str(chain / f"{name}.csv"), *config])
+        scored = ["--cases", str(chain / "perf.csv"), "--verdicts", str(chain / "verdicts_bayes.csv"),
+                  "--model", str(chain / "forest.json")]
+        steps += [
+            ["combine", *scored, "--out", str(chain / "combined.csv")],
+            ["path", *scored, "--out", str(chain / "path.csv")],
+            ["randomized", *scored, "--out", str(chain / "randomized.csv"), *config],
+        ]
+        for argv in steps:
+            assert main(argv) == 0, argv
+        for name in ("forest.json", "roc_validation.csv", "roc_performance.csv", "verdicts_freq.csv",
+                     "verdicts_bayes.csv", "path.csv", "randomized.csv"):
+            assert (chain / name).read_bytes() == (run / name).read_bytes(), name
+        report_rows = (run / "combined.csv").read_text().splitlines()
+        chain_rows = (chain / "combined.csv").read_text().splitlines()
+        assert chain_rows[1] == report_rows[1] and chain_rows[1].startswith("raw,")
+        assert chain_rows[2] == report_rows[2].replace("bayes,", "combined,", 1)
+
+
+# flags of RunConfig fields each subcommand does not read
+UNREAD_FLAGS = {
+    "split": [["--level", "0.9"], ["--min-cases", "1"], ["--outer-ratio", "7:3"], ["--inner-ratio", "4:3"],
+              ["--trees", "3"], ["--max-features", "2"], ["--min-split", "5"], ["--no-bootstrap"],
+              ["--resamples", "5"], ["--draws", "5"], ["--loss", "euclidean"], ["--grid", "8"], ["--prior", "1"]],
+    "train": [["--level", "2"], ["--min-cases", "1"], ["--outer-ratio", "7:3"], ["--inner-ratio", "4:3"],
+              ["--resamples", "5"], ["--draws", "5"], ["--loss", "euclidean"], ["--grid", "8"], ["--prior", "1"]],
+    "bench-freq": [["--outer-ratio", "7:3"], ["--inner-ratio", "4:3"], ["--trees", "3"], ["--max-features", "2"],
+                   ["--min-split", "5"], ["--no-bootstrap"], ["--draws", "5"], ["--loss", "euclidean"],
+                   ["--grid", "8"], ["--prior", "1"]],
+    "bench-bayes": [["--outer-ratio", "7:3"], ["--inner-ratio", "4:3"], ["--trees", "3"], ["--max-features", "2"],
+                    ["--min-split", "5"], ["--no-bootstrap"], ["--resamples", "5"]],
+    "randomized": [["--level", "0.5"], ["--min-cases", "1"], ["--outer-ratio", "7:3"], ["--inner-ratio", "4:3"],
+                   ["--trees", "3"], ["--max-features", "2"], ["--min-split", "5"], ["--no-bootstrap"],
+                   ["--resamples", "5"], ["--draws", "7"], ["--loss", "euclidean"], ["--grid", "8"], ["--prior", "1"]],
+}
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("command", sorted(UNREAD_FLAGS))
+    def test_unread_setting_flag_is_rejected(self, command, workdir, verdicts, tmp_path, capsys):
+        inputs = {
+            "split": ["--cases", str(workdir["cases"]), "--ratio", "7:3"],
+            "train": ["--cases", str(workdir["cases"])],
+            "bench-freq": ["--cases", str(workdir["cases"]), "--roc", str(workdir["roc"]), "--min-cases", "1"],
+            "bench-bayes": ["--cases", str(workdir["cases"]), "--roc", str(workdir["roc"]), "--min-cases", "1"],
+            "randomized": ["--cases", str(workdir["cases"]), "--verdicts", str(verdicts),
+                           "--model", str(workdir["model"])],
+        }[command]
+        for flag in UNREAD_FLAGS[command]:
+            out = tmp_path / flag[0].lstrip("-")
+            with pytest.raises(SystemExit) as exc:
+                main([command, *inputs, "--out", str(out), *flag])
+            assert exc.value.code == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            assert f"unrecognized arguments: {' '.join(flag)}" in json.loads(lines[0])["error"]
+            assert not out.exists()
 
 
 class TestConfigResolution:

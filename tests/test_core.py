@@ -114,11 +114,20 @@ class TestCohortDataset:
             total = total + c
         assert data.pooled_counts() == total
 
-    def test_subset_preserves_parent_order(self):
+    def test_subset_orders_makers_by_first_appearance(self):
         data = small_cohort()
         sub = data.subset(np.array([1, 2, 4]))
-        assert sub.makers == ("beta", "alfa")
+        assert sub.makers == ("alfa", "beta")  # row 1 is alfa's; the parent lists beta first
+        np.testing.assert_array_equal(sub.maker_index, [0, 1, 0])
         np.testing.assert_array_equal(sub.y, [0, 0, 1])
+
+    def test_subset_matches_csv_round_trip(self, tmp_path):
+        data = small_cohort()
+        sub = data.subset(np.array([3, 0, 1, 2]))
+        write_cases_csv(tmp_path / "sub.csv", sub)
+        back = read_cases_csv(tmp_path / "sub.csv")
+        assert back.makers == sub.makers == ("alfa", "beta")
+        np.testing.assert_array_equal(back.maker_index, sub.maker_index)
 
     def test_duplicate_maker_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -227,7 +236,7 @@ def loop_counts_by_maker(data):
 def loop_subset(data, rows):
     rows = np.asarray(rows, dtype=np.int64)
     sub_idx = data.maker_index[rows]
-    kept_codes = sorted(set(sub_idx.tolist()))
+    kept_codes = list(dict.fromkeys(sub_idx.tolist()))  # first appearance in the kept rows
     remap = {code: i for i, code in enumerate(kept_codes)}
     makers = [data.makers[c] for c in kept_codes]
     new_idx = np.fromiter((remap[c] for c in sub_idx), dtype=np.int64, count=rows.size)
