@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfusionCounts, RatePair
+from .core import ConfusionCounts, RatePair, naming_maker
 from .csvio import format_float, parse_float, read_table, write_table
 from .replacement import ReplacementVerdict
 from .roc import RocCurve
@@ -435,9 +435,10 @@ def benchmark_maker_bayesian(
     grid_size: int = 512,
 ) -> ReplacementVerdict:
     """Full per-maker Bayesian run: posterior, dominance mass, verdict."""
-    params = posterior_params(counts, prior)
-    draws = sample_posterior(params, n_draws, seed)
-    verdict = replace_decision(draws, roc, kind, credible_level, maker_id, grid_size)
+    with naming_maker(maker_id):
+        params = posterior_params(counts, prior)
+        draws = sample_posterior(params, n_draws, seed)
+        verdict = replace_decision(draws, roc, kind, credible_level, maker_id, grid_size)
     verdict.diagnostics["n"] = counts.n
     return verdict
 

@@ -46,17 +46,6 @@ from .replacement import (
 )
 from .rng import substream
 from .roc import build_roc, read_roc_csv, write_roc_csv
-from . import synthetic
-from .synthetic import (
-    ComplementaritySpec,
-    HeterogeneousCutoffsSpec,
-    IncentiveSpec,
-    PredictedDoctorSpec,
-    generate_complementarity,
-    generate_heterogeneous_cutoffs,
-    generate_incentive,
-    generate_predicted_doctor,
-)
 
 OUT_ENV = "ROCBENCH_OUT"
 # the sweeps `report` runs, and the defaults of `path` and `randomized`
@@ -244,6 +233,19 @@ def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, 
 
 
 def _cmd_simulate(args) -> int:
+    # the generators need scipy.special; importing them here keeps it off every other subcommand
+    from .synthetic import (
+        ComplementaritySpec,
+        HeterogeneousCutoffsSpec,
+        IncentiveSpec,
+        PredictedDoctorSpec,
+        generate_complementarity,
+        generate_heterogeneous_cutoffs,
+        generate_incentive,
+        generate_predicted_doctor,
+        write_manifest,
+    )
+
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 0
     if args.dgp == "complementarity":
@@ -270,7 +272,7 @@ def _cmd_simulate(args) -> int:
         )
         data = generate_heterogeneous_cutoffs(spec).data
     write_cases_csv(os.path.join(out, "cases.csv"), data)
-    synthetic.write_manifest(os.path.join(out, "manifest.json"), spec)
+    write_manifest(os.path.join(out, "manifest.json"), spec)
     return 0
 
 

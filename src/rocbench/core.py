@@ -15,6 +15,7 @@ where ``nab`` counts cases with ``y == a`` and ``y_hat == b``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -37,6 +38,19 @@ __all__ = [
 
 class DegenerateMakerError(ValueError):
     """A maker whose cases lack one outcome class; rates are undefined."""
+
+
+@contextmanager
+def naming_maker(maker_id: str):
+    """Prefix ``maker '<id>': `` to a degenerate-maker or runtime error raised inside.
+
+    The error keeps its type, so callers and the CLI's one-line JSON
+    error see the same class with the maker named.
+    """
+    try:
+        yield
+    except (DegenerateMakerError, RuntimeError) as exc:
+        raise type(exc)(f"maker {maker_id!r}: {exc}") from exc
 
 
 class RatePair(NamedTuple):

@@ -22,12 +22,12 @@ against "strictly below" uses the delta method along the curve.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .core import ConfusionCounts, RatePair, rate_pair
+from .core import ConfusionCounts, RatePair, naming_maker, rate_pair
 from .csvio import format_float, parse_float, read_table, write_table
 from .roc import DominatingSegment, RocCurve
 
@@ -177,7 +177,7 @@ def confidence_ellipse(center: RatePair, cov, level: float) -> EllipseSet:
     cov[0, 0] = max(cov[0, 0], _VAR_FLOOR)  # boundary rates collapse the ellipse
     cov[1, 1] = max(cov[1, 1], _VAR_FLOOR)
     cov.flags.writeable = False
-    q = float(2.0 * special.gammaincinv(1.0, level))  # chi-square(2) quantile, as scipy.stats computes it
+    q = -2.0 * math.log1p(-level)  # chi-square(2) quantile, closed form
     center = RatePair(float(center[0]), float(center[1]))
     return EllipseSet(center=center, cov=cov, level=level, chi2_quantile=q)
 
@@ -210,6 +210,8 @@ def delta_method_test(counts: ConfusionCounts, roc: RocCurve, size: float = 0.05
     the delta-method variance along the curve; reject (conclude below)
     when it falls at or under the lower normal quantile of ``size``.
     """
+    from scipy.special import ndtri  # kept out of the import of the package
+
     if not 0.0 < size < 1.0:
         raise ValueError("size must be in (0, 1)")
     pair = rate_pair(counts)
@@ -219,7 +221,7 @@ def delta_method_test(counts: ConfusionCounts, roc: RocCurve, size: float = 0.05
     if var <= 0.0:
         raise ValueError("boundary rates give a zero delta-method variance")
     stat = np.sqrt(counts.n) * (pair.beta - roc.tpr_at_fpr(pair.alpha)) / np.sqrt(var)
-    crit = float(special.ndtri(size))
+    crit = float(ndtri(size))
     return DeltaTestResult(statistic=float(stat), critical=crit, reject=bool(stat <= crit))
 
 
@@ -256,20 +258,21 @@ def benchmark_maker_frequentist(
     cov_method: str = "bootstrap",
 ) -> FrequentistVerdict:
     """Full per-maker frequentist run: ellipse, three-way call, segment."""
-    pair = rate_pair(counts)
-    if cov_method == "bootstrap":
-        cov = bootstrap_covariance(counts, n_resamples, seed)
-    elif cov_method == "asymptotic":
-        cov = asymptotic_covariance(counts) / counts.n
-    else:
-        raise ValueError(f"unknown cov_method {cov_method!r}")
-    ellipse = confidence_ellipse(pair, cov, level)
-    label = classify_maker(ellipse, roc)
-    segment = None
-    if label.replace:
-        segment = roc.dominating_segment(ellipse.reference_point())
-        if segment is None:  # not reachable: case1 means the corner is below
-            raise RuntimeError("case1 classification without a dominating segment")
+    with naming_maker(maker_id):
+        pair = rate_pair(counts)
+        if cov_method == "bootstrap":
+            cov = bootstrap_covariance(counts, n_resamples, seed)
+        elif cov_method == "asymptotic":
+            cov = asymptotic_covariance(counts) / counts.n
+        else:
+            raise ValueError(f"unknown cov_method {cov_method!r}")
+        ellipse = confidence_ellipse(pair, cov, level)
+        label = classify_maker(ellipse, roc)
+        segment = None
+        if label.replace:
+            segment = roc.dominating_segment(ellipse.reference_point())
+            if segment is None:  # not reachable: case1 means the corner is below
+                raise RuntimeError("case1 classification without a dominating segment")
     return FrequentistVerdict(maker_id=maker_id, n=counts.n, pair=pair, label=label, segment=segment)
 
 

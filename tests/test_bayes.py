@@ -514,6 +514,11 @@ class TestBenchmarkBayesian:
         v = benchmark_maker_bayesian("m8", self.COUNTS, roc, seed=3)
         assert not v.replace  # (0.3, 0.4) sits above the chance line
 
+    def test_rejected_sampling_names_the_maker(self):
+        counts = ConfusionCounts(n11=1, n01=0, n10=0, n00=1)  # empty cells keep only the tiny prior
+        with pytest.raises(RuntimeError, match=r"^maker 'm7': posterior sampling rejected"):
+            benchmark_maker_bayesian("m7", counts, two_segment(), prior=1e-300, n_draws=10)
+
     def test_deterministic(self):
         roc = two_segment()
         a = benchmark_maker_bayesian("m", self.COUNTS, roc, seed=9)

@@ -1,8 +1,12 @@
 """End-to-end command driver checks on small synthetic cohorts."""
 
+import csv
 import filecmp
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,6 +434,30 @@ class TestErrorReporting:
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error.startswith(f"ValueError: {model}: forest JSON has no format field")
+
+    def test_degenerate_maker_is_named(self, cohort, tmp_path, capsys):
+        _, cases = cohort
+        with open(cases, newline="") as fh:
+            rows = list(csv.reader(fh))
+        maker = rows[1][0]
+        y = rows[0].index("y")
+        for row in rows[1:]:
+            if row[0] == maker:
+                row[y] = "1"
+        one_class = tmp_path / "cases.csv"
+        with open(one_class, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["report", "--cases", str(one_class), "--out", str(tmp_path / "run")] + REPORT_FLAGS) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(f"DegenerateMakerError: maker {maker!r}: degenerate counts")
+
+    def test_module_entry_point_runs_without_warnings(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-m", "rocbench.cli", "split", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_parser_errors_are_json(self, capsys):
         with pytest.raises(SystemExit) as exc:

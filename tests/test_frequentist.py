@@ -285,6 +285,11 @@ class TestBenchmarkMaker:
         with pytest.raises(ValueError):
             benchmark_maker_frequentist("m", self.COUNTS, two_segment(), cov_method="exact")
 
+    def test_aborted_bootstrap_names_the_maker(self):
+        counts = ConfusionCounts(n11=1, n01=0, n10=0, n00=1)
+        with pytest.raises(RuntimeError, match=r"^maker 'm7': bootstrap aborted"):
+            benchmark_maker_frequentist("m7", counts, two_segment(), n_resamples=1, seed=3)
+
     def test_deterministic(self):
         a = benchmark_maker_frequentist("m", self.COUNTS, two_segment(), seed=9)
         b = benchmark_maker_frequentist("m", self.COUNTS, two_segment(), seed=9)

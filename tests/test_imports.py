@@ -1,38 +1,77 @@
-"""The package needs ``scipy.special`` only, and its quantiles match ``scipy.stats``."""
+"""``report`` runs without scipy; the quantiles that remain match ``scipy.stats``."""
 
+import filecmp
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 from scipy import special, stats
 
+from rocbench.cli import main
 from rocbench.core import ConfusionCounts, RatePair
 from rocbench.frequentist import confidence_ellipse, delta_method_test
 from rocbench.roc import RocCurve
 from rocbench.synthetic import PredictedDoctorSpec, generate_predicted_doctor
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 # the edge values 0 and 1, dense interior levels and the tails
 GRID = np.unique(np.r_[0.0, 1.0, np.linspace(0.0, 1.0, 20001), np.logspace(-300, -1, 600),
                        1.0 - np.logspace(-16, -1, 300)])
 INTERIOR = GRID[(GRID > 0.0) & (GRID < 1.0)]
 
 
+def _run(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_leaves_scipy_stats_out():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, rocbench.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for module in ("rocbench", "rocbench.cli"):
+        proc = _run(f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
 
 
-def test_chi2_quantile_matches_scipy_stats():
-    np.testing.assert_array_equal(2.0 * special.gammaincinv(1.0, GRID), stats.chi2.ppf(GRID, df=2))
+def test_report_runs_with_scipy_blocked(tmp_path):
+    assert main(["simulate", "--dgp", "heterogeneous-cutoffs", "--n-makers", "4",
+                 "--cases-per-maker", "200", "--seed", "5", "--out", str(tmp_path / "sim")]) == 0
+    argv = ["report", "--cases", str(tmp_path / "sim" / "cases.csv"), "--trees", "5", "--min-split", "20",
+            "--draws", "300", "--resamples", "30", "--min-cases", "50", "--seed", "5"]
+    assert main([*argv, "--out", str(tmp_path / "free")]) == 0
+    blocked = [*argv, "--out", str(tmp_path / "blocked")]
+    proc = _run(f'import sys; sys.modules["scipy"] = None; from rocbench.cli import main; sys.exit(main({blocked!r}))')
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    names = sorted(os.listdir(tmp_path / "free"))
+    assert len(names) == 11 and names == sorted(os.listdir(tmp_path / "blocked"))
+    _, mismatch, errors = filecmp.cmpfiles(tmp_path / "free", tmp_path / "blocked", names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
+def _neg_log1m(q: float) -> Decimal:
+    """-ln(1 - q) to 60 digits; 1 - q would lose the small levels, so they sum the series."""
+    x = Decimal(q)
+    if q >= 1e-3:
+        return -(1 - x).ln()
+    total, power, k = Decimal(0), x, 1
+    while power > total * Decimal("1e-62"):
+        total += power / k
+        power *= x
+        k += 1
+    return total
+
+
+def test_chi2_quantile_within_one_ulp_of_exact():
     cov = np.array([[0.01, 0.002], [0.002, 0.02]])
-    got = [confidence_ellipse(RatePair(0.2, 0.7), cov, q).chi2_quantile for q in INTERIOR[::20]]
-    np.testing.assert_array_equal(got, stats.chi2.ppf(INTERIOR[::20], df=2))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for q in INTERIOR:
+            got = confidence_ellipse(RatePair(0.2, 0.7), cov, q).chi2_quantile
+            exact = 2 * _neg_log1m(float(q))
+            assert abs(Decimal(got) - exact) <= Decimal(math.ulp(got)), q
 
 
 def test_normal_quantile_matches_scipy_stats():
