@@ -180,16 +180,15 @@ class CostBenefitLoss:
 
 
 def _diag_lambda(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Share of the diagonal-to-curve gap the maker has covered, >= 0.
+    """Share of the diagonal-to-curve gap the maker has covered, in [0, 1].
 
-    Positive numerator with a vanishing gap means the point is above
-    the curve, where domination is impossible; the sentinel keeps the
-    array finite and is never selected.
+    A dominated draw has 0 <= num <= den in exact arithmetic, but the
+    curve lookups round, so the ratio is clipped: a gap at or under the
+    numerator counts as fully covered.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = num / den
-    lam = np.where(den > 0.0, lam, np.inf)
-    return np.maximum(np.where(num <= 0.0, 0.0, lam), 0.0)
+        lam = np.where(num >= den, 1.0, num / den)
+    return np.where(num <= 0.0, 0.0, lam)
 
 
 def _per_draw_weights(kind: LossKind, draws_a, draws_b, roc: RocCurve):

@@ -36,7 +36,6 @@ from .forest import ForestParams, load_forest, save_forest, train_forest
 from .frequentist import benchmark_maker_frequentist, write_frequentist_csv
 from .replacement import (
     AcceptanceSchedule,
-    ReplacementVerdict,
     combine_decisions,
     randomized_accept,
     replacement_path,
@@ -169,28 +168,6 @@ def _filter_small_makers(data: CohortDataset, min_cases: int) -> tuple[CohortDat
     return data.subset(rows), dropped
 
 
-def _freq_to_replacement(verdicts) -> list[ReplacementVerdict]:
-    """Bridge three-way calls into replace/retain with one threshold.
-
-    A flagged maker is assigned the midpoint of their dominating
-    threshold interval; retained makers carry no threshold.
-    """
-    out = []
-    for v in verdicts:
-        thr = None
-        if v.segment is not None:
-            thr = 0.5 * (v.segment.c_lower + v.segment.c_upper)
-        out.append(
-            ReplacementVerdict(
-                maker_id=v.maker_id,
-                replace=v.label.replace,
-                threshold=thr,
-                diagnostics={"case_label": v.label.value},
-            )
-        )
-    return out
-
-
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -232,46 +209,35 @@ def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, 
 # -- subcommands ---------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _simulate_spec(args):
+    """The ``--dgp`` generator's spec from the flags given; the spec supplies every other value."""
     # the generators need scipy.special; importing them here keeps it off every other subcommand
-    from .synthetic import (
-        ComplementaritySpec,
-        HeterogeneousCutoffsSpec,
-        IncentiveSpec,
-        PredictedDoctorSpec,
-        generate_complementarity,
-        generate_heterogeneous_cutoffs,
-        generate_incentive,
-        generate_predicted_doctor,
-        write_manifest,
-    )
+    from .synthetic import GENERATORS
 
+    given = {name: getattr(args, name) for name in _SIMULATE_FLAGS if getattr(args, name) is not None}
+    unread = [_SIMULATE_FLAGS[name][0] for name in given if name not in _GENERATOR_FLAGS[args.dgp]]
+    if unread:
+        raise ValueError(f"--dgp {args.dgp} does not read {', '.join(unread)}")
+    spec_type, _ = GENERATORS[args.dgp]
+    lo_hi = [given.pop(name, None) for name in ("cutoff_lo", "cutoff_hi")]
+    if "cutoffs" in given:
+        if lo_hi != [None, None]:
+            raise ValueError("--cutoffs excludes --cutoff-lo and --cutoff-hi")
+        given["cutoffs"] = tuple(_parse_floats(given["cutoffs"]))
+    elif lo_hi != [None, None]:
+        # a bound left unset keeps the spec's, from its default ("uniform", lo, hi)
+        kind, *bounds = spec_type().cutoffs
+        given["cutoffs"] = (kind, *(b if v is None else v for v, b in zip(lo_hi, bounds)))
+    return spec_type(**given)
+
+
+def _cmd_simulate(args) -> int:
+    from .synthetic import GENERATORS, write_manifest
+
+    spec = _simulate_spec(args)
+    _, generate = GENERATORS[args.dgp]
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 0
-    if args.dgp == "complementarity":
-        spec = ComplementaritySpec(
-            n_cases=args.n_cases, n_makers=args.n_makers,
-            capable_fraction=args.capable_fraction, seed=seed,
-            export_hidden=args.export_hidden, shuffle_groups=args.shuffle_groups,
-        )
-        data = generate_complementarity(spec).data
-    elif args.dgp == "predicted-doctor":
-        spec = PredictedDoctorSpec(scenario=args.scenario, n=args.n, c0=args.c0, seed=seed)
-        data = generate_predicted_doctor(spec).data
-    elif args.dgp == "incentive":
-        spec = IncentiveSpec(n=args.n, seed=seed)
-        data = generate_incentive(spec).data
-    else:
-        if args.cutoffs:
-            cutoffs = tuple(_parse_floats(args.cutoffs))
-        else:
-            cutoffs = ("uniform", args.cutoff_lo, args.cutoff_hi)
-        spec = HeterogeneousCutoffsSpec(
-            n_makers=args.n_makers, cases_per_maker=args.cases_per_maker,
-            cutoffs=cutoffs, seed=seed,
-        )
-        data = generate_heterogeneous_cutoffs(spec).data
-    write_cases_csv(os.path.join(out, "cases.csv"), data)
+    write_cases_csv(os.path.join(out, "cases.csv"), generate(spec).data)
     write_manifest(os.path.join(out, "manifest.json"), spec)
     return 0
 
@@ -394,7 +360,7 @@ def _cmd_report(args) -> int:
 
     raw_pair = rate_pair(performance.pooled_counts())
     combined_bayes = combine_decisions(performance, verdicts_bayes, scores)
-    combined_freq = combine_decisions(performance, _freq_to_replacement(verdicts_freq), scores)
+    combined_freq = combine_decisions(performance, verdicts_freq, scores)
     points = replacement_path(performance, verdicts_bayes, PATH_FRACTIONS, scores)
     lam_rows = _randomized_rows(performance, verdicts_bayes, scores, cfg.seed)
 
@@ -483,6 +449,33 @@ _CONFIG_FLAGS = {
 }
 
 
+# simulate flag -> its flag and argparse keywords; unset flags stay None and the spec's default holds
+_SIMULATE_FLAGS = {
+    "seed": ("--seed", dict(type=int, help="generator seed")),
+    "n_cases": ("--n-cases", dict(type=int, help="cases in all")),
+    "n_makers": ("--n-makers", dict(type=int, help="makers")),
+    "capable_fraction": ("--capable-fraction", dict(type=float, help="share of capable makers")),
+    "export_hidden": ("--export-hidden", dict(action="store_true", default=None, help="write the hidden signal")),
+    "shuffle_groups": ("--shuffle-groups", dict(action="store_true", default=None, help="draw the capable makers")),
+    "scenario": ("--scenario", dict(type=int, help="scenario 1, 2 or 3")),
+    "n": ("--n", dict(type=int, help="cases")),
+    "c0": ("--c0", dict(type=float, help="doctor's cutoff")),
+    "cases_per_maker": ("--cases-per-maker", dict(type=int, help="cases per maker")),
+    "cutoff_lo": ("--cutoff-lo", dict(type=float, help="lower bound of the uniform cutoffs")),
+    "cutoff_hi": ("--cutoff-hi", dict(type=float, help="upper bound of the uniform cutoffs")),
+    "cutoffs": ("--cutoffs", dict(help="comma-separated cutoffs, one per maker")),
+}
+
+# --dgp name -> the simulate flags its generator reads; each sets the spec field of its
+# name, except --cutoff-lo and --cutoff-hi, which set the bounds in `cutoffs`
+_GENERATOR_FLAGS = {
+    "complementarity": ("seed", "n_cases", "n_makers", "capable_fraction", "export_hidden", "shuffle_groups"),
+    "predicted-doctor": ("seed", "scenario", "n", "c0"),
+    "incentive": ("seed", "n"),
+    "heterogeneous-cutoffs": ("seed", "n_makers", "cases_per_maker", "cutoff_lo", "cutoff_hi", "cutoffs"),
+}
+
+
 def _add_config_flags(p, *fields: str) -> None:
     """``--config`` plus the flags of the RunConfig ``fields`` the subcommand reads."""
     p.add_argument("--config", help="JSON config file (any RunConfig key); flags override its values")
@@ -496,22 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort")
-    p.add_argument("--dgp", required=True,
-                   choices=["complementarity", "predicted-doctor", "incentive", "heterogeneous-cutoffs"])
+    p.add_argument("--dgp", required=True, choices=list(_GENERATOR_FLAGS),
+                   help="generator; any flag below that it does not read is refused")
     p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-cases", dest="n_cases", type=int, default=600_000)
-    p.add_argument("--n-makers", dest="n_makers", type=int, default=2_000)
-    p.add_argument("--capable-fraction", dest="capable_fraction", type=float, default=0.375)
-    p.add_argument("--export-hidden", dest="export_hidden", action="store_true")
-    p.add_argument("--shuffle-groups", dest="shuffle_groups", action="store_true")
-    p.add_argument("--scenario", type=int, default=1)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--c0", type=float, default=0.7)
-    p.add_argument("--cases-per-maker", dest="cases_per_maker", type=int, default=10_000)
-    p.add_argument("--cutoff-lo", dest="cutoff_lo", type=float, default=0.2)
-    p.add_argument("--cutoff-hi", dest="cutoff_hi", type=float, default=0.8)
-    p.add_argument("--cutoffs", help="explicit comma-separated cutoffs, one per maker")
+    for name, (flag, kwargs) in _SIMULATE_FLAGS.items():
+        readers = ", ".join(g for g, names in _GENERATOR_FLAGS.items() if name in names)
+        p.add_argument(flag, dest=name, **{**kwargs, "help": f"{kwargs['help']} (read by {readers})"})
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("split", help="stratified split of a cases file")

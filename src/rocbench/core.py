@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,18 +177,6 @@ class CohortDataset:
     def base_rate_hat(self) -> float:
         """Fraction of positive outcomes across all cases."""
         return float(self.y.mean())
-
-    def maker_cases(self, maker_id: str) -> np.ndarray:
-        """Row indices of one maker's cases."""
-        try:
-            code = self.makers.index(maker_id)
-        except ValueError:
-            raise KeyError(f"unknown maker {maker_id!r}") from None
-        return _group_rows(self.maker_index, len(self.makers))[code]
-
-    def iter_makers(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Yield (maker_id, row indices) in first-appearance order."""
-        return zip(self.makers, _group_rows(self.maker_index, len(self.makers)))
 
     def counts_by_maker(self) -> dict[str, ConfusionCounts]:
         """Confusion counts of every maker that has cases, in maker order."""

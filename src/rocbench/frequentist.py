@@ -247,6 +247,17 @@ class FrequentistVerdict:
         if self.label.replace and self.segment is None:
             raise ValueError("case1 verdict requires a dominating segment")
 
+    @property
+    def replace(self) -> bool:
+        return self.label.replace
+
+    @property
+    def threshold(self) -> float | None:
+        """Midpoint of the dominating threshold interval; None for a retained maker."""
+        if self.segment is None:
+            return None
+        return 0.5 * (self.segment.c_lower + self.segment.c_upper)
+
 
 def benchmark_maker_frequentist(
     maker_id: str,

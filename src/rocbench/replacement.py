@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class ReplacementVerdict:
             raise ValueError(f"maker {self.maker_id}: replacement requires a threshold")
 
 
-def _verdict_map(verdicts) -> dict[str, ReplacementVerdict]:
-    if isinstance(verdicts, Mapping):
-        return dict(verdicts)
-    return {v.maker_id: v for v in verdicts}
-
-
 def _checked_inputs(
     data: CohortDataset, verdicts, scores
 ) -> tuple[dict[str, ReplacementVerdict], np.ndarray]:
@@ -71,7 +65,7 @@ def _checked_inputs(
     The call is ``score > threshold`` at the case's maker threshold; it
     is False for makers whose verdict carries no threshold.
     """
-    vmap = _verdict_map(verdicts)
+    vmap = {v.maker_id: v for v in verdicts}
     missing = [m for m in data.makers if m not in vmap]
     if missing:
         raise ValueError(f"no verdict for makers: {missing[:5]}{'...' if len(missing) > 5 else ''}")

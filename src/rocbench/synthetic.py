@@ -53,6 +53,7 @@ __all__ = [
     "cutoff_pair",
     "concave_reference_tpr",
     "concave_reference_roc",
+    "GENERATORS",
     "manifest_dict",
     "write_manifest",
 ]
@@ -383,17 +384,18 @@ def generate_heterogeneous_cutoffs(spec: HeterogeneousCutoffsSpec) -> Heterogene
 
 # -- manifests ----------------------------------------------------------
 
-_KINDS = {
-    ComplementaritySpec: "complementarity",
-    PredictedDoctorSpec: "predicted-doctor",
-    IncentiveSpec: "incentive",
-    HeterogeneousCutoffsSpec: "heterogeneous-cutoffs",
+# kind tag -> (spec type, generator); `rocbench simulate --dgp` takes the tag
+GENERATORS = {
+    "complementarity": (ComplementaritySpec, generate_complementarity),
+    "predicted-doctor": (PredictedDoctorSpec, generate_predicted_doctor),
+    "incentive": (IncentiveSpec, generate_incentive),
+    "heterogeneous-cutoffs": (HeterogeneousCutoffsSpec, generate_heterogeneous_cutoffs),
 }
 
 
 def manifest_dict(spec) -> dict:
     """JSON-ready record of a generator spec (kind tag plus fields)."""
-    kind = _KINDS.get(type(spec))
+    kind = next((k for k, (spec_type, _) in GENERATORS.items() if type(spec) is spec_type), None)
     if kind is None:
         raise TypeError(f"not a generator spec: {type(spec).__name__}")
     out = {"kind": kind}

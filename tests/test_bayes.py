@@ -13,6 +13,7 @@ from rocbench.bayes import (
     LossKind,
     PosteriorDraws,
     RetentionMethod,
+    _benefit_means,
     benchmark_maker_bayesian,
     curve_candidate_grid,
     loss_eval,
@@ -290,6 +291,12 @@ class TestLossCatalog:
         v = loss_eval(LossKind.COMPLEMENT_HORIZONTAL, self.TM, self.TH, self.ROC)
         assert v == pytest.approx(0.9107142857142859, rel=1e-12)
 
+    def test_diagonal_horizontal_rounded_gap(self):
+        # tpr_at_fpr(a) rounds up to the knot (1, 1), so the maker at (a, 1) is dominated with a zero gap
+        roc = RocCurve.from_pairs([(0.0, 0.0), (0.01, 0.5), (1.0, 1.0)])
+        a = np.nextafter(1.0, 0.0)
+        assert loss_eval(LossKind.DIAGONAL_HORIZONTAL, (a, roc.tpr_at_fpr(a)), (a, 1.0), roc) == 1.0
+
     def test_no_domination_costs_one_everywhere(self):
         tm = (0.32, self.ROC.tpr_at_fpr(0.32))  # right of the maker: no domination
         for kind in LossKind:
@@ -348,6 +355,16 @@ class TestMinPosteriorLoss:
         value, theta = min_posterior_loss(draws, roc, LossKind.BASELINE, grid_size)
         assert value == float(1.0 - q[i])
         assert theta == RatePair(float(cand[i]), float(g[i]))
+
+    @given(curves_and_draws(), st.integers(2, 600))
+    @settings(max_examples=150, deadline=None)
+    def test_benefit_means_in_unit_interval(self, case, grid_size):
+        roc, draws = case
+        cand = curve_candidate_grid(roc, draws, grid_size)
+        g = roc.tpr_at_fpr(cand)
+        for kind in LossKind:
+            mean = _benefit_means(cand, g, draws.alphas, draws.betas, kind, roc)
+            assert np.isfinite(mean).all() and (mean >= 0.0).all() and (mean <= 1.0).all(), kind
 
     def test_point_mass_fully_dominated(self):
         draws = make_draws([(0.5, 0.36)] * 3)

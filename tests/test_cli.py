@@ -11,10 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rocbench.cli import RunConfig, main
+from rocbench import cli, synthetic
+from rocbench.cli import RunConfig, build_parser, main
 from rocbench.core import rate_pair, read_cases_csv, write_cases_csv
 from rocbench.forest import load_forest
 from rocbench.roc import read_roc_csv
+from rocbench.synthetic import (
+    ComplementaritySpec,
+    HeterogeneousCutoffsSpec,
+    IncentiveSpec,
+    PredictedDoctorSpec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +70,76 @@ class TestSimulate:
             "--n", "500", "--out", str(out2),
         ]) == 0
         assert read_cases_csv(out2 / "cases.csv").n_features == 2
+
+
+# generator -> the simulate flags it reads, with small sizes first so that every run is quick
+SIMULATE_READS = {
+    "complementarity": [["--n-cases", "60"], ["--n-makers", "3"], ["--seed", "1"], ["--capable-fraction", "0.5"],
+                        ["--export-hidden"], ["--shuffle-groups"]],
+    "predicted-doctor": [["--n", "60"], ["--seed", "1"], ["--scenario", "2"], ["--c0", "0.4"]],
+    "incentive": [["--n", "60"], ["--seed", "1"]],
+    "heterogeneous-cutoffs": [["--n-makers", "3"], ["--cases-per-maker", "20"], ["--seed", "1"],
+                              ["--cutoff-lo", "0.3"], ["--cutoff-hi", "0.6"], ["--cutoffs", "0.1,0.5,0.9"]],
+}
+SIMULATE_FLAGS = {flag[0]: flag for flags in SIMULATE_READS.values() for flag in flags}
+SPECS = {
+    "complementarity": ComplementaritySpec,
+    "predicted-doctor": PredictedDoctorSpec,
+    "incentive": IncentiveSpec,
+    "heterogeneous-cutoffs": HeterogeneousCutoffsSpec,
+}
+
+
+def simulate_spec(*argv):
+    return cli._simulate_spec(build_parser().parse_args(["simulate", *argv]))
+
+
+class TestSimulateFlags:
+    def test_generator_tables_agree(self):
+        assert list(cli._GENERATOR_FLAGS) == list(synthetic.GENERATORS) == list(SIMULATE_READS)
+        assert {name: spec for name, (spec, _) in synthetic.GENERATORS.items()} == SPECS
+
+    @pytest.mark.parametrize("dgp", sorted(SIMULATE_READS))
+    def test_unread_flag_is_refused(self, dgp, tmp_path, capsys):
+        read = {flag[0] for flag in SIMULATE_READS[dgp]}
+        sizes = [v for flag in SIMULATE_READS[dgp][:2] for v in flag]
+        unread = [flag for name, flag in SIMULATE_FLAGS.items() if name not in read]
+        assert len(read) + len(unread) == len(SIMULATE_FLAGS) == 13
+        for flag in unread:
+            out = tmp_path / flag[0].lstrip("-")
+            assert main(["simulate", "--dgp", dgp, *sizes, *flag, "--out", str(out)]) == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == f"ValueError: --dgp {dgp} does not read {flag[0]}"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("dgp", sorted(SIMULATE_READS))
+    def test_read_flags_are_accepted(self, dgp, tmp_path):
+        flags = [f for f in SIMULATE_READS[dgp] if f[0] not in ("--cutoff-lo", "--cutoff-hi")]
+        assert main(["simulate", "--dgp", dgp, *[v for f in flags for v in f], "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 1
+
+    @pytest.mark.parametrize("dgp", sorted(SPECS))
+    def test_unset_flags_keep_the_spec_defaults(self, dgp):
+        assert simulate_spec("--dgp", dgp, "--seed", "5") == SPECS[dgp](seed=5)
+
+    def test_one_cutoff_bound_keeps_the_other(self):
+        _, lo, hi = HeterogeneousCutoffsSpec().cutoffs
+        got = simulate_spec("--dgp", "heterogeneous-cutoffs", "--cutoff-lo", "0.3")
+        assert got == HeterogeneousCutoffsSpec(cutoffs=("uniform", 0.3, hi))
+        got = simulate_spec("--dgp", "heterogeneous-cutoffs", "--cutoff-hi", "0.6")
+        assert got == HeterogeneousCutoffsSpec(cutoffs=("uniform", lo, 0.6))
+        got = simulate_spec("--dgp", "heterogeneous-cutoffs", "--n-makers", "3", "--cutoffs", "0.1,0.5,0.9")
+        assert got == HeterogeneousCutoffsSpec(n_makers=3, cutoffs=(0.1, 0.5, 0.9))
+
+    @pytest.mark.parametrize("bound", [["--cutoff-lo", "0.3"], ["--cutoff-hi", "0.6"]])
+    def test_cutoffs_with_a_bound_is_refused(self, bound, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--dgp", "heterogeneous-cutoffs", "--n-makers", "3", "--cases-per-maker", "20",
+                     "--cutoffs", "0.1,0.5,0.9", *bound, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "--cutoffs excludes" in json.loads(lines[0])["error"]
+        assert not out.exists()
 
 
 class TestTrainAndRoc:

@@ -94,13 +94,6 @@ class TestCohortDataset:
         data = small_cohort()
         assert data.makers == ("beta", "alfa")
 
-    def test_maker_cases(self):
-        data = small_cohort()
-        np.testing.assert_array_equal(data.maker_cases("beta"), [0, 2])
-        np.testing.assert_array_equal(data.maker_cases("alfa"), [1, 3, 4])
-        with pytest.raises(KeyError):
-            data.maker_cases("gamma")
-
     def test_counts_by_maker(self):
         data = small_cohort()
         counts = data.counts_by_maker()
@@ -287,17 +280,6 @@ def assert_same_cohort(got, want):
 
 
 class TestGroupingMatchesLoops:
-    @given(cohorts())
-    @settings(max_examples=200, deadline=None)
-    def test_iter_makers(self, data):
-        got = list(data.iter_makers())
-        want = list(loop_iter_makers(data))
-        assert [m for m, _ in got] == [m for m, _ in want]
-        for (_, rows), (_, ref) in zip(got, want):
-            np.testing.assert_array_equal(rows, ref)
-        for maker, ref in want:
-            np.testing.assert_array_equal(data.maker_cases(maker), ref)
-
     @given(cohorts())
     @settings(max_examples=200, deadline=None)
     def test_counts_by_maker(self, data):

@@ -267,6 +267,8 @@ class TestBenchmarkMaker:
         assert v.segment is not None
         assert v.pair == RatePair(pytest.approx(0.3), pytest.approx(0.5))
         assert v.n == 1200
+        assert v.replace
+        assert v.threshold == 0.5 * (v.segment.c_lower + v.segment.c_upper)
 
     def test_asymptotic_covariance_route(self):
         v = benchmark_maker_frequentist(
@@ -280,6 +282,7 @@ class TestBenchmarkMaker:
         v = benchmark_maker_frequentist("m2", counts, roc, seed=5)
         assert v.label in (CaseLabel.CASE2, CaseLabel.CASE3)
         assert v.segment is None
+        assert not v.replace and v.threshold is None
 
     def test_unknown_cov_method(self):
         with pytest.raises(ValueError):

@@ -85,11 +85,6 @@ class TestCombineDecisions:
         with pytest.raises(ValueError, match="no verdict"):
             combine_decisions(data, verdicts()[:2], data.features[:, 0])
 
-    def test_verdict_mapping_accepted(self):
-        data = cohort()
-        vmap = {v.maker_id: v for v in verdicts()}
-        assert combine_decisions(data, vmap, data.features[:, 0]).pair == RatePair(0.0, 1.0)
-
     def test_scores_shape_validated(self):
         data = cohort()
         with pytest.raises(ValueError, match="one score per case"):
@@ -313,7 +308,7 @@ class TestMatchesPerCaseLoop:
     @settings(max_examples=200, deadline=None)
     def test_combine_decisions(self, case):
         data, vmap, scores = case
-        res = combine_decisions(data, vmap, scores)
+        res = combine_decisions(data, vmap.values(), scores)
         assert res.counts == loop_combined_counts(data, vmap, scores)
         assert res.replaced == tuple(sorted(m for m in data.makers if vmap[m].replace))
 
@@ -330,9 +325,9 @@ class TestMatchesPerCaseLoop:
         want = loop_randomized_counts(data, vmap, sched.resolve(data.makers, vmap), scores, seed)
         if want is None:
             with pytest.raises(ValueError, match="positive lambda but no threshold"):
-                randomized_accept(data, vmap, sched, scores, seed=seed)
+                randomized_accept(data, vmap.values(), sched, scores, seed=seed)
         else:
-            assert randomized_accept(data, vmap, sched, scores, seed=seed).counts == want
+            assert randomized_accept(data, vmap.values(), sched, scores, seed=seed).counts == want
 
 
 class TestCsvWriters:
