@@ -242,13 +242,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _split_args(args) -> tuple[tuple[int, int], list[str]]:
+    """``split``'s ratio and output basenames, refused unless two positive integers and two usable names."""
+    ratio = _parse_ratio(args.ratio)
+    if min(ratio) < 1:
+        raise ValueError(f"--ratio must be two positive integers, got {args.ratio!r}")
+    names = args.names.split(",")
+    # the names key the manifest beside label, ratio and seed
+    if len(names) != 2 or len(set(names)) != 2 or "" in names or {"label", "ratio", "seed"} & set(names):
+        raise ValueError(
+            f"--names must be two distinct non-empty basenames other than label, ratio and seed, got {args.names!r}"
+        )
+    return ratio, names
+
+
 def _cmd_split(args) -> int:
+    ratio, (name_a, name_b) = _split_args(args)
     cfg = _load_config(args)
     out = _out_dir(args)
     data = read_cases_csv(args.cases)
-    ratio = _parse_ratio(args.ratio)
     left, right = stratified_split(data, ratio, substream(cfg.seed, "split", args.label))
-    name_a, name_b = (args.names.split(",") + ["a", "b"])[:2]
     write_cases_csv(os.path.join(out, f"{name_a}.csv"), left)
     write_cases_csv(os.path.join(out, f"{name_b}.csv"), right)
     write_json(

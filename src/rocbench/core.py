@@ -15,13 +15,14 @@ where ``nab`` counts cases with ``y == a`` and ``y_hat == b``.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import format_float, parse_float, read_table, write_table
+from .csvio import format_float, parse_float, read_plain_table, read_table, write_rows, write_table
 
 __all__ = [
     "ConfusionCounts",
@@ -259,20 +260,53 @@ def stratified_split(
 # -- CSV interchange -------------------------------------------------
 #
 # Format: header  maker_id,y,y_hat[,f1,f2,...]  with one row per case,
-# y and y_hat literal 0/1, feature cells finite floats.
+# y and y_hat literal 0/1, feature cells finite floats.  Both directions
+# have a bulk path (see ``csvio``) that gives the bytes and the cohort
+# the row path gives; every error comes from the row path.
 
 _CASES_HEADER = ("maker_id", "y", "y_hat")
 _BIT = {"0": 0, "1": 1}
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # a maker id that csv.writer would quote
 
 
 def write_cases_csv(path, data: CohortDataset) -> None:
     header = [*_CASES_HEADER, *(f"f{j + 1}" for j in range(data.n_features))]
-    names = [data.makers[m] for m in data.maker_index.tolist()]
-    feats = [map(format_float, col) for col in data.features.T.tolist()] if data.n_features else []
-    write_table(path, header, zip(names, data.y.tolist(), data.y_hat.tolist(), *feats))
+    names = np.array(data.makers, dtype=object).take(data.maker_index)
+    features = list(data.features.T) if data.n_features else []
+    if any(_NEEDS_QUOTES.search(m) for m in data.makers):
+        cells = (map(format_float, col.tolist()) for col in features)
+        write_table(path, header, zip(names.tolist(), data.y.tolist(), data.y_hat.tolist(), *cells))
+    else:
+        row_format = "%s,%d,%d" + ",%.10g" * data.n_features + "\r\n"
+        write_rows(path, header, row_format, [names, data.y, data.y_hat, *features])
 
 
 def read_cases_csv(path) -> CohortDataset:
+    """The cohort of a cases file; a plain file decodes in bulk, any other row by row."""
+    data = _decode_cases(path)
+    return _parse_cases(path) if data is None else data
+
+
+def _decode_cases(path) -> CohortDataset | None:
+    """The bulk decode, or None when the file is not plain or breaks a rule."""
+    table = read_plain_table(path, _CASES_HEADER, len(_CASES_HEADER))
+    if table is None:
+        return None
+    cells, features = table
+    bits = cells[:, 1:]
+    ones = bits == "1"
+    if not (ones | (bits == "0")).all() or not np.isfinite(features).all():
+        return None
+    # maker codes in order of first appearance, as the row parser assigns them
+    ids, first, code = np.unique(cells[:, 0], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return CohortDataset(
+        ids[order].tolist(), np.argsort(order).take(code.reshape(-1)), ones[:, 0], ones[:, 1],
+        features if features.shape[1] else None,
+    )
+
+
+def _parse_cases(path) -> CohortDataset:
     codes: dict[str, int] = {}
 
     def case_row(row: list[str]) -> tuple:

@@ -3,14 +3,26 @@
 A CSV file is a header row and one record per row in the ``csv`` default
 dialect (``\\r\\n`` row ends), floats ``%.10g`` unless a writer formats
 them itself.  Readers name the file and the line of a row they reject.
+
+Large tables go through bulk paths: ``write_rows`` formats rows with one
+``%`` pass per chunk, and ``read_plain_table`` decodes a plain file (no
+quotes, one kind of line end, no blank line, every row as wide as the
+header) with two ``np.loadtxt`` calls.  A reader that gets None from it,
+or rejects what it decoded, re-reads the file with ``read_table``, so the
+row path alone words every error.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+_CHUNK = 65_536  # rows formatted per ``%`` pass
 
 
 def format_float(value: float) -> str:
@@ -33,6 +45,71 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_rows(path, header: Sequence[str], row_format: str, columns: Sequence[np.ndarray]) -> None:
+    """Row ``i`` as ``row_format % (columns[0][i], columns[1][i], ...)``.
+
+    ``row_format`` ends in ``\\r\\n`` and must write each cell as
+    ``csv.writer`` would: the caller sends text cells that need quoting
+    to ``write_table`` instead.
+    """
+    width, n = len(columns), len(columns[0])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            cells: list = [None] * ((hi - lo) * width)
+            for j, col in enumerate(columns):
+                cells[j::width] = col[lo:hi].tolist()
+            fh.write(row_format * (hi - lo) % tuple(cells))
+
+
+def read_plain_table(path, header: Sequence[str], n_text: int):
+    """``(text, numbers)`` of a plain file whose header starts with ``header``.
+
+    ``text`` holds the first ``n_text`` cells of every row as strings
+    and ``numbers`` the rest as floats, each an (n_rows, k) array.  None
+    when the file is not plain: undecodable, holding a quote or a NUL,
+    with a line end other than all ``\\r\\n`` or all ``\\n``, a line
+    longer than the ``csv`` field limit, a header that does not match,
+    no rows, a row of another width (a blank line included), or a cell
+    that does not parse.  What comes back is exactly what ``read_table``
+    would have split; numbers are not checked for finiteness.
+    """
+    try:
+        with open(path, newline="") as fh:
+            # decoded as the row parser decodes it; commas and line ends are single bytes in UTF-8
+            raw = fh.read().encode()
+    except UnicodeDecodeError:
+        return None
+    crlf = b"\r" in raw
+    if b'"' in raw or b"\0" in raw or (crlf and not raw.count(b"\r") == raw.count(b"\r\n") == raw.count(b"\n")):
+        return None
+    end = raw.find(b"\n")
+    if end < 0:
+        return None
+    found = raw[: end - crlf].decode().split(",")
+    if found[: len(header)] != list(header):
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if raw[-1:] != b"\n":
+        ends = np.append(ends, data.size)  # a last row without a line end
+    commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+    width = len(found)
+    if ends.size < 2 or (commas[1:] != width - 1).any() or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+        return None
+    options = dict(delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=2, encoding="utf-8")
+    try:
+        cells = np.loadtxt(io.BytesIO(raw), dtype=str, usecols=range(n_text), **options)
+        numbers = (
+            np.loadtxt(io.BytesIO(raw), dtype=np.float64, usecols=range(n_text, width), **options)
+            if width > n_text else np.empty((ends.size - 1, 0))
+        )
+    except ValueError:
+        return None
+    return cells, numbers
 
 
 def read_table(path, header: Sequence[str], parse_row: Callable, *, prefix=False, unique=None) -> list:

@@ -11,12 +11,15 @@ impurity.  A leaf predicts its positive fraction; the forest predicts
 the mean over trees.
 
 A tree is stored as parallel node arrays in breadth-first order (see
-``Tree``) and grown one depth level at a time.  The bootstrap rows are
-sorted once per feature; each level then evaluates the Gini expression
-at every distinct-value boundary of every open node in one vectorised
-pass, and a stable partition carries each node's rows, still sorted,
-into its children.  Rows of settled nodes drop out.  Prediction moves
-all rows down one level at a time.
+``Tree``) and grown one depth level at a time.  It grows on the distinct
+rows its bootstrap drew, each weighted by how often it was drawn (as
+Breiman's bagged trees are), so counts are weighted sums and the model
+equals one grown on every bootstrap slot.  The rows are sorted once per
+feature per forest, and a tree keeps the drawn ones; each level then
+evaluates the Gini expression at every distinct-value boundary of every
+open node in one vectorised pass, and a stable partition carries each
+node's rows, still sorted, into its children.  Rows of settled nodes
+drop out.  Prediction moves all rows down one level at a time.
 
 When ``max_features`` is at least the number of features every node
 uses every feature and nothing is drawn.  Otherwise each level draws
@@ -126,34 +129,38 @@ def _settled(count, pos, min_samples_split):
     return (pos == 0) | (pos == count) | (count < min_samples_split)
 
 
-def _best_cuts(vals, labs, gstart, gcount, gpos, allowed):
+def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed):
     """Best Gini cut of each (feature, node) group of one level.
 
-    ``vals``/``labs`` hold the level's samples feature by feature and,
-    within a feature, node by node, sorted by that feature's value; group
-    g covers ``gcount[g]`` positions from ``gstart[g]`` and has ``gpos[g]``
-    positives.  ``allowed`` (one flag per group, or None for all) limits
-    the search.  Returns the gain and the cut of every group; a gain of 0
-    means no cut.
+    ``vals`` holds the level's rows feature by feature and, within a
+    feature, node by node, sorted by that feature's value; ``wts`` and
+    ``wpos`` hold each row's weight and weighted label.  Group g covers
+    ``gsize[g]`` positions from ``gstart[g]`` and has weight ``gcount[g]``
+    with ``gpos[g]`` positive.  ``allowed`` (one flag per group, or None
+    for all) limits the search.  Returns the gain and the cut of every
+    group; a gain of 0 means no cut.
     """
     boundary = np.empty(vals.size, dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=boundary[:-1])
-    boundary[gstart + gcount - 1] = False
+    boundary[gstart + gsize - 1] = False
     if allowed is not None:
-        boundary &= np.repeat(allowed, gcount)
+        boundary &= np.repeat(allowed, gsize)
     at = np.flatnonzero(boundary)
     gain, cuts = np.zeros(gstart.size), np.zeros(gstart.size)
     if at.size == 0:
         return gain, cuts
-    group = np.repeat(np.arange(gstart.size), gcount).take(at)
+    group = np.repeat(np.arange(gstart.size), gsize).take(at)
     start = gstart.take(group)
-    csum = np.zeros(labs.size + 1, dtype=np.int64)
-    np.cumsum(labs, out=csum[1:])
+    ccount = np.zeros(wts.size + 1, dtype=np.int64)
+    np.cumsum(wts, out=ccount[1:])
+    cpos = np.zeros(wpos.size + 1, dtype=np.int64)
+    np.cumsum(wpos, out=cpos[1:])
 
+    # integer weights: every sum below is the count the bootstrap slots gave
     n = gcount.take(group).astype(np.float64)
-    n_left = (at + 1 - start).astype(np.float64)
+    n_left = (ccount.take(at + 1) - ccount.take(start)).astype(np.float64)
     n_right = n - n_left
-    pos_left = (csum.take(at + 1) - csum.take(start)).astype(np.float64)
+    pos_left = (cpos.take(at + 1) - cpos.take(start)).astype(np.float64)
     pos_right = gpos.take(group).astype(np.float64) - pos_left
     g_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
     g_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
@@ -183,39 +190,50 @@ def _best_cuts(vals, labs, gstart, gcount, gpos, allowed):
     return gain, cuts
 
 
-def _grow_tree(X, y, rows, params: ForestParams, rng) -> Tree:
+def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
+    """The tree of the rows of ``X`` drawn ``w`` times each.
+
+    ``sorted_rows`` is the forest's (d, N) stable sort of each feature's
+    rows.  Only the drawn rows (``w > 0``) take part, each weighted by
+    its count, so the tree equals one grown on every bootstrap slot.
+    """
+    drawn = w > 0
+    rows = np.flatnonzero(drawn)
     n, d = rows.size, X.shape[1]
-    xs = np.ascontiguousarray(X[rows].T).ravel()  # feature f of bootstrap sample s at f * n + s
-    ys = y[rows]
-    cap = 2 * n - 1  # every leaf holds at least one sample
+    xs = np.ascontiguousarray(X[rows].T).ravel()  # feature f of drawn row r at f * n + r
+    ws = w.take(rows)
+    wys = ws * y.take(rows)
+    cap = 2 * n - 1  # every leaf holds at least one drawn row
     feature = np.full(cap, -1, dtype=np.int64)
     split = np.zeros(cap)
     left = np.full(cap, -1, dtype=np.int64)
     right = np.full(cap, -1, dtype=np.int64)
     prob = np.zeros(cap)
 
-    ids, count, pos = np.array([0]), np.array([n]), np.array([int(ys.sum())])
+    # per open node: drawn rows (size), their weight (count) and weighted positives
+    ids, size, count, pos = np.array([0]), np.array([n]), np.array([int(ws.sum())]), np.array([int(wys.sum())])
     n_nodes = 1
     if _settled(count, pos, params.min_samples_split)[0]:
-        prob[0] = pos[0] / n
+        prob[0] = pos[0] / count[0]
         ids = ids[:0]
-    # the open samples of every feature, node by node, each node sorted by
+    # the open rows of every feature, node by node, each node sorted by
     # that feature: row f of the (d, m) layout, flattened
-    order = np.argsort(xs.reshape(d, n), axis=1, kind="stable").ravel()
+    order = (np.cumsum(drawn) - 1).take(sorted_rows[drawn.take(sorted_rows)])
     feats = np.arange(d)
     while ids.size:
-        k, m = ids.size, int(count.sum())
+        k, m = ids.size, int(size.sum())
         allowed = None
         if params.max_features < d:
             pick = np.argsort(rng.random((k, d)), axis=1)[:, : params.max_features]
             allowed = np.zeros((d, k), dtype=bool)
             allowed[pick, np.arange(k)[:, None]] = True
             allowed = allowed.ravel()
-        start = np.cumsum(count) - count
+        start = np.cumsum(size) - size
         gstart = (feats[:, None] * m + start).ravel()
         offset = np.repeat(feats * n, m)
         gain, cuts = _best_cuts(
-            xs.take(order + offset), ys.take(order), gstart, np.tile(count, d), np.tile(pos, d), allowed
+            xs.take(order + offset), ws.take(order), wys.take(order),
+            gstart, np.tile(size, d), np.tile(count, d), np.tile(pos, d), allowed,
         )
         gain, cuts = gain.reshape(d, k), cuts.reshape(d, k)
         best = np.argmax(gain, axis=0)  # first feature of the largest gain
@@ -226,15 +244,16 @@ def _grow_tree(X, y, rows, params: ForestParams, rng) -> Tree:
         if n_split == 0:
             break
 
-        # route the samples of splitting nodes; children get ids in node order
-        seg = np.repeat(np.arange(k), count)
+        # route the rows of splitting nodes; children get ids in node order
+        seg = np.repeat(np.arange(k), size)
         sel = ok.take(seg)
         samples, node = order[:m][sel], seg[sel]
         go_left = xs.take(best.take(node) * n + samples) <= cut.take(node)
         rank = np.cumsum(ok) - 1
         child = 2 * rank.take(node) + ~go_left
-        c_count = np.bincount(child, minlength=2 * n_split)
-        c_pos = np.bincount(child, weights=ys.take(samples), minlength=2 * n_split).astype(np.int64)
+        c_size = np.bincount(child, minlength=2 * n_split)
+        c_count = np.bincount(child, weights=ws.take(samples), minlength=2 * n_split).astype(np.int64)
+        c_pos = np.bincount(child, weights=wys.take(samples), minlength=2 * n_split).astype(np.int64)
         c_ids = n_nodes + np.arange(2 * n_split)
         n_nodes += 2 * n_split
         feature[ids[ok]] = best[ok]
@@ -242,7 +261,7 @@ def _grow_tree(X, y, rows, params: ForestParams, rng) -> Tree:
         left[ids[ok]], right[ids[ok]] = c_ids[0::2], c_ids[1::2]
         done = _settled(c_count, c_pos, params.min_samples_split)
         prob[c_ids[done]] = c_pos[done] / c_count[done]
-        ids, count, pos = c_ids[~done], c_count[~done], c_pos[~done]
+        ids, size, count, pos = c_ids[~done], c_size[~done], c_count[~done], c_pos[~done]
 
         # stable partition into the next layout, where each row holds the
         # open children node by node.  The i-th kept-left sample of the
@@ -254,8 +273,8 @@ def _grow_tree(X, y, rows, params: ForestParams, rng) -> Tree:
         sides = side.take(order)
         kept_left = np.zeros(k, dtype=np.int64)
         kept_right = np.zeros(k, dtype=np.int64)
-        kept_left[ok] = np.where(done[0::2], 0, c_count[0::2])
-        kept_right[ok] = np.where(done[1::2], 0, c_count[1::2])
+        kept_left[ok] = np.where(done[0::2], 0, c_size[0::2])
+        kept_right[ok] = np.where(done[1::2], 0, c_size[1::2])
         n_left, n_right = int(kept_left.sum()), int(kept_right.sum())
         shift_left = (feats[:, None] * n_right + np.cumsum(kept_right) - kept_right).ravel()
         shift_right = (feats[:, None] * n_left + np.cumsum(kept_left)).ravel()
@@ -280,11 +299,13 @@ def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
     if y.min() == y.max():
         raise ValueError("training data must contain both classes")
     n, d = X.shape
+    sorted_rows = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     trees = []
     for i in range(params.n_trees):
         rng = substream(params.seed, "tree", i)
-        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        trees.append(_grow_tree(X, y, rows, params, rng))
+        # bootstrap multiplicity of every row
+        w = np.bincount(rng.integers(0, n, size=n), minlength=n) if params.bootstrap else np.ones(n, dtype=np.int64)
+        trees.append(_grow_tree(X, y, w, sorted_rows, params, rng))
     return Forest(params=params, n_features=d, trees=trees)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RatePair
-from .csvio import parse_float, read_table, write_table
+from .csvio import parse_float, read_table, write_rows
 
 __all__ = [
     "RocCurve",
@@ -332,8 +332,7 @@ _ROC_HEADER = ("threshold", "fpr", "tpr")
 
 
 def write_roc_csv(path, roc: RocCurve) -> None:
-    cols = (roc.thresholds.tolist(), roc.alphas.tolist(), roc.betas.tolist())
-    write_table(path, _ROC_HEADER, ([repr(v) for v in row] for row in zip(*cols)))
+    write_rows(path, _ROC_HEADER, "%r,%r,%r\r\n", [roc.thresholds, roc.alphas, roc.betas])
 
 
 def read_roc_csv(path) -> RocCurve:

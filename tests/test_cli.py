@@ -295,6 +295,35 @@ class TestSplit:
             ]) == 0
         assert (a / "a.csv").read_bytes() != (b / "a.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--names", "a", "--names must be two distinct non-empty basenames"),
+            ("--names", "a,a", "--names must be two distinct non-empty basenames"),
+            ("--names", "a,b,c", "--names must be two distinct non-empty basenames"),
+            ("--names", ",b", "--names must be two distinct non-empty basenames"),
+            ("--names", "a,", "--names must be two distinct non-empty basenames"),
+            ("--names", "label,b", "other than label, ratio and seed, got 'label,b'"),
+            ("--names", "a,ratio", "other than label, ratio and seed, got 'a,ratio'"),
+            ("--names", "seed,b", "other than label, ratio and seed, got 'seed,b'"),
+            ("--ratio", "1:0", "--ratio must be two positive integers, got '1:0'"),
+            ("--ratio", "0:3", "--ratio must be two positive integers, got '0:3'"),
+            ("--ratio", "-1:2", "--ratio must be two positive integers, got '-1:2'"),
+            ("--ratio", "7", "ratio must look like 7:3, got '7'"),
+        ],
+    )
+    def test_bad_names_or_ratio_refused_before_writing(self, workdir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "split"
+        argv = {"--ratio": "1:1", "--names": "left,right", flag: value}
+        # ``--flag=value`` form, so that argparse takes ``-1:2`` as a value
+        assert main(["split", "--cases", str(workdir["cases"]), *(f"{k}={v}" for k, v in argv.items()),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error.startswith("ValueError: ") and message in error
+        assert not out.exists()
+
 
 REPORT_FLAGS = [
     "--trees", "5", "--min-split", "20", "--draws", "500",

@@ -1,10 +1,17 @@
 """The interchange codec: header and width checks, line-numbered errors, bytes."""
 
+import csv
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rocbench import core, csvio
+from rocbench.core import CohortDataset, read_cases_csv, write_cases_csv
 from rocbench.csvio import format_float, parse_float, read_table, write_json, write_table
+from rocbench.roc import RocCurve, write_roc_csv
 
 
 def write(tmp_path, text):
@@ -138,3 +145,182 @@ class TestWriters:
         assert path.read_bytes() == (
             b'{\n  "a": {\n    "c": null,\n    "d": 0.5\n  },\n  "b": [\n    1,\n    2\n  ]\n}\n'
         )
+
+
+# -- the bulk cases/ROC codec against the row codec ------------------------
+
+ROW_ENDS = ["\n", "\r\n"]
+GOOD_IDS = ["m1", "m#1", "#", "a b", " m", "m ", "é", "m x", ""]
+ODD_IDS = ['"q"', '"a,b"', 'a"b', "x\ty", "x\x00y"]
+GOOD_BITS = ["0", "1"]
+ODD_BITS = [" 1", "1 ", "2", "0.0", "", "x", "01", '"1"']
+GOOD_FEATURES = ["0.5", "-1e-3", " 2 ", "2\t", "1e-320", "-0", "+.5", "5.", "1.7976931348623157e308"]
+ODD_FEATURES = ["nan", "inf", "-Infinity", "1e400", "1_0", "abc", "", "0x10", "1d3", "\u0661", "#1", "1,5", '"2"']
+ODDITIES = ["cells", "width", "blank", "ends", "quoted", "bytes", "header"]
+
+
+def outcome(read, path):
+    """What a reader makes of a file: the cohort's columns or its error text."""
+    try:
+        data = read(path)
+    except (ValueError, csv.Error) as exc:  # the csv module of Python 3.10 refuses NUL
+        return f"{type(exc).__name__}: {exc}"
+    feats = None if data.features is None else (data.features.shape, data.features.tobytes())
+    return data.makers, data.maker_index.tolist(), data.y.tolist(), data.y_hat.tolist(), feats
+
+
+@st.composite
+def cases_files(draw):
+    """Bytes of a cases file: plain, or with a few kinds of oddity, not all of them errors."""
+    odd = draw(st.sets(st.sampled_from(ODDITIES), max_size=2))
+    d = draw(st.integers(0, 3))
+    header = ["maker_id", "y", "y_hat", *(f"f{j + 1}" for j in range(d))]
+    if "header" in odd:
+        header = draw(st.sampled_from([["maker_id", "y"], ["maker", "y", "y_hat"], ["maker_id", "y", "y_hat "]]))
+
+    def cell(good, bad):
+        return draw(st.sampled_from(bad if "cells" in odd and draw(st.integers(0, 3)) == 0 else good))
+
+    def number():
+        if draw(st.booleans()):
+            return cell(GOOD_FEATURES, ODD_FEATURES)
+        return draw(st.sampled_from([repr, "%.10g".__mod__]))(draw(st.floats(allow_nan=False, allow_infinity=False)))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows.append([cell(GOOD_IDS, ODD_IDS), cell(GOOD_BITS, ODD_BITS), cell(GOOD_BITS, ODD_BITS)])
+        rows[-1] += [number() for _ in range(d)]
+    if rows and "width" in odd:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row.append("1") if draw(st.booleans()) else row.pop()
+    if rows and "quoted" in odd:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = [f'"{c}"' for c in rows[i]]  # csv reads the same cells
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    if "blank" in odd:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    if "ends" in odd:
+        ends = [draw(st.sampled_from(ROW_ENDS + ["\r"])) for _ in lines]
+    else:
+        ends = [draw(st.sampled_from(ROW_ENDS))] * len(lines)
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last row
+    raw = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if "bytes" in odd:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+class TestBulkDecoder:
+    """``read_cases_csv`` (bulk, falling back to rows) equals the row parser: columns, maker order, error text."""
+
+    @given(cases_files())
+    @settings(max_examples=400, deadline=None)
+    def test_property(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("bulk") / "cases.csv"
+        path.write_bytes(raw)
+        assert outcome(read_cases_csv, path) == outcome(core._parse_cases, path)
+
+    @pytest.mark.parametrize("end", ROW_ENDS)
+    def test_plain_file_decodes_in_bulk(self, tmp_path, end):
+        # ids with ``#`` and spaces stay whole: loadtxt runs without comments
+        text = end.join(["maker_id,y,y_hat,f1", "m#1,1,0,0.5", " b ,0,1, 2 ", "m#1,1,1,1e-320", ""])
+        path = write(tmp_path, text)
+        bulk = core._decode_cases(path)
+        assert bulk is not None and bulk.makers == ("m#1", " b ")
+        assert outcome(lambda p: bulk, path) == outcome(core._parse_cases, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'maker_id,y,y_hat\r\n"m",1,0\r\n',  # a quote
+            "maker_id,y,y_hat\r\nm,1,0\nm,0,0\r\n",  # mixed line ends
+            "maker_id,y,y_hat\r\nm,1,0\r\n\r\nm,0,0\r\n",  # a blank line
+            "maker_id,y,y_hat\r\nm,1,0\r\n\r\n",  # a blank last line
+            "maker_id,y,y_hat,f1\r\nm,1,0,1,2\r\n",  # a wide row
+            "maker_id,y,y_hat,f1\r\nm,1,0,1_0\r\n",  # loadtxt refuses what float() takes
+            "maker_id,y,y_hat,f1\r\nm,1,0,1e400\r\n",  # not finite
+            "maker_id,y,y_hat\r\nm,1 ,0\r\n",  # not a literal bit
+            "maker_id,y,y_hat\r\n",  # no rows
+        ],
+    )
+    def test_odd_files_fall_back_to_rows(self, tmp_path, text):
+        path = write(tmp_path, text)
+        assert core._decode_cases(path) is None
+        assert outcome(read_cases_csv, path) == outcome(core._parse_cases, path)
+
+
+def cohort_of(makers, codes, features):
+    n = len(codes)
+    rng = np.random.default_rng(n)
+    return CohortDataset(makers, codes, rng.integers(0, 2, n), rng.integers(0, 2, n), features)
+
+
+def csv_writer_bytes(path, header, rows):
+    write_table(path, header, rows)
+    return path.read_bytes()
+
+
+class TestBulkEncoders:
+    """The ``%``-formatted writers give the bytes ``csv.writer`` gives."""
+
+    @given(
+        st.lists(st.text(alphabet=',"\r\n #éÿ\U0001f600ab1 ', max_size=6), min_size=1, max_size=4, unique=True),
+        st.integers(0, 3),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cases_bytes(self, tmp_path_factory, makers, d, data):
+        n = data.draw(st.integers(1, 12))
+        codes = np.array(data.draw(st.lists(st.integers(0, len(makers) - 1), min_size=n, max_size=n)))
+        special = st.sampled_from([5e-324, 1e-310, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, -0.0])
+        values = data.draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), special),
+                                    min_size=n * d, max_size=n * d))
+        features = np.array(values).reshape(n, d) if d else None
+        cohort = cohort_of(makers, codes, features)
+        root = tmp_path_factory.mktemp("enc")
+        write_cases_csv(root / "bulk.csv", cohort)
+        rows = zip([makers[c] for c in codes], cohort.y.tolist(), cohort.y_hat.tolist(),
+                   *(map(format_float, col) for col in (features.T.tolist() if d else [])))
+        header = ["maker_id", "y", "y_hat", *(f"f{j + 1}" for j in range(d))]
+        assert (root / "bulk.csv").read_bytes() == csv_writer_bytes(root / "rows.csv", header, rows)
+        # read -> write -> read: both readers agree, and what reads back writes the same bytes.
+        # A feature that %.10g rounds past the largest double reads back as
+        # inf and is refused by both readers alike.
+        first = outcome(read_cases_csv, root / "bulk.csv")
+        assert first == outcome(core._parse_cases, root / "bulk.csv")
+        if isinstance(first, str):
+            assert "non-finite value '" in first and "e+308'" in first
+            return
+        write_cases_csv(root / "again.csv", read_cases_csv(root / "bulk.csv"))
+        assert (root / "again.csv").read_bytes() == (root / "bulk.csv").read_bytes()
+        assert outcome(read_cases_csv, root / "again.csv") == first
+
+    def test_cases_bytes_across_chunks(self, tmp_path):
+        n = csvio._CHUNK + 3
+        rng = np.random.default_rng(4)
+        makers = ["m0", "é1", "m 2"]
+        cohort = cohort_of(makers, rng.integers(0, 3, n), rng.standard_normal((n, 2)))
+        write_cases_csv(tmp_path / "bulk.csv", cohort)
+        rows = zip([makers[c] for c in cohort.maker_index.tolist()], cohort.y.tolist(), cohort.y_hat.tolist(),
+                   *(map(format_float, col) for col in cohort.features.T.tolist()))
+        expected = csv_writer_bytes(tmp_path / "rows.csv", ["maker_id", "y", "y_hat", "f1", "f2"], rows)
+        assert (tmp_path / "bulk.csv").read_bytes() == expected
+
+    @given(
+        st.lists(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([5e-324, -1e-310, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3]),
+        ), min_size=2, max_size=30, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_roc_bytes(self, tmp_path_factory, thresholds, data):
+        n = len(thresholds)
+        rates = st.lists(st.floats(0.0, 1.0), min_size=n - 2, max_size=n - 2).map(lambda r: [0.0, *sorted(r), 1.0])
+        roc = RocCurve(sorted(thresholds, reverse=True), data.draw(rates), data.draw(rates))
+        root = tmp_path_factory.mktemp("roc")
+        write_roc_csv(root / "bulk.csv", roc)
+        rows = ([repr(v) for v in row] for row in zip(roc.thresholds.tolist(), roc.alphas.tolist(), roc.betas.tolist()))
+        assert (root / "bulk.csv").read_bytes() == csv_writer_bytes(root / "rows.csv", ("threshold", "fpr", "tpr"), rows)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rocbench.forest import (
     Forest,
     ForestParams,
+    Tree,
     forest_from_json,
     forest_to_json,
     load_forest,
@@ -413,8 +414,168 @@ def _assert_matches_reference(X, y, params):
     np.testing.assert_array_equal(forest.predict_propensity(probe), _ref_predict(roots, probe))
 
 
+# -- the level-wise grower on every bootstrap slot, duplicates included, --
+# -- that the distinct-row grower replaced: the reference for any max_features --
+
+
+def _slot_settled(count, pos, min_samples_split):
+    return (pos == 0) | (pos == count) | (count < min_samples_split)
+
+
+def _slot_best_cuts(vals, labs, gstart, gcount, gpos, allowed):
+    """Best Gini cut of each (feature, node) group of one level.
+
+    ``vals``/``labs`` hold the level's samples feature by feature and,
+    within a feature, node by node, sorted by that feature's value; group
+    g covers ``gcount[g]`` positions from ``gstart[g]`` and has ``gpos[g]``
+    positives.  ``allowed`` (one flag per group, or None for all) limits
+    the search.  Returns the gain and the cut of every group; a gain of 0
+    means no cut.
+    """
+    boundary = np.empty(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=boundary[:-1])
+    boundary[gstart + gcount - 1] = False
+    if allowed is not None:
+        boundary &= np.repeat(allowed, gcount)
+    at = np.flatnonzero(boundary)
+    gain, cuts = np.zeros(gstart.size), np.zeros(gstart.size)
+    if at.size == 0:
+        return gain, cuts
+    group = np.repeat(np.arange(gstart.size), gcount).take(at)
+    start = gstart.take(group)
+    csum = np.zeros(labs.size + 1, dtype=np.int64)
+    np.cumsum(labs, out=csum[1:])
+
+    n = gcount.take(group).astype(np.float64)
+    n_left = (at + 1 - start).astype(np.float64)
+    n_right = n - n_left
+    pos_left = (csum.take(at + 1) - csum.take(start)).astype(np.float64)
+    pos_right = gpos.take(group).astype(np.float64) - pos_left
+    g_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
+    g_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
+    weighted = (n_left * g_left + n_right * g_right) / n
+
+    # first minimum per group: the smallest cut wins a tie
+    runs = np.bincount(group, minlength=gstart.size)
+    won = np.flatnonzero(runs)
+    runs = runs.take(won)
+    head = np.cumsum(runs) - runs
+    low = np.minimum.reduceat(weighted, head)
+    at_low = np.flatnonzero(weighted == np.repeat(low, runs))
+    first = at_low.take(np.searchsorted(at_low, head))
+
+    # Python floats (``**`` is C pow, not numpy's square), so the parent
+    # impurity rounds as the models' split rule has always rounded it
+    parent = np.array([
+        1.0 - (p / c) ** 2 - ((c - p) / c) ** 2
+        for p, c in zip(gpos.take(won).astype(np.float64).tolist(), gcount.take(won).tolist())
+    ])
+    gain[won] = parent - low
+    lo, hi = vals.take(at.take(first)), vals.take(at.take(first) + 1)
+    mid = (lo + hi) / 2.0
+    # the midpoint of adjacent doubles can round up to ``hi``, and a sum
+    # can overflow; ``lo`` then cuts the same rows
+    cuts[won] = np.where((mid >= lo) & (mid < hi), mid, lo)
+    return gain, cuts
+
+
+def _slot_grow_tree(X, y, rows, params, rng):
+    n, d = rows.size, X.shape[1]
+    xs = np.ascontiguousarray(X[rows].T).ravel()  # feature f of bootstrap sample s at f * n + s
+    ys = y[rows]
+    cap = 2 * n - 1  # every leaf holds at least one sample
+    feature = np.full(cap, -1, dtype=np.int64)
+    split = np.zeros(cap)
+    left = np.full(cap, -1, dtype=np.int64)
+    right = np.full(cap, -1, dtype=np.int64)
+    prob = np.zeros(cap)
+
+    ids, count, pos = np.array([0]), np.array([n]), np.array([int(ys.sum())])
+    n_nodes = 1
+    if _slot_settled(count, pos, params.min_samples_split)[0]:
+        prob[0] = pos[0] / n
+        ids = ids[:0]
+    # the open samples of every feature, node by node, each node sorted by
+    # that feature: row f of the (d, m) layout, flattened
+    order = np.argsort(xs.reshape(d, n), axis=1, kind="stable").ravel()
+    feats = np.arange(d)
+    while ids.size:
+        k, m = ids.size, int(count.sum())
+        allowed = None
+        if params.max_features < d:
+            pick = np.argsort(rng.random((k, d)), axis=1)[:, : params.max_features]
+            allowed = np.zeros((d, k), dtype=bool)
+            allowed[pick, np.arange(k)[:, None]] = True
+            allowed = allowed.ravel()
+        start = np.cumsum(count) - count
+        gstart = (feats[:, None] * m + start).ravel()
+        offset = np.repeat(feats * n, m)
+        gain, cuts = _slot_best_cuts(
+            xs.take(order + offset), ys.take(order), gstart, np.tile(count, d), np.tile(pos, d), allowed
+        )
+        gain, cuts = gain.reshape(d, k), cuts.reshape(d, k)
+        best = np.argmax(gain, axis=0)  # first feature of the largest gain
+        cut = cuts[best, np.arange(k)]
+        ok = gain[best, np.arange(k)] > 0.0
+        prob[ids[~ok]] = pos[~ok] / count[~ok]
+        n_split = int(ok.sum())
+        if n_split == 0:
+            break
+
+        # route the samples of splitting nodes; children get ids in node order
+        seg = np.repeat(np.arange(k), count)
+        sel = ok.take(seg)
+        samples, node = order[:m][sel], seg[sel]
+        go_left = xs.take(best.take(node) * n + samples) <= cut.take(node)
+        rank = np.cumsum(ok) - 1
+        child = 2 * rank.take(node) + ~go_left
+        c_count = np.bincount(child, minlength=2 * n_split)
+        c_pos = np.bincount(child, weights=ys.take(samples), minlength=2 * n_split).astype(np.int64)
+        c_ids = n_nodes + np.arange(2 * n_split)
+        n_nodes += 2 * n_split
+        feature[ids[ok]] = best[ok]
+        split[ids[ok]] = cut[ok]
+        left[ids[ok]], right[ids[ok]] = c_ids[0::2], c_ids[1::2]
+        done = _slot_settled(c_count, c_pos, params.min_samples_split)
+        prob[c_ids[done]] = c_pos[done] / c_count[done]
+        ids, count, pos = c_ids[~done], c_count[~done], c_pos[~done]
+
+        # stable partition into the next layout, where each row holds the
+        # open children node by node.  The i-th kept-left sample of the
+        # whole layout moves to i plus the kept-right samples ahead of it
+        # there (those of earlier rows and of earlier nodes in its row);
+        # kept-right samples move the same way past kept-left ones.
+        side = np.zeros(n, dtype=np.int8)
+        side[samples] = np.where(done.take(child), 0, 2 - go_left)
+        sides = side.take(order)
+        kept_left = np.zeros(k, dtype=np.int64)
+        kept_right = np.zeros(k, dtype=np.int64)
+        kept_left[ok] = np.where(done[0::2], 0, c_count[0::2])
+        kept_right[ok] = np.where(done[1::2], 0, c_count[1::2])
+        n_left, n_right = int(kept_left.sum()), int(kept_right.sum())
+        shift_left = (feats[:, None] * n_right + np.cumsum(kept_right) - kept_right).ravel()
+        shift_right = (feats[:, None] * n_left + np.cumsum(kept_left)).ravel()
+        nxt = np.empty(d * (n_left + n_right), dtype=order.dtype)
+        nxt[np.arange(d * n_left) + np.repeat(shift_left, np.tile(kept_left, d))] = order[sides == 1]
+        nxt[np.arange(d * n_right) + np.repeat(shift_right, np.tile(kept_right, d))] = order[sides == 2]
+        order = nxt
+    return Tree(*(a[:n_nodes].copy() for a in (feature, split, left, right, prob)))
+
+
+
+def _slot_train(X, y, params):
+    n = X.shape[0]
+    trees = []
+    for i in range(params.n_trees):
+        rng = substream(params.seed, "tree", i)
+        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        trees.append(_slot_grow_tree(X, y.astype(np.int64), rows, params, rng))
+    return trees
+
+
 @st.composite
-def training_sets(draw):
+def training_sets(draw, narrow=False):
+    """(X, y, params); ``narrow`` also draws ``max_features`` below the feature count."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2, 70))
     columns = []
@@ -433,7 +594,7 @@ def training_sets(draw):
     y[i] = 1 - y[(i + 1) % n]  # both classes
     params = ForestParams(
         n_trees=draw(st.integers(1, 3)),
-        max_features=d + draw(st.integers(0, 2)),
+        max_features=draw(st.integers(1, d + 1)) if narrow else d + draw(st.integers(0, 2)),
         min_samples_split=draw(st.integers(2, 60)),
         bootstrap=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -466,3 +627,26 @@ class TestAgainstRecursiveReference:
         y = (X[:, 0] - X[:, 1] + rng.normal(0.0, 2.0, 3000) > 0.3).astype(int)
         params = ForestParams(n_trees=4, max_features=50, min_samples_split=20, seed=8)
         _assert_matches_reference(X, y, params)
+
+
+def _assert_matches_slots(X, y, params):
+    for tree, ref in zip(train_forest(X, y, params).trees, _slot_train(X, y, params), strict=True):
+        for name in ("feature", "split", "left", "right", "prob"):
+            assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+class TestAgainstSlotReference:
+    """Trees grown on the distinct drawn rows equal trees grown on every bootstrap slot, node for node."""
+
+    @given(training_sets(narrow=True))
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, case):
+        X, y, params = case
+        _assert_matches_slots(X, y, params)
+
+    def test_feature_draws_on_a_cohort(self):
+        rng = np.random.default_rng(5)
+        X = np.round(rng.normal(size=(2000, 4)), 1)  # ties on every feature
+        y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.0, 2000) > 0).astype(int)
+        params = ForestParams(n_trees=3, max_features=2, min_samples_split=10, seed=3)
+        _assert_matches_slots(X, y, params)
