@@ -248,8 +248,9 @@ def _split_args(args) -> tuple[tuple[int, int], list[str]]:
     if min(ratio) < 1:
         raise ValueError(f"--ratio must be two positive integers, got {args.ratio!r}")
     names = args.names.split(",")
-    # the names key the manifest beside label, ratio and seed
-    if len(names) != 2 or len(set(names)) != 2 or "" in names or {"label", "ratio", "seed"} & set(names):
+    # each names a file in --out and keys the manifest beside label, ratio and seed
+    usable = all(n == os.path.basename(n) and n not in ("", "label", "ratio", "seed") for n in names)
+    if len(names) != 2 or len(set(names)) != 2 or not usable:
         raise ValueError(
             f"--names must be two distinct non-empty basenames other than label, ratio and seed, got {args.names!r}"
         )

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import format_float, parse_float, read_plain_table, read_table, write_rows, write_table
+from .csvio import parse_float, read_plain_table, read_table, write_rows
 
 __all__ = [
     "ConfusionCounts",
@@ -269,16 +269,17 @@ _BIT = {"0": 0, "1": 1}
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # a maker id that csv.writer would quote
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in the default dialect."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
 def write_cases_csv(path, data: CohortDataset) -> None:
     header = [*_CASES_HEADER, *(f"f{j + 1}" for j in range(data.n_features))]
-    names = np.array(data.makers, dtype=object).take(data.maker_index)
+    names = np.array([_csv_cell(m) for m in data.makers], dtype=object).take(data.maker_index)
     features = list(data.features.T) if data.n_features else []
-    if any(_NEEDS_QUOTES.search(m) for m in data.makers):
-        cells = (map(format_float, col.tolist()) for col in features)
-        write_table(path, header, zip(names.tolist(), data.y.tolist(), data.y_hat.tolist(), *cells))
-    else:
-        row_format = "%s,%d,%d" + ",%.10g" * data.n_features + "\r\n"
-        write_rows(path, header, row_format, [names, data.y, data.y_hat, *features])
+    row_format = "%s,%d,%d" + ",%.10g" * data.n_features + "\r\n"
+    write_rows(path, header, row_format, [names, data.y, data.y_hat, *features])
 
 
 def read_cases_csv(path) -> CohortDataset:
@@ -292,16 +293,15 @@ def _decode_cases(path) -> CohortDataset | None:
     table = read_plain_table(path, _CASES_HEADER, len(_CASES_HEADER))
     if table is None:
         return None
-    cells, features = table
-    bits = cells[:, 1:]
-    ones = bits == "1"
-    if not (ones | (bits == "0")).all() or not np.isfinite(features).all():
+    (makers, *bits), features = table  # text cells as UTF-8 bytes
+    ones = [b == b"1" for b in bits]
+    if not all((one | (b == b"0")).all() for one, b in zip(ones, bits)) or not np.isfinite(features).all():
         return None
     # maker codes in order of first appearance, as the row parser assigns them
-    ids, first, code = np.unique(cells[:, 0], return_index=True, return_inverse=True)
+    ids, first, code = np.unique(makers, return_index=True, return_inverse=True)
     order = np.argsort(first)
     return CohortDataset(
-        ids[order].tolist(), np.argsort(order).take(code.reshape(-1)), ones[:, 0], ones[:, 1],
+        [m.decode() for m in ids[order].tolist()], np.argsort(order).take(code.reshape(-1)), *ones,
         features if features.shape[1] else None,
     )
 

@@ -7,7 +7,7 @@ them itself.  Readers name the file and the line of a row they reject.
 Large tables go through bulk paths: ``write_rows`` formats rows with one
 ``%`` pass per chunk, and ``read_plain_table`` decodes a plain file (no
 quotes, one kind of line end, no blank line, every row as wide as the
-header) with two ``np.loadtxt`` calls.  A reader that gets None from it,
+header) with one ``np.loadtxt`` call.  A reader that gets None from it,
 or rejects what it decoded, re-reads the file with ``read_table``, so the
 row path alone words every error.
 """
@@ -51,8 +51,7 @@ def write_rows(path, header: Sequence[str], row_format: str, columns: Sequence[n
     """Row ``i`` as ``row_format % (columns[0][i], columns[1][i], ...)``.
 
     ``row_format`` ends in ``\\r\\n`` and must write each cell as
-    ``csv.writer`` would: the caller sends text cells that need quoting
-    to ``write_table`` instead.
+    ``csv.writer`` would: the caller quotes text cells that need it.
     """
     width, n = len(columns), len(columns[0])
     with open(path, "w", newline="") as fh:
@@ -68,14 +67,16 @@ def write_rows(path, header: Sequence[str], row_format: str, columns: Sequence[n
 def read_plain_table(path, header: Sequence[str], n_text: int):
     """``(text, numbers)`` of a plain file whose header starts with ``header``.
 
-    ``text`` holds the first ``n_text`` cells of every row as strings
-    and ``numbers`` the rest as floats, each an (n_rows, k) array.  None
-    when the file is not plain: undecodable, holding a quote or a NUL,
-    with a line end other than all ``\\r\\n`` or all ``\\n``, a line
-    longer than the ``csv`` field limit, a header that does not match,
-    no rows, a row of another width (a blank line included), or a cell
-    that does not parse.  What comes back is exactly what ``read_table``
-    would have split; numbers are not checked for finiteness.
+    ``text`` holds the UTF-8 bytes of the first ``n_text`` cells of
+    every row, one 1-D bytes array per column, each only as wide as its
+    longest cell; ``numbers`` holds the rest as floats, an (n_rows, k)
+    array.  None when the file is not plain: undecodable, holding a
+    quote or a NUL, with a line end other than all ``\\r\\n`` or all
+    ``\\n``, a line longer than the ``csv`` field limit, a header that
+    does not match, no rows, a row of another width (a blank line
+    included), or a cell that does not parse.  What comes back is
+    exactly what ``read_table`` would have split; numbers are not
+    checked for finiteness.
     """
     try:
         with open(path, newline="") as fh:
@@ -96,20 +97,27 @@ def read_plain_table(path, header: Sequence[str], n_text: int):
     ends = np.flatnonzero(data == ord("\n"))
     if raw[-1:] != b"\n":
         ends = np.append(ends, data.size)  # a last row without a line end
-    commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+    commas = np.flatnonzero(data == ord(","))
     width = len(found)
-    if ends.size < 2 or (commas[1:] != width - 1).any() or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
+    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    if ends.size < 2 or (per_line[1:] != width - 1).any() or np.diff(ends, prepend=-1).max() > csv.field_size_limit():
         return None
-    options = dict(delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=2, encoding="utf-8")
+    # cell j of a row lies between bounds j and j + 1: the line end before it, its commas, its
+    # line end (past any \r, so a column's width may come out one too large, never too small)
+    bounds = [ends[:-1], *commas[width - 1 :].reshape(-1, width - 1).T, ends[1:]]
+    fields = [(f"t{j}", f"S{max(int((bounds[j + 1] - bounds[j]).max()) - 1, 1)}") for j in range(n_text)]
+    if width > n_text:
+        fields.append(("numbers", np.float64, (width - n_text,)))
+    # latin-1 maps each byte to one character and back, so a bytes cell keeps its UTF-8 bytes (one
+    # byte a character, not four) and a float cell with a non-ASCII byte fails to parse
+    options = dict(delimiter=",", comments=None, quotechar=None, skiprows=1, ndmin=1, encoding="latin-1")
     try:
-        cells = np.loadtxt(io.BytesIO(raw), dtype=str, usecols=range(n_text), **options)
-        numbers = (
-            np.loadtxt(io.BytesIO(raw), dtype=np.float64, usecols=range(n_text, width), **options)
-            if width > n_text else np.empty((ends.size - 1, 0))
-        )
+        table = np.loadtxt(io.BytesIO(raw), dtype=np.dtype(fields), **options)
     except ValueError:
         return None
-    return cells, numbers
+    text = [table[f"t{j}"] for j in range(n_text)]
+    numbers = np.ascontiguousarray(table["numbers"]) if width > n_text else np.empty((table.size, 0))
+    return text, numbers
 
 
 def read_table(path, header: Sequence[str], parse_row: Callable, *, prefix=False, unique=None) -> list:

@@ -306,6 +306,9 @@ class TestSplit:
             ("--names", "label,b", "other than label, ratio and seed, got 'label,b'"),
             ("--names", "a,ratio", "other than label, ratio and seed, got 'a,ratio'"),
             ("--names", "seed,b", "other than label, ratio and seed, got 'seed,b'"),
+            ("--names", "../x,y", "other than label, ratio and seed, got '../x,y'"),
+            ("--names", "a,sub/b", "other than label, ratio and seed, got 'a,sub/b'"),
+            ("--names", "/a,b", "other than label, ratio and seed, got '/a,b'"),
             ("--ratio", "1:0", "--ratio must be two positive integers, got '1:0'"),
             ("--ratio", "0:3", "--ratio must be two positive integers, got '0:3'"),
             ("--ratio", "-1:2", "--ratio must be two positive integers, got '-1:2'"),

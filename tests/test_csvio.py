@@ -150,12 +150,14 @@ class TestWriters:
 # -- the bulk cases/ROC codec against the row codec ------------------------
 
 ROW_ENDS = ["\n", "\r\n"]
-GOOD_IDS = ["m1", "m#1", "#", "a b", " m", "m ", "é", "m x", ""]
+GOOD_IDS = ["m1", "m#1", "#", "a b", " m", "m ", "é", "医生甲", "m x", "", "3f2c9a1e-7b4d-4e1a-9c3b-52d8e6f0a7b1"]
 ODD_IDS = ['"q"', '"a,b"', 'a"b', "x\ty", "x\x00y"]
 GOOD_BITS = ["0", "1"]
 ODD_BITS = [" 1", "1 ", "2", "0.0", "", "x", "01", '"1"']
 GOOD_FEATURES = ["0.5", "-1e-3", " 2 ", "2\t", "1e-320", "-0", "+.5", "5.", "1.7976931348623157e308"]
-ODD_FEATURES = ["nan", "inf", "-Infinity", "1e400", "1_0", "abc", "", "0x10", "1d3", "\u0661", "#1", "1,5", '"2"']
+ODD_FEATURES = [
+    "nan", "inf", "-Infinity", "1e400", "1_0", "abc", "", "0x10", "1d3", "\u0661", "1\u00a0", "#1", "1,5", '"2"',
+]
 ODDITIES = ["cells", "width", "blank", "ends", "quoted", "bytes", "header"]
 
 
@@ -225,10 +227,10 @@ class TestBulkDecoder:
     @pytest.mark.parametrize("end", ROW_ENDS)
     def test_plain_file_decodes_in_bulk(self, tmp_path, end):
         # ids with ``#`` and spaces stay whole: loadtxt runs without comments
-        text = end.join(["maker_id,y,y_hat,f1", "m#1,1,0,0.5", " b ,0,1, 2 ", "m#1,1,1,1e-320", ""])
+        text = end.join(["maker_id,y,y_hat,f1", "m#1,1,0,0.5", " b ,0,1, 2 ", "m#1,1,1,1e-320", "医生甲,0,0,3", ""])
         path = write(tmp_path, text)
         bulk = core._decode_cases(path)
-        assert bulk is not None and bulk.makers == ("m#1", " b ")
+        assert bulk is not None and bulk.makers == ("m#1", " b ", "医生甲")
         assert outcome(lambda p: bulk, path) == outcome(core._parse_cases, path)
 
     @pytest.mark.parametrize(
@@ -243,6 +245,7 @@ class TestBulkDecoder:
             "maker_id,y,y_hat,f1\r\nm,1,0,1e400\r\n",  # not finite
             "maker_id,y,y_hat\r\nm,1 ,0\r\n",  # not a literal bit
             "maker_id,y,y_hat\r\n",  # no rows
+            "maker_id,y,y_hat\r\nm,0,1\r\nm,1,10",  # a last cell wider than the others, no line end
         ],
     )
     def test_odd_files_fall_back_to_rows(self, tmp_path, text):
