@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import parse_float, read_plain_table, read_table, write_rows
+from .csvio import float_column, parse_float, read_plain_table, read_table, write_rows
 
 __all__ = [
     "ConfusionCounts",
@@ -277,9 +277,9 @@ def _csv_cell(text: str) -> str:
 def write_cases_csv(path, data: CohortDataset) -> None:
     header = [*_CASES_HEADER, *(f"f{j + 1}" for j in range(data.n_features))]
     names = np.array([_csv_cell(m) for m in data.makers], dtype=object).take(data.maker_index)
-    features = list(data.features.T) if data.n_features else []
-    row_format = "%s,%d,%d" + ",%.10g" * data.n_features + "\r\n"
-    write_rows(path, header, row_format, [names, data.y, data.y_hat, *features])
+    features = [float_column(col) for col in data.features.T] if data.n_features else []
+    row_format = "%s,%d,%d" + "".join("," + conversion for conversion, _ in features) + "\r\n"
+    write_rows(path, header, row_format, [names, data.y, data.y_hat, *(col for _, col in features)])
 
 
 def read_cases_csv(path) -> CohortDataset:

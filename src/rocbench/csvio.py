@@ -1,8 +1,9 @@
 """The one codec for the package's CSV and JSON interchange files.
 
 A CSV file is a header row and one record per row in the ``csv`` default
-dialect (``\\r\\n`` row ends), floats ``%.10g`` unless a writer formats
-them itself.  Readers name the file and the line of a row they reject.
+dialect (``\\r\\n`` row ends), floats as ``format_float`` writes them
+unless a writer formats them itself.  Readers name the file and the line
+of a row they reject.
 
 Large tables go through bulk paths: ``write_rows`` formats rows with one
 ``%`` pass per chunk, and ``read_plain_table`` decodes a plain file (no
@@ -23,10 +24,19 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _CHUNK = 65_536  # rows formatted per ``%`` pass
+_TEN_DIGIT_LIMIT = 1.7976931345e308  # ``%.10g`` rounds this magnitude and above past the largest double
 
 
 def format_float(value: float) -> str:
-    return "%.10g" % value
+    """``%.10g``, or ``%.17g`` where ten digits would read back as infinite."""
+    return "%.10g" % value if abs(value) < _TEN_DIGIT_LIMIT else "%.17g" % value
+
+
+def float_column(values: np.ndarray) -> tuple[str, np.ndarray]:
+    """The ``%`` conversion and column with which ``write_rows`` writes ``values`` as ``format_float`` does."""
+    if (np.abs(values) < _TEN_DIGIT_LIMIT).all():
+        return "%.10g", values
+    return "%s", np.array([format_float(v) for v in values.tolist()], dtype=object)
 
 
 def parse_float(cell: str) -> float:

@@ -10,7 +10,7 @@ node is pure, smaller than ``min_samples_split``, or no cut reduces
 impurity.  A leaf predicts its positive fraction; the forest predicts
 the mean over trees.
 
-A tree is stored as parallel node arrays in breadth-first order (see
+A tree is stored as two node arrays in breadth-first order (see
 ``Tree``) and grown one depth level at a time.  It grows on the distinct
 rows its bootstrap drew, each weighted by how often it was drawn (as
 Breiman's bagged trees are), so counts are weighted sums and the model
@@ -30,7 +30,7 @@ order, from the tree's substream after its bootstrap draw.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,8 +47,8 @@ __all__ = [
     "load_forest",
 ]
 
-FORMAT = 2  # forest JSON layout: flat node arrays per tree
-_ARRAYS = ("feature", "split", "left", "right", "prob")
+FORMAT = 3  # forest JSON layout: two breadth-first node arrays per tree
+_ARRAYS = ("feature", "value")
 
 
 @dataclass(frozen=True)
@@ -70,26 +70,24 @@ class ForestParams:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """One tree as parallel node arrays, root first, breadth-first order.
+    """One tree as two node arrays, root first, in breadth-first order.
 
-    Internal node ``i`` sends a row to ``left[i]`` when its value of
-    ``feature[i]`` is at most ``split[i]``, else to ``right[i]``; children
-    come after their parent.  A leaf has ``feature == -1`` and predicts
-    ``prob``.  Unused entries hold 0.0 (``split``, ``prob``) or -1
-    (``left``, ``right``).
+    A leaf has ``feature == -1`` and predicts ``value``, its positive
+    fraction.  Internal node ``i`` sends a row to its left child when its
+    value of ``feature[i]`` is at most ``value[i]``, else to its right
+    child.  The children are implied: those of the k-th internal node in
+    id order are nodes 2k + 1 and 2k + 2, so a tree of I internal nodes
+    has 2I + 1 nodes.
     """
 
     feature: np.ndarray
-    split: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    prob: np.ndarray
+    value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value of each row of ``X``, all rows descending level by level."""
-        n = X.shape[0]
-        column_major = X.T.ravel()  # row r's value of feature f at f * n + r
-        children = np.column_stack([self.left, self.right]).ravel()
+    def predict(self, columns: np.ndarray) -> np.ndarray:
+        """Leaf value of each row of ``columns``, the (d, n) C-contiguous transpose of the rows."""
+        n = columns.shape[1]
+        column_major = columns.ravel()  # row r's value of feature f at f * n + r
+        left = 2 * np.cumsum(self.feature >= 0) - 1  # left child of each internal node
         out = np.empty(n)
         rows = np.arange(n)
         node = np.zeros(n, dtype=np.int64)
@@ -97,11 +95,11 @@ class Tree:
         while rows.size:
             leaf = feat < 0
             if leaf.any():
-                out[rows[leaf]] = self.prob.take(node[leaf])
+                out[rows[leaf]] = self.value.take(node[leaf])
                 inner = ~leaf
                 rows, node, feat = rows[inner], node[inner], feat[inner]
-            go_right = column_major.take(feat * n + rows) > self.split.take(node)
-            node = children.take(2 * node + go_right)
+            go_right = column_major.take(feat * n + rows) > self.value.take(node)
+            node = left.take(node) + go_right
             feat = self.feature.take(node)
         return out
 
@@ -119,9 +117,10 @@ class Forest:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
         if not np.isfinite(X).all():
             raise ValueError("non-finite feature values")
+        columns = np.ascontiguousarray(X.T)
         total = np.zeros(X.shape[0])
         for tree in self.trees:
-            total += tree.predict(X)
+            total += tree.predict(columns)
         return total / len(self.trees)
 
 
@@ -205,16 +204,13 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
     wys = ws * y.take(rows)
     cap = 2 * n - 1  # every leaf holds at least one drawn row
     feature = np.full(cap, -1, dtype=np.int64)
-    split = np.zeros(cap)
-    left = np.full(cap, -1, dtype=np.int64)
-    right = np.full(cap, -1, dtype=np.int64)
-    prob = np.zeros(cap)
+    value = np.zeros(cap)
 
     # per open node: drawn rows (size), their weight (count) and weighted positives
     ids, size, count, pos = np.array([0]), np.array([n]), np.array([int(ws.sum())]), np.array([int(wys.sum())])
     n_nodes = 1
     if _settled(count, pos, params.min_samples_split)[0]:
-        prob[0] = pos[0] / count[0]
+        value[0] = pos[0] / count[0]
         ids = ids[:0]
     # the open rows of every feature, node by node, each node sorted by
     # that feature: row f of the (d, m) layout, flattened
@@ -239,12 +235,13 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
         best = np.argmax(gain, axis=0)  # first feature of the largest gain
         cut = cuts[best, np.arange(k)]
         ok = gain[best, np.arange(k)] > 0.0
-        prob[ids[~ok]] = pos[~ok] / count[~ok]
+        value[ids[~ok]] = pos[~ok] / count[~ok]
         n_split = int(ok.sum())
         if n_split == 0:
             break
 
-        # route the rows of splitting nodes; children get ids in node order
+        # route the rows of splitting nodes; children get ids in node order,
+        # so those of the k-th internal node are 2k + 1 and 2k + 2
         seg = np.repeat(np.arange(k), size)
         sel = ok.take(seg)
         samples, node = order[:m][sel], seg[sel]
@@ -257,10 +254,9 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
         c_ids = n_nodes + np.arange(2 * n_split)
         n_nodes += 2 * n_split
         feature[ids[ok]] = best[ok]
-        split[ids[ok]] = cut[ok]
-        left[ids[ok]], right[ids[ok]] = c_ids[0::2], c_ids[1::2]
+        value[ids[ok]] = cut[ok]
         done = _settled(c_count, c_pos, params.min_samples_split)
-        prob[c_ids[done]] = c_pos[done] / c_count[done]
+        value[c_ids[done]] = c_pos[done] / c_count[done]
         ids, size, count, pos = c_ids[~done], c_size[~done], c_count[~done], c_pos[~done]
 
         # stable partition into the next layout, where each row holds the
@@ -282,7 +278,7 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
         nxt[np.arange(d * n_left) + np.repeat(shift_left, np.tile(kept_left, d))] = order[sides == 1]
         nxt[np.arange(d * n_right) + np.repeat(shift_right, np.tile(kept_right, d))] = order[sides == 2]
         order = nxt
-    return Tree(*(a[:n_nodes].copy() for a in (feature, split, left, right, prob)))
+    return Tree(feature[:n_nodes].copy(), value[:n_nodes].copy())
 
 
 def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
@@ -315,13 +311,7 @@ def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
 def forest_to_json(forest: Forest) -> str:
     payload = {
         "format": FORMAT,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_features": forest.params.max_features,
-            "min_samples_split": forest.params.min_samples_split,
-            "bootstrap": forest.params.bootstrap,
-            "seed": forest.params.seed,
-        },
+        "params": asdict(forest.params),
         "n_features": forest.n_features,
         "trees": [{name: getattr(t, name).tolist() for name in _ARRAYS} for t in forest.trees],
     }
@@ -329,19 +319,25 @@ def forest_to_json(forest: Forest) -> str:
 
 
 def _tree_from_dict(data: dict, n_features: int) -> Tree:
-    ints = ("feature", "left", "right")
-    tree = Tree(*(np.asarray(data[a], dtype=np.int64 if a in ints else np.float64) for a in _ARRAYS))
+    """The checked tree; the checks suffice for ``Tree.predict`` to end.
+
+    With n = 2I + 1 nodes every implied child id is below n, and along
+    any path from the root the ids increase: a reachable internal node
+    ranks above its parent, so its children come after it.
+    """
+    if not isinstance(data, dict) or set(data) != set(_ARRAYS):
+        raise ValueError(f"expected an object of exactly the arrays {' and '.join(_ARRAYS)}")
+    tree = Tree(np.asarray(data["feature"], dtype=np.int64), np.asarray(data["value"], dtype=np.float64))
     n = tree.feature.size
-    if n == 0 or any(getattr(tree, a).shape != (n,) for a in _ARRAYS):
+    if n == 0 or tree.feature.shape != (n,) or tree.value.shape != (n,):
         raise ValueError("node arrays of unequal length or empty")
     if ((tree.feature < -1) | (tree.feature >= n_features)).any():
         raise ValueError("feature index out of range")
-    inner = np.flatnonzero(tree.feature >= 0)
-    for child in (tree.left[inner], tree.right[inner]):
-        if ((child <= inner) | (child >= n)).any():
-            raise ValueError("child index out of range or not after its parent")
-    leaf_prob = tree.prob[tree.feature < 0]
-    if not ((leaf_prob >= 0.0) & (leaf_prob <= 1.0)).all():
+    leaf = tree.feature < 0
+    inner = n - int(leaf.sum())
+    if n != 2 * inner + 1:
+        raise ValueError(f"node count {n}, expected 2 * {inner} internal + 1")
+    if not ((tree.value[leaf] >= 0.0) & (tree.value[leaf] <= 1.0)).all():
         raise ValueError("leaf prob outside [0, 1]")
     return tree
 
@@ -351,7 +347,7 @@ def forest_from_json(text: str) -> Forest:
     if not isinstance(payload, dict) or "format" not in payload:
         raise ValueError("forest JSON has no format field (nested trees from an older release; retrain)")
     if payload["format"] != FORMAT:
-        raise ValueError(f"unknown forest format {payload['format']!r}, expected {FORMAT}")
+        raise ValueError(f"unknown forest format {payload['format']!r}, expected {FORMAT}; retrain")
     params = ForestParams(**payload["params"])
     n_features = int(payload["n_features"])
     trees = []

@@ -15,6 +15,7 @@ curve value reaches b.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,7 +298,11 @@ def build_roc(scores, labels) -> RocCurve:
     cum_neg = np.cumsum(y_desc == 0)
     tp = np.r_[0, cum_pos[change]]
     fp = np.r_[0, cum_neg[change]]
-    thresholds = np.r_[s_desc[starts], s_desc[-1] - 1.0]
+    # one below the smallest score; past 2**53 that rounds back to it, so the next double down
+    anchor = min(s_desc[-1] - 1.0, math.nextafter(s_desc[-1], -math.inf))
+    if not math.isfinite(anchor):
+        raise ValueError("no finite threshold lies below the smallest score")
+    thresholds = np.r_[s_desc[starts], anchor]
     alphas = np.r_[fp / neg_total, 1.0]
     betas = np.r_[tp / pos_total, 1.0]
     return RocCurve(thresholds, alphas, betas)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rocbench.forest import (
     Forest,
     ForestParams,
-    Tree,
     forest_from_json,
     forest_to_json,
     load_forest,
@@ -33,9 +32,10 @@ def single_cart(x, y, **kw):
 
 def walk(tree, path=""):
     """Node index reached from the root by a string of L/R steps."""
+    left = 2 * np.cumsum(tree.feature >= 0) - 1
     node = 0
     for step in path:
-        node = int((tree.left if step == "L" else tree.right)[node])
+        node = int(left[node]) + (step == "R")
     return node
 
 
@@ -52,11 +52,11 @@ class TestHandTree:
     def test_cut_sequence(self):
         tree = single_cart(self.X, self.Y).trees[0]
         # impurity tie between 2.5 and 4.5 resolves to the smaller cut
-        assert tree.split[walk(tree)] == 2.5
-        assert is_leaf(tree, "L") and tree.prob[walk(tree, "L")] == 0.0
-        assert tree.split[walk(tree, "R")] == 4.5
-        assert tree.split[walk(tree, "RL")] == 3.5
-        assert tree.prob[walk(tree, "RR")] == 1.0
+        assert tree.value[walk(tree)] == 2.5
+        assert is_leaf(tree, "L") and tree.value[walk(tree, "L")] == 0.0
+        assert tree.value[walk(tree, "R")] == 4.5
+        assert tree.value[walk(tree, "RL")] == 3.5
+        assert tree.value[walk(tree, "RR")] == 1.0
 
     def test_leaf_predictions(self):
         forest = single_cart(self.X, self.Y)
@@ -68,22 +68,22 @@ class TestHandTree:
     def test_min_samples_split_stops_growth(self):
         forest = single_cart(self.X, self.Y, min_samples_split=5)
         tree = forest.trees[0]
-        assert tree.split[walk(tree)] == 2.5
+        assert tree.value[walk(tree)] == 2.5
         # the 4-row right child is below the split floor: mixed leaf
         assert is_leaf(tree, "R")
-        assert tree.prob[walk(tree, "R")] == pytest.approx(0.75)
+        assert tree.value[walk(tree, "R")] == pytest.approx(0.75)
 
     def test_no_usable_cut_becomes_leaf(self):
         forest = single_cart([1.0, 1.0, 1.0, 1.0], [0, 1, 0, 1])
         tree = forest.trees[0]
         assert is_leaf(tree)
-        assert tree.prob[0] == pytest.approx(0.5)
+        assert tree.value[0] == pytest.approx(0.5)
 
     def test_breadth_first_layout(self):
         tree = single_cart(self.X, self.Y).trees[0]
+        # internal nodes 0, 2, 3 (ranks 0, 1, 2) have children 1-2, 3-4, 5-6
         assert tree.feature.tolist() == [0, -1, 0, 0, -1, -1, -1]
-        assert tree.left.tolist() == [1, -1, 3, 5, -1, -1, -1]
-        assert tree.right.tolist() == [2, -1, 4, 6, -1, -1, -1]
+        assert tree.value.tolist() == [2.5, 0.0, 4.5, 3.5, 1.0, 1.0, 0.0]
 
     def test_adjacent_doubles_cut_below_the_upper_value(self):
         # the midpoint of these two rounds to the larger one; a cut there
@@ -93,7 +93,7 @@ class TestHandTree:
         assert (lo + hi) / 2.0 == hi
         forest = single_cart([lo, hi], [0, 1])
         tree = forest.trees[0]
-        assert tree.split[0] == lo
+        assert tree.value[0] == lo
         np.testing.assert_array_equal(forest.predict_propensity([[lo], [hi]]), [0.0, 1.0])
 
 
@@ -253,10 +253,11 @@ class TestSerialization:
     def test_flat_layout(self):
         forest, _ = self.make()
         payload = json.loads(forest_to_json(forest))
-        assert payload["format"] == 2
-        tree = payload["trees"][0]
-        assert sorted(tree) == ["feature", "left", "prob", "right", "split"]
-        assert len({len(v) for v in tree.values()}) == 1
+        assert payload["format"] == 3
+        for tree in payload["trees"]:
+            assert sorted(tree) == ["feature", "value"]
+            n_inner = sum(f >= 0 for f in tree["feature"])
+            assert len(tree["feature"]) == len(tree["value"]) == 2 * n_inner + 1
 
     def _broken(self, edit):
         forest, _ = self.make()
@@ -266,13 +267,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p.pop("format"), "no format field"),
-        (lambda p: p.update(format=3), "unknown forest format 3"),
-        (lambda p: p["trees"][1]["split"].pop(), "tree 1: node arrays of unequal length"),
-        (lambda p: p["trees"][0]["left"].__setitem__(0, 10**6), "tree 0: child index out of range"),
-        (lambda p: p["trees"][0]["right"].__setitem__(0, 0), "tree 0: child index out of range or not after"),
+        (lambda p: p.update(format=4), "unknown forest format 4"),
+        (lambda p: p.update(format=2), "unknown forest format 2, expected 3; retrain"),
+        (lambda p: p["trees"][1]["value"].pop(), "tree 1: node arrays of unequal length"),
+        (lambda p: p["trees"][1].pop("value"), "tree 1: expected an object of exactly the arrays feature and value"),
+        (lambda p: [p["trees"][0][a].pop() for a in ("feature", "value")], "tree 0: node count"),
         (lambda p: p["trees"][0]["feature"].__setitem__(0, 2), "tree 0: feature index out of range"),
-        (lambda p: p["trees"][2]["prob"].__setitem__(-1, 1.5), r"tree 2: leaf prob outside \[0, 1\]"),
-        (lambda p: p["trees"][2]["prob"].__setitem__(-1, -0.1), r"tree 2: leaf prob outside \[0, 1\]"),
+        (lambda p: p["trees"][2]["value"].__setitem__(-1, 1.5), r"tree 2: leaf prob outside \[0, 1\]"),
+        (lambda p: p["trees"][2]["value"].__setitem__(-1, -0.1), r"tree 2: leaf prob outside \[0, 1\]"),
     ])
     def test_loader_rejects(self, edit, message):
         with pytest.raises(ValueError, match=message):
@@ -283,6 +285,60 @@ class TestSerialization:
         path.write_text(NESTED_FOREST_JSON)
         with pytest.raises(ValueError, match=r"old\.json: forest JSON has no format field"):
             load_forest(path)
+
+
+def _implied_walk(feature, value, x):
+    """Leaf value that row ``x`` reaches through the implied children, one node at a time."""
+    left = 2 * np.cumsum(feature >= 0) - 1
+    node = 0
+    for _ in range(feature.size):  # ids increase along a path, so no walk is longer
+        if feature[node] < 0:
+            return value[node]
+        child = int(left[node]) + int(x[feature[node]] > value[node])
+        assert node < child < feature.size
+        node = child
+    raise AssertionError("no leaf within one step per node")
+
+
+@st.composite
+def format3_payloads(draw):
+    """(payload, probe rows, internal count) of a one-tree file of 2I + 1 nodes, any layout.
+
+    The internal count is I, or one more or one less, which the loader must refuse.
+    """
+    d = draw(st.integers(1, 3))
+    half = draw(st.integers(0, 15))
+    n = 2 * half + 1
+    n_inner = max(draw(st.sampled_from([half, half, half, half - 1, half + 1])), 0)
+    inner = draw(st.permutations([True] * n_inner + [False] * (n - n_inner)))
+    cuts = st.floats(-4.0, 4.0).map(lambda v: round(v, 1))
+    feature = [draw(st.integers(0, d - 1)) if i else -1 for i in inner]
+    value = [draw(cuts) if i else draw(st.floats(0.0, 1.0)) for i in inner]
+    payload = {
+        "format": 3, "n_features": d, "trees": [{"feature": feature, "value": value}],
+        "params": {"bootstrap": True, "max_features": d, "min_samples_split": 2, "n_trees": 1, "seed": 0},
+    }
+    rows = draw(st.lists(st.lists(cuts, min_size=d, max_size=d), min_size=1, max_size=20))
+    return payload, np.array(rows, dtype=np.float64), n_inner
+
+
+class TestFormat3:
+    """Any tree the loader accepts sends every row to a leaf through the implied children."""
+
+    @given(format3_payloads())
+    @settings(max_examples=400, deadline=None)
+    def test_accepted_trees_reach_a_leaf(self, case):
+        payload, X, n_inner = case
+        n = len(payload["trees"][0]["feature"])
+        try:
+            forest = forest_from_json(json.dumps(payload))
+        except ValueError as exc:
+            assert n != 2 * n_inner + 1 and "node count" in str(exc)
+            return
+        assert n == 2 * n_inner + 1
+        tree = forest.trees[0]
+        expected = [_implied_walk(tree.feature, tree.value, x) for x in X]
+        np.testing.assert_array_equal(forest.predict_propensity(X), expected)
 
 
 # a model file in the nested layout that preceded the flat node arrays
@@ -385,9 +441,12 @@ def _ref_predict(roots, X):
     return total / len(roots)
 
 
+FIVE = ("feature", "split", "left", "right", "prob")  # the node arrays of forest format 2
+
+
 def _breadth_first(root):
     """The nested tree as the five node arrays, in breadth-first order."""
-    arrays = {name: [] for name in ("feature", "split", "left", "right", "prob")}
+    arrays = {name: [] for name in FIVE}
     queue, head = [root], 0
     while head < len(queue):
         node = queue[head]
@@ -403,15 +462,53 @@ def _breadth_first(root):
     return arrays
 
 
+def _two_arrays(arrays):
+    """A reference's five node arrays as ``(feature, value)``.
+
+    Asserts what lets format 3 drop the other three: a leaf holds
+    ``split == 0.0``, an internal node ``prob == 0.0``, and the children
+    of the k-th internal node in id order are 2k + 1 and 2k + 2.
+    """
+    feature, split, left, right, prob = (np.asarray(arrays[name]) for name in FIVE)
+    inner = feature >= 0
+    k = np.arange(int(inner.sum()))
+    assert feature.size == 2 * k.size + 1
+    assert (split[~inner] == 0.0).all() and (prob[inner] == 0.0).all()
+    assert left[inner].tolist() == (2 * k + 1).tolist() and right[inner].tolist() == (2 * k + 2).tolist()
+    assert (left[~inner] == -1).all() and (right[~inner] == -1).all()
+    return feature, np.where(inner, split, prob)
+
+
+def _pointer_predict(trees, X):
+    """Mean leaf value over ``trees`` (five node arrays each), following explicit child pointers."""
+    total = np.zeros(X.shape[0])
+    for arrays in trees:
+        feature, split, left, right, prob = (np.asarray(arrays[name]) for name in FIVE)
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(feature.size):
+            at = np.flatnonzero(feature[node] >= 0)
+            if at.size == 0:
+                break
+            go_right = X[at, feature[node[at]]] > split[node[at]]
+            node[at] = np.where(go_right, right[node[at]], left[node[at]])
+        assert (feature[node] < 0).all()
+        total += prob[node]
+    return total / len(trees)
+
+
 def _assert_matches_reference(X, y, params):
     forest = train_forest(X, y, params)
     roots = _ref_train(X, y, params)
     assert len(forest.trees) == len(roots)
-    for tree, root in zip(forest.trees, roots):
-        for name, expected in _breadth_first(root).items():
-            assert getattr(tree, name).tolist() == expected, name
+    arrays = [_breadth_first(root) for root in roots]
+    for tree, five in zip(forest.trees, arrays):
+        feature, value = _two_arrays(five)
+        assert tree.feature.tolist() == feature.tolist()
+        assert tree.value.tolist() == value.tolist()
     probe = np.vstack([X, X + 0.5, X - 0.5])
-    np.testing.assert_array_equal(forest.predict_propensity(probe), _ref_predict(roots, probe))
+    scores = forest.predict_propensity(probe)
+    np.testing.assert_array_equal(scores, _ref_predict(roots, probe))
+    np.testing.assert_array_equal(scores, _pointer_predict(arrays, probe))
 
 
 # -- the level-wise grower on every bootstrap slot, duplicates included, --
@@ -559,8 +656,7 @@ def _slot_grow_tree(X, y, rows, params, rng):
         nxt[np.arange(d * n_left) + np.repeat(shift_left, np.tile(kept_left, d))] = order[sides == 1]
         nxt[np.arange(d * n_right) + np.repeat(shift_right, np.tile(kept_right, d))] = order[sides == 2]
         order = nxt
-    return Tree(*(a[:n_nodes].copy() for a in (feature, split, left, right, prob)))
-
+    return {name: a[:n_nodes].copy() for name, a in zip(FIVE, (feature, split, left, right, prob))}
 
 
 def _slot_train(X, y, params):
@@ -630,9 +726,13 @@ class TestAgainstRecursiveReference:
 
 
 def _assert_matches_slots(X, y, params):
-    for tree, ref in zip(train_forest(X, y, params).trees, _slot_train(X, y, params), strict=True):
-        for name in ("feature", "split", "left", "right", "prob"):
-            assert getattr(tree, name).tobytes() == getattr(ref, name).tobytes(), name
+    forest, refs = train_forest(X, y, params), _slot_train(X, y, params)
+    for tree, ref in zip(forest.trees, refs, strict=True):
+        feature, value = _two_arrays(ref)
+        assert tree.feature.tobytes() == feature.tobytes()
+        assert tree.value.tobytes() == value.tobytes()
+    probe = np.vstack([X, X + 0.5, X - 0.5])
+    np.testing.assert_array_equal(forest.predict_propensity(probe), _pointer_predict(refs, probe))
 
 
 class TestAgainstSlotReference:

@@ -1,4 +1,4 @@
-"""``report`` runs without scipy; the quantiles that remain match ``scipy.stats``."""
+"""``report`` runs without scipy, its readers print nothing, and the quantiles that remain match ``scipy.stats``."""
 
 import filecmp
 import math
@@ -9,6 +9,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import special, stats
 
 from rocbench.cli import main
@@ -36,19 +37,38 @@ def test_cli_import_leaves_scipy_stats_out():
         assert proc.stdout.strip() == "[]", module
 
 
-def test_report_runs_with_scipy_blocked(tmp_path):
+@pytest.fixture(scope="module")
+def small_report(tmp_path_factory):
+    """(``report`` argv without ``--out``, its output directory) of a small cohort."""
+    root = tmp_path_factory.mktemp("report")
     assert main(["simulate", "--dgp", "heterogeneous-cutoffs", "--n-makers", "4",
-                 "--cases-per-maker", "200", "--seed", "5", "--out", str(tmp_path / "sim")]) == 0
-    argv = ["report", "--cases", str(tmp_path / "sim" / "cases.csv"), "--trees", "5", "--min-split", "20",
+                 "--cases-per-maker", "200", "--seed", "5", "--out", str(root / "sim")]) == 0
+    argv = ["report", "--cases", str(root / "sim" / "cases.csv"), "--trees", "5", "--min-split", "20",
             "--draws", "300", "--resamples", "30", "--min-cases", "50", "--seed", "5"]
-    assert main([*argv, "--out", str(tmp_path / "free")]) == 0
+    assert main([*argv, "--out", str(root / "free")]) == 0
+    return argv, root / "free"
+
+
+def test_report_runs_with_scipy_blocked(tmp_path, small_report):
+    argv, free = small_report
     blocked = [*argv, "--out", str(tmp_path / "blocked")]
     proc = _run(f'import sys; sys.modules["scipy"] = None; from rocbench.cli import main; sys.exit(main({blocked!r}))')
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    names = sorted(os.listdir(tmp_path / "free"))
+    names = sorted(os.listdir(free))
     assert len(names) == 11 and names == sorted(os.listdir(tmp_path / "blocked"))
-    _, mismatch, errors = filecmp.cmpfiles(tmp_path / "free", tmp_path / "blocked", names, shallow=False)
+    _, mismatch, errors = filecmp.cmpfiles(free, tmp_path / "blocked", names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+def test_readers_print_nothing(small_report):
+    # a benchmark that re-reads the outputs in its own process takes its last stdout line as the result
+    _, out = small_report
+    readers = (("read_roc_csv", "roc_validation.csv"), ("read_roc_csv", "roc_performance.csv"),
+               ("read_bayesian_csv", "verdicts_bayes.csv"), ("read_frequentist_csv", "verdicts_freq.csv"),
+               ("load_forest", "forest.json"))
+    calls = "; ".join(f"rocbench.{reader}({str(out / name)!r})" for reader, name in readers)
+    proc = _run(f"import rocbench; {calls}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def _neg_log1m(q: float) -> Decimal:

@@ -74,6 +74,18 @@ class TestBuildRoc:
         assert roc.n_points == 3
         np.testing.assert_allclose(roc.thresholds, [0.9, 0.5, -0.5])
 
+    @pytest.mark.parametrize("low", [2.0**53 + 4, -(2.0**60), 1e300])
+    def test_anchor_below_scores_past_2_to_53(self, low):
+        # low - 1.0 rounds back to low; the anchor is the next double down
+        roc = build_roc(np.array([low, low, 2 * abs(low)]), np.array([0, 1, 1]))
+        assert roc.thresholds[-1] == np.nextafter(low, -np.inf)
+        assert (roc.alphas[-1], roc.betas[-1]) == (1.0, 1.0)
+
+    def test_no_finite_anchor_below_the_lowest_double(self):
+        lowest = -np.finfo(np.float64).max
+        with pytest.raises(ValueError, match="no finite threshold lies below the smallest score"):
+            build_roc(np.array([lowest, 0.0]), np.array([0, 1]))
+
 
 class TestCurveEvaluation:
     def test_diagonal(self):
