@@ -13,6 +13,7 @@ import numpy as np
 from rocbench import (
     ComplementaritySpec,
     ForestParams,
+    Verdicts,
     benchmark_maker_bayesian,
     build_roc,
     combine_decisions,
@@ -45,12 +46,12 @@ print(f"forest validation AUC: {roc_val.auc():.4f}")
 
 # benchmark every maker on their classification-split confusion table
 counts = classification.counts_by_maker()
-verdicts = [
+verdicts = Verdicts.from_rows(
     benchmark_maker_bayesian(m, counts[m], roc_val, n_draws=2000,
                              seed=substream(seed, "posterior", m))
     for m in classification.makers
-]
-replaced = {v.maker_id for v in verdicts if v.replace}
+)
+replaced = set(verdicts["maker_id"][verdicts["replace"]])
 hit_capable = len(replaced & set(cohort.capable_ids))
 hit_weak = len(replaced & set(cohort.less_capable_ids))
 print(f"\nreplaced {len(replaced)} makers: {hit_weak} less capable, {hit_capable} capable")

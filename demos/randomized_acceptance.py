@@ -12,7 +12,7 @@ import numpy as np
 from rocbench import (
     AcceptanceSchedule,
     HeterogeneousCutoffsSpec,
-    ReplacementVerdict,
+    Verdicts,
     combine_decisions,
     generate_heterogeneous_cutoffs,
     randomized_accept,
@@ -25,13 +25,15 @@ het = generate_heterogeneous_cutoffs(
 data = het.data
 scores = data.features[:, 0]  # the case score is the single feature
 
-# verdicts: swap out makers whose cutoff is far from the sweet spot
-verdicts = [
-    ReplacementVerdict(maker_id=m, replace=bool(abs(c - 0.45) > 0.2), threshold=0.45,
-                       diagnostics={"min_loss": float(abs(c - 0.45))})
-    for m, c in zip(data.makers, het.cutoffs)
-]
-n_flagged = sum(v.replace for v in verdicts)
+# verdicts, one column each: swap out makers whose cutoff is far from the sweet spot
+distance = np.abs(np.asarray(het.cutoffs) - 0.45)
+verdicts = Verdicts({
+    "maker_id": data.makers,
+    "replace": distance > 0.2,
+    "threshold": np.full(len(data.makers), 0.45),
+    "min_loss": distance,
+})
+n_flagged = int(verdicts["replace"].sum())
 raw = rate_pair(data.pooled_counts())
 full = combine_decisions(data, verdicts, scores)
 print(f"{len(data.makers)} makers, {n_flagged} flagged for replacement")
@@ -51,7 +53,6 @@ print("hard-replacement bench; in between, one uniform draw per case decides.")
 # a rank-based schedule: the weakest makers get the highest lambda
 sched = AcceptanceSchedule.linear_by_rank(direction="less-capable-more", scope="all-makers")
 result = randomized_accept(data, verdicts, sched, scores, seed=0)
-lams = result.lambdas
-spread = sorted(lams.values())
+spread = np.sort(result.lambdas)  # one lambda per maker
 print(f"\nrank schedule lambdas: min={spread[0]:.2f} median={spread[len(spread)//2]:.2f} max={spread[-1]:.2f}")
 print(f"rank schedule pooled pair: fpr={result.pair.alpha:.4f} tpr={result.pair.beta:.4f}")

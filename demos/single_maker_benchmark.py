@@ -11,6 +11,7 @@ import numpy as np
 
 from rocbench import (
     ConfusionCounts,
+    Verdicts,
     asymptotic_covariance,
     benchmark_maker_bayesian,
     benchmark_maker_frequentist,
@@ -40,16 +41,16 @@ ellipse = confidence_ellipse(pair, cov, 0.95)
 label = classify_maker(ellipse, roc)
 print(f"\nellipse verdict: {label.value} (replace={label.replace})")
 
+# each route gives one verdict row per maker; rows stack into one Verdicts table
 verdict_f = benchmark_maker_frequentist("maker-a", counts, roc, seed=0)
-if verdict_f.segment is not None:
-    print(f"dominating thresholds: [{verdict_f.segment.c_lower:.3f}, {verdict_f.segment.c_upper:.3f}]")
+if verdict_f["replace"]:
+    print(f"dominating thresholds: [{verdict_f['c_lower']:.3f}, {verdict_f['c_upper']:.3f}]")
 
 # Bayesian: posterior mass one curve point can dominate
 verdict_b = benchmark_maker_bayesian("maker-a", counts, roc, n_draws=5000, seed=0)
-d = verdict_b.diagnostics
-print(f"\nposterior dominance mass q_max = {d['q_max']:.4f} at fpr {d['alpha_d']:.4f}")
-print(f"minimum posterior loss = {d['min_loss']:.4f} (baseline loss = 1 - q_max)")
-print(f"bayesian verdict: replace={verdict_b.replace}, machine threshold {verdict_b.threshold:.4f}")
+print(f"\nposterior dominance mass q_max = {verdict_b['q_max']:.4f} at fpr {verdict_b['alpha_d']:.4f}")
+print(f"minimum posterior loss = {verdict_b['min_loss']:.4f} (baseline loss = 1 - q_max)")
+print(f"bayesian verdict: replace={verdict_b['replace']}, machine threshold {verdict_b['threshold']:.4f}")
 
 # a strong maker for contrast: well above the curve, both routes retain
 strong = ConfusionCounts(n11=170, n01=40, n10=30, n00=560)
@@ -57,5 +58,9 @@ sp = rate_pair(strong)
 ell = confidence_ellipse(rate_pair(strong), asymptotic_covariance(strong) / strong.n, 0.95)
 vb = benchmark_maker_bayesian("maker-b", strong, roc, n_draws=5000, seed=0)
 print(f"\nstrong maker fpr={sp.alpha:.3f} tpr={sp.beta:.3f}: "
-      f"ellipse={classify_maker(ell, roc).value}, q_max={vb.diagnostics['q_max']:.4f}, "
-      f"replace={vb.replace}")
+      f"ellipse={classify_maker(ell, roc).value}, q_max={vb['q_max']:.4f}, replace={vb['replace']}")
+
+# the two makers' Bayesian rows as one table, indexed by maker position
+table = Verdicts.from_rows([verdict_b, vb])
+for m, q, replace in zip(table["maker_id"], table["q_max"], table["replace"]):
+    print(f"  {m}: q_max={q:.4f} replace={replace}")

@@ -45,7 +45,6 @@ from .frequentist import (
     CaseLabel,
     DeltaTestResult,
     EllipseSet,
-    FrequentistVerdict,
     asymptotic_covariance,
     benchmark_maker_frequentist,
     bootstrap_covariance,
@@ -83,7 +82,7 @@ from .replacement import (
     CombinedResult,
     PathPoint,
     RandomizedResult,
-    ReplacementVerdict,
+    Verdicts,
     combine_decisions,
     randomized_accept,
     replacement_path,

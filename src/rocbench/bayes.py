@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .core import ConfusionCounts, RatePair, naming_maker
-from .csvio import format_float, parse_float, read_table, write_table
-from .replacement import ReplacementVerdict
+from .csvio import format_float, format_optional, parse_float, parse_optional, read_fields, write_fields
+from .replacement import Verdicts
 from .roc import RocCurve
 
 __all__ = [
@@ -343,8 +343,8 @@ def replace_decision(
     credible_level: float = 0.95,
     maker_id: str = "",
     grid_size: int = 512,
-) -> ReplacementVerdict:
-    """Replace/retain verdict with the machine threshold at the best point.
+) -> dict:
+    """Replace/retain verdict row with the machine threshold at the best point.
 
     Baseline: replace iff q_max >= credible_level.  Other losses:
     replace iff minimized posterior loss <= 1 - credible_level, which
@@ -362,20 +362,18 @@ def replace_decision(
         min_loss, theta0 = min_posterior_loss(draws, roc, kind, grid_size)
         replace = min_loss <= 1.0 - credible_level
     kind_name = kind.value if isinstance(kind, LossKind) else "cost-benefit"
-    return ReplacementVerdict(
-        maker_id=maker_id,
-        replace=bool(replace),
-        threshold=roc.threshold_at_point(theta0),
-        diagnostics={
-            "q_max": dom.q_max,
-            "alpha_d": np.nan if dom.alpha_d is None else dom.alpha_d,
-            "loss_kind": kind_name,
-            "min_loss": min_loss,
-            "prob_below": prob_below_roc(draws, roc),
-            "theta0_alpha": theta0.alpha,
-            "theta0_beta": theta0.beta,
-        },
-    )
+    return {
+        "maker_id": maker_id,
+        "replace": bool(replace),
+        "threshold": roc.threshold_at_point(theta0),
+        "q_max": dom.q_max,
+        "alpha_d": np.nan if dom.alpha_d is None else dom.alpha_d,
+        "loss_kind": kind_name,
+        "min_loss": min_loss,
+        "prob_below": prob_below_roc(draws, roc),
+        "theta0_alpha": theta0.alpha,
+        "theta0_beta": theta0.beta,
+    }
 
 
 class RetentionMethod(enum.Enum):
@@ -432,56 +430,39 @@ def benchmark_maker_bayesian(
     credible_level: float = 0.95,
     kind=LossKind.BASELINE,
     grid_size: int = 512,
-) -> ReplacementVerdict:
-    """Full per-maker Bayesian run: posterior, dominance mass, verdict."""
+) -> dict:
+    """Full per-maker Bayesian run: posterior, dominance mass, verdict row with the case count ``n``."""
     with naming_maker(maker_id):
         params = posterior_params(counts, prior)
         draws = sample_posterior(params, n_draws, seed)
-        verdict = replace_decision(draws, roc, kind, credible_level, maker_id, grid_size)
-    verdict.diagnostics["n"] = counts.n
-    return verdict
+        return {**replace_decision(draws, roc, kind, credible_level, maker_id, grid_size), "n": counts.n}
 
 
 # -- CSV interchange ---------------------------------------------------
 #
 # alpha_d is empty when no curve point dominates any draw.
 
-_BAYES_HEADER = ("maker_id", "q_max", "alpha_d", "loss_kind", "min_loss", "replace", "threshold")
-_FLAG = {"true": True, "false": False}
+def _parse_flag(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"replace must be true or false, got {cell!r}")
+    return cell == "true"
 
 
-def _bayes_row(v: ReplacementVerdict) -> list[str]:
-    d = v.diagnostics
-    return [
-        v.maker_id,
-        format_float(d["q_max"]),
-        "" if np.isnan(d["alpha_d"]) else format_float(d["alpha_d"]),
-        d["loss_kind"],
-        format_float(d["min_loss"]),
-        "true" if v.replace else "false",
-        format_float(v.threshold),
-    ]
+_BAYES_FILE = (
+    ("maker_id", str, str),
+    ("q_max", format_float, parse_float),
+    ("alpha_d", format_optional, parse_optional),
+    ("loss_kind", str, str),
+    ("min_loss", format_float, parse_float),
+    ("replace", lambda flag: "true" if flag else "false", _parse_flag),
+    ("threshold", format_float, parse_float),
+)
 
 
-def write_bayesian_csv(path, verdicts: list[ReplacementVerdict]) -> None:
-    write_table(path, _BAYES_HEADER, map(_bayes_row, verdicts))
+def write_bayesian_csv(path, verdicts: Verdicts) -> None:
+    write_fields(path, _BAYES_FILE, verdicts)
 
 
-def _parse_bayes_row(row: list[str]) -> ReplacementVerdict:
-    if row[5] not in _FLAG:
-        raise ValueError(f"replace must be true or false, got {row[5]!r}")
-    return ReplacementVerdict(
-        maker_id=row[0],
-        replace=_FLAG[row[5]],
-        threshold=parse_float(row[6]),
-        diagnostics={
-            "q_max": parse_float(row[1]),
-            "alpha_d": parse_float(row[2]) if row[2] else np.nan,
-            "loss_kind": row[3],
-            "min_loss": parse_float(row[4]),
-        },
-    )
-
-
-def read_bayesian_csv(path) -> list[ReplacementVerdict]:
-    return read_table(path, _BAYES_HEADER, _parse_bayes_row, unique="maker_id")
+def read_bayesian_csv(path) -> Verdicts:
+    """The table of the file's columns; n, prob_below and theta0_alpha/beta are not among them."""
+    return Verdicts.from_rows(read_fields(path, _BAYES_FILE, unique="maker_id"), [name for name, _, _ in _BAYES_FILE])

@@ -33,9 +33,10 @@ from .bayes import DEFAULT_PRIOR_WEIGHT, LossKind, benchmark_maker_bayesian, rea
 from .core import CohortDataset, rate_pair, read_cases_csv, stratified_split, write_cases_csv
 from .csvio import format_float, write_json
 from .forest import ForestParams, load_forest, save_forest, train_forest
-from .frequentist import benchmark_maker_frequentist, write_frequentist_csv
+from .frequentist import CaseLabel, benchmark_maker_frequentist, write_frequentist_csv
 from .replacement import (
     AcceptanceSchedule,
+    Verdicts,
     combine_decisions,
     randomized_accept,
     replacement_path,
@@ -173,25 +174,25 @@ def _parse_floats(text: str) -> list[float]:
 
 
 # each stage below runs in `report` and in its subcommand; each maker draws from its own substream
-def _freq_verdicts(counts: dict, roc, cfg: RunConfig, cov_method: str = "bootstrap") -> list:
-    return [
+def _freq_verdicts(counts: dict, roc, cfg: RunConfig, cov_method: str = "bootstrap") -> Verdicts:
+    return Verdicts.from_rows(
         benchmark_maker_frequentist(
             m, c, roc, level=cfg.level, n_resamples=cfg.n_resamples,
             seed=substream(cfg.seed, "bootstrap", m), cov_method=cov_method,
         )
         for m, c in counts.items()
-    ]
+    )
 
 
-def _bayes_verdicts(counts: dict, roc, cfg: RunConfig) -> list:
-    return [
+def _bayes_verdicts(counts: dict, roc, cfg: RunConfig) -> Verdicts:
+    return Verdicts.from_rows(
         benchmark_maker_bayesian(
             m, c, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws,
             seed=substream(cfg.seed, "posterior", m), credible_level=cfg.level,
             kind=cfg.loss(), grid_size=cfg.grid_size,
         )
         for m, c in counts.items()
-    ]
+    )
 
 
 def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, scope=SCOPES[0]) -> list:
@@ -413,9 +414,6 @@ def _cmd_report(args) -> int:
     write_path_csv(os.path.join(out, "path.csv"), points)
     write_randomized_csv(os.path.join(out, "randomized.csv"), lam_rows)
 
-    label_tally = {"case1": 0, "case2": 0, "case3": 0}
-    for v in verdicts_freq:
-        label_tally[v.label.value] += 1
     summary = {
         "seed": cfg.seed,
         "n_cases": data.n_cases,
@@ -428,8 +426,8 @@ def _cmd_report(args) -> int:
         "raw_gap_to_curve": float(roc_val.tpr_at_fpr(raw_pair.alpha) - raw_pair.beta),
         "combined_bayes": {**_pair_dict(combined_bayes.pair), "n_replaced": combined_bayes.n_replaced},
         "combined_freq": {**_pair_dict(combined_freq.pair), "n_replaced": combined_freq.n_replaced},
-        "case_labels": label_tally,
-        "bayes_replaced": sum(1 for v in verdicts_bayes if v.replace),
+        "case_labels": {c.value: int(np.count_nonzero(verdicts_freq["case_label"] == c.value)) for c in CaseLabel},
+        "bayes_replaced": int(np.count_nonzero(verdicts_bayes["replace"])),
     }
     write_json(os.path.join(out, "summary.json"), summary)
     return 0

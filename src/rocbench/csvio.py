@@ -50,6 +50,16 @@ def parse_float(cell: str) -> float:
     return value
 
 
+def format_optional(value: float) -> str:
+    """``format_float``, or an empty cell for NaN."""
+    return "" if math.isnan(value) else format_float(value)
+
+
+def parse_optional(cell: str) -> float:
+    """``parse_float``, or NaN for an empty cell."""
+    return parse_float(cell) if cell else math.nan
+
+
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -164,6 +174,20 @@ def read_table(path, header: Sequence[str], parse_row: Callable, *, prefix=False
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc.reason}, byte 0x{exc.object[exc.start]:02x})") from None
     return out
+
+
+def write_fields(path, fields: Sequence[tuple], table) -> None:
+    """A file of the ``(name, format, parse)`` ``fields``: column ``name`` is ``table[name]``, each cell ``format``-ed."""
+    cells = [map(fmt, table[name].tolist()) for name, fmt, _ in fields]
+    write_table(path, [name for name, _, _ in fields], zip(*cells))
+
+
+def read_fields(path, fields: Sequence[tuple], finish: Callable = dict, *, unique=None) -> list:
+    """``finish`` of each row of a ``fields`` file, as a dict of every cell's ``parse``, under ``read_table``'s checks."""
+    def parse_row(row: list[str]):
+        return finish({name: parse(cell) for (name, _, parse), cell in zip(fields, row)})
+
+    return read_table(path, [name for name, _, _ in fields], parse_row, unique=unique)
 
 
 def write_json(path, payload) -> None:

@@ -30,7 +30,7 @@ order, from the tree's substream after its bootstrap draw.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -327,12 +327,14 @@ def _tree_from_dict(data: dict, n_features: int) -> Tree:
     """
     if not isinstance(data, dict) or set(data) != set(_ARRAYS):
         raise ValueError(f"expected an object of exactly the arrays {' and '.join(_ARRAYS)}")
+    if not isinstance(data["feature"], list) or any(type(f) is not int for f in data["feature"]):
+        raise ValueError("feature entries must be integers")
+    if any(not -1 <= f < n_features for f in data["feature"]):
+        raise ValueError("feature index out of range")
     tree = Tree(np.asarray(data["feature"], dtype=np.int64), np.asarray(data["value"], dtype=np.float64))
     n = tree.feature.size
     if n == 0 or tree.feature.shape != (n,) or tree.value.shape != (n,):
         raise ValueError("node arrays of unequal length or empty")
-    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
-        raise ValueError("feature index out of range")
     leaf = tree.feature < 0
     inner = n - int(leaf.sum())
     if n != 2 * inner + 1:
@@ -348,7 +350,10 @@ def forest_from_json(text: str) -> Forest:
         raise ValueError("forest JSON has no format field (nested trees from an older release; retrain)")
     if payload["format"] != FORMAT:
         raise ValueError(f"unknown forest format {payload['format']!r}, expected {FORMAT}; retrain")
-    params = ForestParams(**payload["params"])
+    params, names = payload.get("params"), {f.name for f in fields(ForestParams)}
+    if not isinstance(params, dict) or set(params) != names:
+        raise ValueError(f"params must be an object of exactly the keys {', '.join(sorted(names))}")
+    params = ForestParams(**params)
     n_features = int(payload["n_features"])
     trees = []
     for i, data in enumerate(payload["trees"]):

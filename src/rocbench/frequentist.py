@@ -28,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfusionCounts, RatePair, naming_maker, rate_pair
-from .csvio import format_float, parse_float, read_table, write_table
+from .csvio import format_float, format_optional, parse_float, parse_optional, read_fields, write_fields
+from .replacement import Verdicts
 from .roc import DominatingSegment, RocCurve
 
 __all__ = [
     "CaseLabel",
     "EllipseSet",
     "BootstrapPairs",
-    "FrequentistVerdict",
     "DeltaTestResult",
     "asymptotic_covariance",
     "bootstrap_pairs",
@@ -235,28 +235,22 @@ def sample_thresholds(
     return [(float(c), roc.pair_at_threshold(c)) for c in cs]
 
 
-@dataclass(frozen=True)
-class FrequentistVerdict:
-    maker_id: str
-    n: int
-    pair: RatePair
-    label: CaseLabel
-    segment: DominatingSegment | None
+def _verdict_row(row: dict) -> dict:
+    """``row`` with ``replace`` and ``threshold`` set from its label and dominating cuts.
 
-    def __post_init__(self):
-        if self.label.replace and self.segment is None:
-            raise ValueError("case1 verdict requires a dominating segment")
-
-    @property
-    def replace(self) -> bool:
-        return self.label.replace
-
-    @property
-    def threshold(self) -> float | None:
-        """Midpoint of the dominating threshold interval; None for a retained maker."""
-        if self.segment is None:
-            return None
-        return 0.5 * (self.segment.c_lower + self.segment.c_upper)
+    A case1 row needs both cuts, c_lower <= c_upper, and its threshold
+    is their midpoint; a retained row has neither cut nor threshold.
+    """
+    label = CaseLabel(row["case_label"])
+    lower, upper = row["c_lower"], row["c_upper"]
+    if label.replace and not lower <= upper:  # a missing (NaN) cut fails too
+        raise ValueError(f"case1 needs both cuts with c_lower <= c_upper, got {lower} and {upper}")
+    if not label.replace and not (math.isnan(lower) and math.isnan(upper)):
+        raise ValueError(f"{label.value} takes no cuts, got {lower} and {upper}")
+    threshold = 0.5 * (lower + upper)
+    if math.isinf(threshold):  # the sum overflowed; halving first cannot
+        threshold = 0.5 * lower + 0.5 * upper
+    return {**row, "replace": label.replace, "threshold": threshold}
 
 
 def benchmark_maker_frequentist(
@@ -267,8 +261,8 @@ def benchmark_maker_frequentist(
     n_resamples: int = 100,
     seed: int | np.random.Generator = 0,
     cov_method: str = "bootstrap",
-) -> FrequentistVerdict:
-    """Full per-maker frequentist run: ellipse, three-way call, segment."""
+) -> dict:
+    """Full per-maker frequentist run: ellipse, three-way call, segment; one verdict row."""
     with naming_maker(maker_id):
         pair = rate_pair(counts)
         if cov_method == "bootstrap":
@@ -284,45 +278,32 @@ def benchmark_maker_frequentist(
             segment = roc.dominating_segment(ellipse.reference_point())
             if segment is None:  # not reachable: case1 means the corner is below
                 raise RuntimeError("case1 classification without a dominating segment")
-    return FrequentistVerdict(maker_id=maker_id, n=counts.n, pair=pair, label=label, segment=segment)
+    cuts = (math.nan, math.nan) if segment is None else (segment.c_lower, segment.c_upper)
+    return _verdict_row({
+        "maker_id": maker_id, "n": counts.n, "alpha_hat": pair.alpha, "beta_hat": pair.beta,
+        "case_label": label.value, "c_lower": cuts[0], "c_upper": cuts[1],
+    })
 
 
 # -- CSV interchange ---------------------------------------------------
 #
 # The threshold cells c_lower and c_upper are empty for retained makers.
 
-_FREQ_HEADER = ("maker_id", "n", "alpha_hat", "beta_hat", "case_label", "c_lower", "c_upper")
+_FREQ_FILE = (
+    ("maker_id", str, str),
+    ("n", str, int),
+    ("alpha_hat", format_float, parse_float),
+    ("beta_hat", format_float, parse_float),
+    ("case_label", str, str),
+    ("c_lower", format_optional, parse_optional),
+    ("c_upper", format_optional, parse_optional),
+)
 
 
-def _freq_row(v: FrequentistVerdict) -> list[str]:
-    seg = v.segment
-    return [
-        v.maker_id,
-        str(v.n),
-        format_float(v.pair.alpha),
-        format_float(v.pair.beta),
-        v.label.value,
-        "" if seg is None else format_float(seg.c_lower),
-        "" if seg is None else format_float(seg.c_upper),
-    ]
+def write_frequentist_csv(path, verdicts: Verdicts) -> None:
+    write_fields(path, _FREQ_FILE, verdicts)
 
 
-def write_frequentist_csv(path, verdicts: list[FrequentistVerdict]) -> None:
-    write_table(path, _FREQ_HEADER, map(_freq_row, verdicts))
-
-
-def _parse_freq_row(row: list[str]) -> dict:
-    return {
-        "maker_id": row[0],
-        "n": int(row[1]),
-        "alpha_hat": parse_float(row[2]),
-        "beta_hat": parse_float(row[3]),
-        "case_label": CaseLabel(row[4]),
-        "c_lower": parse_float(row[5]) if row[5] else None,
-        "c_upper": parse_float(row[6]) if row[6] else None,
-    }
-
-
-def read_frequentist_csv(path) -> list[dict]:
-    """Rows as dicts; thresholds are floats or None."""
-    return read_table(path, _FREQ_HEADER, _parse_freq_row, unique="maker_id")
+def read_frequentist_csv(path) -> Verdicts:
+    rows = read_fields(path, _FREQ_FILE, _verdict_row, unique="maker_id")
+    return Verdicts.from_rows(rows, [*(name for name, _, _ in _FREQ_FILE), "replace", "threshold"])

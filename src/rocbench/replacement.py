@@ -17,8 +17,8 @@ caller) and ``threshold`` the maker's personal replacement threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core import CohortDataset, ConfusionCounts, RatePair, rate_pair, tally_con
 from .csvio import format_float, write_table
 
 __all__ = [
-    "ReplacementVerdict",
+    "Verdicts",
     "AcceptanceSchedule",
     "CombinedResult",
     "PathPoint",
@@ -38,43 +38,69 @@ __all__ = [
     "write_combined_csv",
 ]
 
-@dataclass(frozen=True)
-class ReplacementVerdict:
-    """Replace/retain call for one maker plus its machine threshold.
+class Verdicts:
+    """Replace/retain verdicts as columns, one row per maker in the order benchmarked.
 
-    ``threshold`` must be present when ``replace`` is set; retained
-    makers may still carry one (their best curve point) so that forced
-    sweeps and randomized schedules can cover every maker.
+    Every table has ``maker_id`` (each id once), ``replace`` (bool) and
+    ``threshold`` (the machine threshold, NaN for none) next to its
+    route's named columns.  A replaced maker needs a finite threshold;
+    a retained one may still carry one (its best curve point) so that
+    forced sweeps and randomized schedules can cover every maker.
     """
 
-    maker_id: str
-    replace: bool
-    threshold: float | None
-    diagnostics: dict = field(default_factory=dict)
+    _DTYPES = {"maker_id": object, "replace": bool, "threshold": np.float64}
 
-    def __post_init__(self):
-        if self.replace and self.threshold is None:
-            raise ValueError(f"maker {self.maker_id}: replacement requires a threshold")
+    def __init__(self, columns: dict):
+        cols = {name: np.array(values, dtype=self._DTYPES.get(name)) for name, values in columns.items()}
+        n = cols["maker_id"].size
+        if any(col.shape != (n,) for col in cols.values()):
+            raise ValueError("verdict columns must be 1-d and of one length")
+        ids = cols["maker_id"].tolist()
+        self._row = {m: i for i, m in enumerate(ids)}
+        if len(self._row) != n:
+            raise ValueError(f"repeated maker_id {next(m for i, m in enumerate(ids) if self._row[m] != i)!r}")
+        lacking = cols["replace"] & ~np.isfinite(cols["threshold"])
+        if lacking.any():
+            raise ValueError(f"maker {ids[int(np.argmax(lacking))]}: replacement requires a threshold")
+        for col in cols.values():
+            col.flags.writeable = False
+        self._columns = cols
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[dict], names: Sequence[str] | None = None) -> "Verdicts":
+        """The ``names`` columns of ``rows``, dicts keyed by column name; by default the first row's."""
+        rows = list(rows)
+        if names is None:
+            names = rows[0].keys() if rows else cls._DTYPES
+        return cls({name: [row[name] for row in rows] for name in names})
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._columns:
+            raise ValueError(f"verdicts have no {name} column")
+        return self._columns[name]
+
+    def positions(self, makers: Sequence[str]) -> np.ndarray:
+        """Row of each of ``makers``; each needs one."""
+        missing = [m for m in makers if m not in self._row]
+        if missing:
+            raise ValueError(f"no verdict for makers: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+        return np.array([self._row[m] for m in makers], dtype=np.intp)
 
 
-def _checked_inputs(
-    data: CohortDataset, verdicts, scores
-) -> tuple[dict[str, ReplacementVerdict], np.ndarray]:
-    """Verdicts by maker, and the machine's call on every case.
+def _checked_inputs(data: CohortDataset, verdicts: Verdicts, scores) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict row of each maker, and the machine's call on every case.
 
     The call is ``score > threshold`` at the case's maker threshold; it
-    is False for makers whose verdict carries no threshold.
+    is False for makers without a threshold, as no score is above NaN.
     """
-    vmap = {v.maker_id: v for v in verdicts}
-    missing = [m for m in data.makers if m not in vmap]
-    if missing:
-        raise ValueError(f"no verdict for makers: {missing[:5]}{'...' if len(missing) > 5 else ''}")
+    pos = verdicts.positions(data.makers)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (data.n_cases,):
         raise ValueError(f"scores must hold one score per case ({data.n_cases}), got shape {scores.shape}")
-    # a missing threshold becomes NaN, and no score is above NaN
-    thr_by_maker = np.array([vmap[m].threshold for m in data.makers], dtype=np.float64)
-    return vmap, scores > thr_by_maker[data.maker_index]
+    return pos, scores > verdicts["threshold"][pos][data.maker_index]
 
 
 @dataclass(frozen=True)
@@ -97,18 +123,13 @@ def _evaluate(data: CohortDataset, machine: np.ndarray, replace_by_maker: np.nda
     )
 
 
-def combine_decisions(
-    performance: CohortDataset,
-    verdicts,
-    scores: np.ndarray,
-) -> CombinedResult:
+def combine_decisions(performance: CohortDataset, verdicts: Verdicts, scores: np.ndarray) -> CombinedResult:
     """Pooled rate pair with replace-flagged makers run by the machine.
 
     ``scores`` holds the machine's score of each performance case.
     """
-    vmap, machine = _checked_inputs(performance, verdicts, scores)
-    replace = np.array([vmap[m].replace for m in performance.makers], dtype=bool)
-    return _evaluate(performance, machine, replace)
+    pos, machine = _checked_inputs(performance, verdicts, scores)
+    return _evaluate(performance, machine, verdicts["replace"][pos])
 
 
 @dataclass(frozen=True)
@@ -119,26 +140,22 @@ class PathPoint:
 
 
 def replacement_path(
-    performance: CohortDataset,
-    verdicts,
-    fractions: Sequence[float],
-    scores: np.ndarray,
+    performance: CohortDataset, verdicts: Verdicts, fractions: Sequence[float], scores: np.ndarray
 ) -> list[PathPoint]:
     """Pooled pairs as the most replaceable makers are swapped out.
 
-    Makers are ranked by ascending posterior loss (``min_loss`` in the
-    verdict diagnostics, ties broken by maker id); a fraction f swaps
-    the first round(f * n_makers) of them, halves rounding up.  Every
-    maker needs a threshold since f = 1 replaces them all.
+    Makers are ranked by ascending posterior loss (the ``min_loss``
+    column, ties broken by maker id); a fraction f swaps the first
+    round(f * n_makers) of them, halves rounding up.  Every maker needs
+    a threshold since f = 1 replaces them all.
     """
-    vmap, machine = _checked_inputs(performance, verdicts, scores)
-    for m in performance.makers:
-        if vmap[m].threshold is None:
-            raise ValueError(f"maker {m} has no threshold; the sweep must be able to replace everyone")
-        if "min_loss" not in vmap[m].diagnostics:
-            raise ValueError(f"maker {m} verdict lacks a min_loss diagnostic")
+    pos, machine = _checked_inputs(performance, verdicts, scores)
     makers = performance.makers
-    ranked = sorted(range(len(makers)), key=lambda i: (vmap[makers[i]].diagnostics["min_loss"], makers[i]))
+    lacking = ~np.isfinite(verdicts["threshold"][pos])
+    if lacking.any():
+        raise ValueError(f"maker {makers[np.argmax(lacking)]} has no threshold; the sweep must be able to replace everyone")
+    loss = verdicts["min_loss"][pos]
+    ranked = sorted(range(len(makers)), key=lambda i: (loss[i], makers[i]))
     out = []
     for f in fractions:
         f = float(f)
@@ -190,25 +207,22 @@ class AcceptanceSchedule:
     ) -> "AcceptanceSchedule":
         return cls(kind="linear-by-rank", direction=direction, scope=scope)
 
-    def resolve(self, makers: Sequence[str], vmap: dict[str, ReplacementVerdict]) -> dict[str, float]:
+    def resolve(self, makers: Sequence[str], verdicts: Verdicts) -> np.ndarray:
+        """The lambda of each of ``makers``."""
+        pos = verdicts.positions(makers)
         if self.kind == "constant":
-            lams = {m: self.lam for m in makers}
+            lams = np.full(len(makers), self.lam, dtype=np.float64)
         else:
-            if len(makers) < 2:
+            n = len(makers)
+            if n < 2:
                 raise ValueError("rank schedule needs at least two makers")
-            for m in makers:
-                if "min_loss" not in vmap[m].diagnostics:
-                    raise ValueError(f"maker {m} verdict lacks a min_loss diagnostic")
+            loss = verdicts["min_loss"][pos]
             # rank 1 = most capable = largest posterior loss of replacing them
-            ranked = sorted(makers, key=lambda m: (-vmap[m].diagnostics["min_loss"], m))
-            n = len(ranked)
-            lams = {}
-            for r, m in enumerate(ranked, start=1):
-                lams[m] = (r - 1) / (n - 1) if self.direction == "less-capable-more" else (n - r) / (n - 1)
+            ranked = sorted(range(n), key=lambda i: (-loss[i], makers[i]))
+            below = np.argsort(ranked)  # rank - 1 of each maker
+            lams = (below if self.direction == "less-capable-more" else n - 1 - below) / (n - 1)
         if self.scope == "less-capable-only":
-            for m in makers:
-                if not vmap[m].replace:
-                    lams[m] = 0.0
+            lams = np.where(verdicts["replace"][pos], lams, 0.0)
         return lams
 
 
@@ -216,14 +230,11 @@ class AcceptanceSchedule:
 class RandomizedResult:
     pair: RatePair
     counts: ConfusionCounts
-    lambdas: dict[str, float]
+    lambdas: np.ndarray  # one per maker of the cohort
 
 
 def randomized_accept(
-    performance: CohortDataset,
-    verdicts,
-    schedule: AcceptanceSchedule,
-    scores: np.ndarray,
+    performance: CohortDataset, verdicts: Verdicts, schedule: AcceptanceSchedule, scores: np.ndarray,
     seed: int | np.random.Generator,
 ) -> RandomizedResult:
     """Per-case coin flip between maker and machine decisions.
@@ -233,16 +244,16 @@ def randomized_accept(
     reproduces the makers exactly and lambda = 1 the machine exactly.
     ``scores`` holds the machine's score of each performance case.
     """
-    vmap, machine = _checked_inputs(performance, verdicts, scores)
-    lams = schedule.resolve(performance.makers, vmap)
-    lam_per_case = np.asarray([lams[m] for m in performance.makers])[performance.maker_index]
+    pos, machine = _checked_inputs(performance, verdicts, scores)
+    lams = schedule.resolve(performance.makers, verdicts)
+    lam_per_case = lams[performance.maker_index]
     rng = np.random.default_rng(seed)
     u = rng.random(performance.n_cases)
     use_machine = (lam_per_case > 0.0) & (u <= lam_per_case)
     if use_machine.any():
-        for m in performance.makers:
-            if lams[m] > 0.0 and vmap[m].threshold is None:
-                raise ValueError(f"maker {m} has positive lambda but no threshold")
+        lacking = (lams > 0.0) & ~np.isfinite(verdicts["threshold"][pos])
+        if lacking.any():
+            raise ValueError(f"maker {performance.makers[np.argmax(lacking)]} has positive lambda but no threshold")
     counts = tally_confusion(performance.y, np.where(use_machine, machine, performance.y_hat))
     return RandomizedResult(pair=rate_pair(counts), counts=counts, lambdas=lams)
 

@@ -19,8 +19,8 @@ from rocbench import (
     IncentiveSpec,
     PredictedDoctorSpec,
     RatePair,
-    ReplacementVerdict,
     RocCurve,
+    Verdicts,
     asymptotic_covariance,
     benchmark_maker_bayesian,
     build_roc,
@@ -162,13 +162,15 @@ def _complementarity_run(seed: int):
     scores = forest.predict_propensity(performance.features)
     roc_perf = build_roc(scores, performance.y)
     counts = classification.counts_by_maker()
-    verdicts = [
-        benchmark_maker_bayesian(
-            m, counts[m], roc_val, n_draws=2000,
-            seed=substream(seed, "posterior", m), credible_level=0.95,
+    verdicts = Verdicts.from_rows(
+        (
+            benchmark_maker_bayesian(
+                m, counts[m], roc_val, n_draws=2000,
+                seed=substream(seed, "posterior", m), credible_level=0.95,
+            )
+            for m in classification.makers
         )
-        for m in classification.makers
-    ]
+    )
     combined = combine_decisions(performance, verdicts, scores)
     raw = rate_pair(performance.pooled_counts())
     above = combined.pair.beta > roc_perf.tpr_at_fpr(combined.pair.alpha)
@@ -231,13 +233,10 @@ def test_criterion_07_randomized_acceptance_boundaries():
     )
     data = het.data
     scores = data.features[:, 0]  # the score IS the feature
-    verdicts = [
-        ReplacementVerdict(
-            maker_id=m, replace=bool(c > 0.5), threshold=0.4,
-            diagnostics={"min_loss": float(c)},
-        )
-        for m, c in zip(data.makers, het.cutoffs)
-    ]
+    verdicts = Verdicts({
+        "maker_id": data.makers, "replace": np.asarray(het.cutoffs) > 0.5,
+        "threshold": np.full(len(data.makers), 0.4), "min_loss": het.cutoffs,
+    })
     raw_counts = data.pooled_counts()
     deterministic = combine_decisions(data, verdicts, scores)
 

@@ -28,6 +28,7 @@ from rocbench.bayes import (
     write_bayesian_csv,
 )
 from rocbench.core import ConfusionCounts, RatePair
+from rocbench.replacement import Verdicts
 from rocbench.roc import RocCurve, build_roc
 
 
@@ -424,39 +425,39 @@ class TestReplaceDecision:
         draws = make_draws([(0.5, 0.36)] * 10)
         roc = steep_curve()
         v = replace_decision(draws, roc, maker_id="m0")
-        assert v.replace
-        assert v.maker_id == "m0"
-        assert v.diagnostics["q_max"] == 1.0
-        assert v.diagnostics["min_loss"] == 0.0
-        theta = RatePair(v.diagnostics["theta0_alpha"], v.diagnostics["theta0_beta"])
-        assert v.threshold == pytest.approx(roc.threshold_at_point(theta))
+        assert v["replace"]
+        assert v["maker_id"] == "m0"
+        assert v["q_max"] == 1.0
+        assert v["min_loss"] == 0.0
+        theta = RatePair(v["theta0_alpha"], v["theta0_beta"])
+        assert v["threshold"] == pytest.approx(roc.threshold_at_point(theta))
 
     def test_retains_maker_above_curve(self):
         draws = make_draws([(0.05, 0.8), (0.1, 0.9)])
         v = replace_decision(draws, steep_curve())
-        assert not v.replace
-        assert v.diagnostics["q_max"] == 0.0
-        assert np.isnan(v.diagnostics["alpha_d"])
-        assert v.diagnostics["prob_below"] == 0.0
+        assert not v["replace"]
+        assert v["q_max"] == 0.0
+        assert np.isnan(v["alpha_d"])
+        assert v["prob_below"] == 0.0
 
     def test_borderline_mass_respects_level(self):
         below = [(0.5, 0.36)] * 94 + [(0.05, 0.9)] * 6
         draws = make_draws(below)
-        assert not replace_decision(draws, steep_curve(), credible_level=0.95).replace
-        assert replace_decision(draws, steep_curve(), credible_level=0.94).replace
+        assert not replace_decision(draws, steep_curve(), credible_level=0.95)["replace"]
+        assert replace_decision(draws, steep_curve(), credible_level=0.94)["replace"]
 
     def test_share_loss_replaces_near_diagonal_maker(self):
         draws = make_draws([(0.3, 0.31)] * 8)
         v = replace_decision(draws, two_segment(), kind=LossKind.DIAGONAL_VERTICAL)
-        assert v.diagnostics["min_loss"] <= 0.05
-        assert v.replace
-        assert v.diagnostics["loss_kind"] == "diagonal-vertical"
+        assert v["min_loss"] <= 0.05
+        assert v["replace"]
+        assert v["loss_kind"] == "diagonal-vertical"
 
     def test_euclidean_kind_rarely_replaces(self):
         draws = make_draws([(0.5, 0.36)] * 8)
         v = replace_decision(draws, steep_curve(), kind=LossKind.EUCLIDEAN)
-        assert not v.replace
-        assert v.diagnostics["min_loss"] > 0.5
+        assert not v["replace"]
+        assert v["min_loss"] > 0.5
 
     def test_level_validated(self):
         with pytest.raises(ValueError):
@@ -521,15 +522,17 @@ class TestBenchmarkBayesian:
     def test_weak_maker_replaced_on_high_curve(self):
         roc = two_segment()  # g(0.3) = 0.825 far above beta 0.4
         v = benchmark_maker_bayesian("m7", self.COUNTS, roc, seed=3)
-        assert v.replace
-        assert v.maker_id == "m7"
-        assert v.diagnostics["n"] == 300
-        assert v.diagnostics["q_max"] >= 0.95
+        assert list(v) == ["maker_id", "replace", "threshold", "q_max", "alpha_d", "loss_kind", "min_loss",
+                           "prob_below", "theta0_alpha", "theta0_beta", "n"]
+        assert v["replace"]
+        assert v["maker_id"] == "m7"
+        assert v["n"] == 300
+        assert v["q_max"] >= 0.95
 
     def test_strong_maker_retained_on_diagonal(self):
         roc = RocCurve.from_pairs([(0.0, 0.0), (1.0, 1.0)])
         v = benchmark_maker_bayesian("m8", self.COUNTS, roc, seed=3)
-        assert not v.replace  # (0.3, 0.4) sits above the chance line
+        assert not v["replace"]  # (0.3, 0.4) sits above the chance line
 
     def test_rejected_sampling_names_the_maker(self):
         counts = ConfusionCounts(n11=1, n01=0, n10=0, n00=1)  # empty cells keep only the tiny prior
@@ -540,29 +543,29 @@ class TestBenchmarkBayesian:
         roc = two_segment()
         a = benchmark_maker_bayesian("m", self.COUNTS, roc, seed=9)
         b = benchmark_maker_bayesian("m", self.COUNTS, roc, seed=9)
-        assert a.replace == b.replace and a.threshold == b.threshold
-        assert a.diagnostics == b.diagnostics
+        assert a == b
 
 
 class TestBayesianCsv:
     def make(self):
         roc = two_segment()
         v1 = benchmark_maker_bayesian("m1", TestBenchmarkBayesian.COUNTS, roc, seed=1)
-        v2 = replace_decision(make_draws([(0.05, 0.8), (0.1, 0.9)]), roc, maker_id="m2")
-        return [v1, v2]
+        v2 = {**replace_decision(make_draws([(0.05, 0.8), (0.1, 0.9)]), roc, maker_id="m2"), "n": 2}
+        return Verdicts.from_rows([v1, v2])
 
     def test_round_trip(self, tmp_path):
         verdicts = self.make()
         path = tmp_path / "verdicts.csv"
         write_bayesian_csv(path, verdicts)
-        rows = read_bayesian_csv(path)
-        assert [r.maker_id for r in rows] == ["m1", "m2"]
-        assert rows[0].replace and not rows[1].replace
-        assert rows[0].diagnostics["q_max"] == pytest.approx(
-            verdicts[0].diagnostics["q_max"], rel=1e-9
-        )
-        assert np.isnan(rows[1].diagnostics["alpha_d"])
-        assert rows[0].diagnostics["loss_kind"] == "baseline"
+        back = read_bayesian_csv(path)
+        assert back["maker_id"].tolist() == ["m1", "m2"]
+        assert back["replace"].tolist() == [True, False]
+        assert back["q_max"][0] == pytest.approx(verdicts["q_max"][0], rel=1e-9)
+        assert back["threshold"].tolist() == pytest.approx(verdicts["threshold"].tolist(), rel=1e-9)
+        assert np.isnan(back["alpha_d"][1])
+        assert back["loss_kind"].tolist() == ["baseline", "baseline"]
+        with pytest.raises(ValueError, match="no prob_below column"):
+            back["prob_below"]  # not a column of the file
 
     def test_reemit_identical_bytes(self, tmp_path):
         verdicts = self.make()
@@ -622,4 +625,4 @@ class TestBayesianCsv:
         with pytest.raises(ValueError, match="empty file"):
             read_bayesian_csv(path)
         path.write_text(self.HEADER)
-        assert read_bayesian_csv(path) == []
+        assert len(read_bayesian_csv(path)) == 0

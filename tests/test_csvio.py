@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rocbench import core, csvio
+from rocbench import bayes, core, csvio, frequentist
 from rocbench.core import CohortDataset, read_cases_csv, write_cases_csv
 from rocbench.csvio import format_float, parse_float, read_table, write_json, write_table
+from rocbench.replacement import Verdicts
 from rocbench.roc import RocCurve, write_roc_csv
 
 
@@ -333,3 +334,50 @@ class TestBulkEncoders:
         write_roc_csv(root / "bulk.csv", roc)
         rows = ([repr(v) for v in row] for row in zip(roc.thresholds.tolist(), roc.alphas.tolist(), roc.betas.tolist()))
         assert (root / "bulk.csv").read_bytes() == csv_writer_bytes(root / "rows.csv", ("threshold", "fpr", "tpr"), rows)
+
+
+# -- verdict tables ---------------------------------------------------------
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1.7976931348623157e308, 5e-324]))
+
+
+@st.composite
+def frequentist_rows(draw, maker_id):
+    label = draw(st.sampled_from(["case1", "case2", "case3"]))
+    cuts = sorted(draw(st.lists(FINITE, min_size=2, max_size=2))) if label == "case1" else [math.nan] * 2
+    return {"maker_id": maker_id, "n": draw(st.integers(0, 10**9)), "alpha_hat": draw(FINITE),
+            "beta_hat": draw(FINITE), "case_label": label, "c_lower": cuts[0], "c_upper": cuts[1],
+            "replace": label == "case1", "threshold": cuts[0] / 2 + cuts[1] / 2}
+
+
+@st.composite
+def bayesian_rows(draw, maker_id):
+    return {"maker_id": maker_id, "q_max": draw(FINITE), "alpha_d": draw(st.one_of(st.just(math.nan), FINITE)),
+            "loss_kind": draw(st.sampled_from(["baseline", "euclidean", "cost-benefit"])),
+            "min_loss": draw(FINITE), "replace": draw(st.booleans()), "threshold": draw(FINITE)}
+
+
+ROUTES = {
+    "frequentist": (frequentist_rows, frequentist.write_frequentist_csv, frequentist.read_frequentist_csv),
+    "bayesian": (bayesian_rows, bayes.write_bayesian_csv, bayes.read_bayesian_csv),
+}
+
+
+class TestVerdictFiles:
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @given(
+        st.lists(st.text(alphabet=',"\r\n #éÿ\U0001f600ab1 ', min_size=1, max_size=6), max_size=6, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_write_read_write_same_bytes(self, tmp_path_factory, route, makers, data):
+        rows_of, write_csv, read_csv = ROUTES[route]
+        rows = [data.draw(rows_of(m)) for m in makers]
+        names = list(rows[0]) if rows else list(data.draw(rows_of("m")))
+        root = tmp_path_factory.mktemp("verdicts")
+        write_csv(root / "a.csv", Verdicts.from_rows(rows, names))
+        back = read_csv(root / "a.csv")
+        assert back["maker_id"].tolist() == makers
+        assert back["replace"].tolist() == [row["replace"] for row in rows]
+        write_csv(root / "b.csv", back)
+        assert (root / "b.csv").read_bytes() == (root / "a.csv").read_bytes()

@@ -275,10 +275,28 @@ class TestSerialization:
         (lambda p: p["trees"][0]["feature"].__setitem__(0, 2), "tree 0: feature index out of range"),
         (lambda p: p["trees"][2]["value"].__setitem__(-1, 1.5), r"tree 2: leaf prob outside \[0, 1\]"),
         (lambda p: p["trees"][2]["value"].__setitem__(-1, -0.1), r"tree 2: leaf prob outside \[0, 1\]"),
+        (lambda p: p["params"].update(foo=1), "params must be an object of exactly the keys bootstrap, max_features"),
+        (lambda p: p["params"].pop("seed"), "exactly the keys bootstrap, max_features, min_samples_split, n_trees, seed$"),
+        (lambda p: p.update(params=[1, 2]), "params must be an object"),
+        (lambda p: p.pop("params"), "^params must be an object of exactly the keys"),
+        (lambda p: p["trees"][1]["feature"].__setitem__(0, 0.7), "tree 1: feature entries must be integers"),
+        (lambda p: p["trees"][1]["feature"].__setitem__(-1, 0.0), "tree 1: feature entries must be integers$"),
+        (lambda p: p["trees"][0]["feature"].__setitem__(0, True), "tree 0: feature entries must be integers"),
+        (lambda p: p["trees"][0].update(feature=0), "tree 0: feature entries must be"),
+        (lambda p: p["trees"][0]["feature"].__setitem__(0, 2**70), "tree 0: feature index out of range$"),
     ])
     def test_loader_rejects(self, edit, message):
         with pytest.raises(ValueError, match=message):
             forest_from_json(self._broken(edit))
+
+    def test_file_errors_name_the_path(self, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_text(self._broken(lambda p: p["params"].update(foo=1)))
+        with pytest.raises(ValueError, match=r"edited\.json: params must be an object"):
+            load_forest(path)
+        path.write_text(self._broken(lambda p: p["trees"][0]["feature"].__setitem__(0, 0.7)))
+        with pytest.raises(ValueError, match=r"edited\.json: tree 0: feature entries must be integers"):
+            load_forest(path)
 
     def test_nested_file_names_path_and_format(self, tmp_path):
         path = tmp_path / "old.json"

@@ -19,6 +19,7 @@ from rocbench.frequentist import (
     sample_thresholds,
     write_frequentist_csv,
 )
+from rocbench.replacement import Verdicts
 from rocbench.roc import RocCurve
 
 CHI2_2DF_95 = 5.991464547107979
@@ -263,26 +264,27 @@ class TestBenchmarkMaker:
 
     def test_weak_maker_replaced(self):
         v = benchmark_maker_frequentist("m1", self.COUNTS, two_segment(), seed=0)
-        assert v.label is CaseLabel.CASE1
-        assert v.segment is not None
-        assert v.pair == RatePair(pytest.approx(0.3), pytest.approx(0.5))
-        assert v.n == 1200
-        assert v.replace
-        assert v.threshold == 0.5 * (v.segment.c_lower + v.segment.c_upper)
+        assert list(v) == ["maker_id", "n", "alpha_hat", "beta_hat", "case_label", "c_lower", "c_upper", "replace", "threshold"]
+        assert v["maker_id"] == "m1" and v["case_label"] == "case1"
+        assert v["c_lower"] <= v["c_upper"]
+        assert (v["alpha_hat"], v["beta_hat"]) == (pytest.approx(0.3), pytest.approx(0.5))
+        assert v["n"] == 1200
+        assert v["replace"]
+        assert v["threshold"] == 0.5 * (v["c_lower"] + v["c_upper"])
 
     def test_asymptotic_covariance_route(self):
         v = benchmark_maker_frequentist(
             "m1", self.COUNTS, two_segment(), cov_method="asymptotic"
         )
-        assert v.label is CaseLabel.CASE1
+        assert v["case_label"] == "case1"
 
     def test_on_curve_maker_retained(self):
         counts = ConfusionCounts(n11=240, n01=400, n10=160, n00=600)  # (0.4, 0.6)
         roc = RocCurve.from_pairs([(0.0, 0.0), (0.4, 0.6), (1.0, 1.0)])
         v = benchmark_maker_frequentist("m2", counts, roc, seed=5)
-        assert v.label in (CaseLabel.CASE2, CaseLabel.CASE3)
-        assert v.segment is None
-        assert not v.replace and v.threshold is None
+        assert v["case_label"] in ("case2", "case3")
+        assert np.isnan([v["c_lower"], v["c_upper"], v["threshold"]]).all()
+        assert not v["replace"]
 
     def test_unknown_cov_method(self):
         with pytest.raises(ValueError):
@@ -308,19 +310,20 @@ class TestFrequentistCsv:
         counts = ConfusionCounts(n11=240, n01=400, n10=160, n00=600)
         curve = RocCurve.from_pairs([(0.0, 0.0), (0.4, 0.6), (1.0, 1.0)])
         v2 = benchmark_maker_frequentist("m2", counts, curve, seed=5)
-        return [v1, v2]
+        return Verdicts.from_rows([v1, v2])
 
     def test_round_trip(self, tmp_path):
         verdicts = self.make()
         path = tmp_path / "verdicts.csv"
         write_frequentist_csv(path, verdicts)
-        rows = read_frequentist_csv(path)
-        assert [r["maker_id"] for r in rows] == ["m1", "m2"]
-        assert rows[0]["case_label"] is CaseLabel.CASE1
-        assert rows[0]["c_lower"] == pytest.approx(verdicts[0].segment.c_lower)
-        assert rows[0]["c_upper"] == pytest.approx(verdicts[0].segment.c_upper)
-        assert rows[1]["c_lower"] is None and rows[1]["c_upper"] is None
-        assert rows[1]["n"] == 1400
+        back = read_frequentist_csv(path)
+        assert back["maker_id"].tolist() == ["m1", "m2"]
+        assert back["case_label"].tolist() == ["case1", verdicts["case_label"][1]]
+        assert back["replace"].tolist() == [True, False]
+        for name in ("c_lower", "c_upper", "threshold"):
+            assert back[name][0] == pytest.approx(verdicts[name][0])
+            assert np.isnan(back[name][1])
+        assert back["n"].tolist() == [1200, 1400]
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -349,6 +352,11 @@ class TestFrequentistCsv:
             ("m2,100,0.1,0.6,case1,0.4,x", "line 3: non-numeric value 'x'"),
             ("m2,100,0.1,0.6,case2,", "line 3: expected 7 fields, got 6"),
             ("m1,100,0.1,0.6,case2,,", "line 3: repeated maker_id 'm1'"),
+            ("m2,100,0.1,0.6,case1,,", "line 3: case1 needs both cuts with c_lower <= c_upper, got nan and nan"),
+            ("m2,100,0.1,0.6,case1,0.4,", "line 3: case1 needs both cuts with c_lower <= c_upper, got 0.4 and nan"),
+            ("m2,100,0.1,0.6,case1,0.5,0.4", "line 3: case1 needs both cuts with c_lower <= c_upper, got 0.5 and 0.4"),
+            ("m2,100,0.1,0.6,case3,0.4,", "line 3: case3 takes no cuts, got 0.4 and nan"),
+            ("m2,100,0.1,0.6,case2,0.4,0.5", "line 3: case2 takes no cuts, got 0.4 and 0.5"),
         ],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, bad, message):
@@ -356,6 +364,11 @@ class TestFrequentistCsv:
         path.write_text(f"{self.HEADER}m1,100,0.1,0.6,case1,0.4,0.5\n{bad}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_frequentist_csv(path)
+
+    def test_cuts_near_the_largest_double_keep_a_finite_threshold(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text(f"{self.HEADER}m1,100,0.1,0.6,case1,1.7e308,1.7976931348623157e308\n")
+        assert read_frequentist_csv(path)["threshold"][0] == 1.7e308 / 2 + 1.7976931348623157e308 / 2
 
     def test_repeated_maker_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -372,4 +385,4 @@ class TestFrequentistCsv:
         with pytest.raises(ValueError, match="empty file"):
             read_frequentist_csv(path)
         path.write_text(self.HEADER)
-        assert read_frequentist_csv(path) == []
+        assert len(read_frequentist_csv(path)) == 0
