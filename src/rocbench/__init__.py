@@ -10,86 +10,15 @@ closed-form truths exercise every stage.
 
 import importlib
 
-from .core import (
-    CohortDataset,
-    ConfusionCounts,
-    DegenerateMakerError,
-    RatePair,
-    rate_pair,
-    read_cases_csv,
-    stratified_split,
-    tally_confusion,
-    write_cases_csv,
-)
-from .rng import substream
-from .roc import (
-    DominatingSegment,
-    RocCurve,
-    build_roc,
-    np_best_vertex,
-    np_objective,
-    read_roc_csv,
-    write_roc_csv,
-)
-from .forest import (
-    Forest,
-    ForestParams,
-    forest_from_json,
-    forest_to_json,
-    load_forest,
-    save_forest,
-    train_forest,
-)
-from .frequentist import (
-    BootstrapPairs,
-    CaseLabel,
-    DeltaTestResult,
-    EllipseSet,
-    asymptotic_covariance,
-    benchmark_maker_frequentist,
-    bootstrap_covariance,
-    bootstrap_pairs,
-    classify_maker,
-    confidence_ellipse,
-    delta_method_test,
-    read_frequentist_csv,
-    sample_thresholds,
-    write_frequentist_csv,
-)
-from .bayes import (
-    CostBenefitLoss,
-    DirichletParams,
-    DominanceResult,
-    LossKind,
-    PosteriorDraws,
-    RetentionMethod,
-    RetentionResult,
-    benchmark_maker_bayesian,
-    curve_candidate_grid,
-    loss_eval,
-    max_dominance,
-    min_posterior_loss,
-    posterior_params,
-    prob_below_roc,
-    read_bayesian_csv,
-    replace_decision,
-    reversed_null_retain,
-    sample_posterior,
-    write_bayesian_csv,
-)
-from .replacement import (
-    AcceptanceSchedule,
-    CombinedResult,
-    PathPoint,
-    RandomizedResult,
-    Verdicts,
-    combine_decisions,
-    randomized_accept,
-    replacement_path,
-    write_combined_csv,
-    write_path_csv,
-    write_randomized_csv,
-)
+# Each module's ``__all__`` is the one list of its public names.
+from .core import *
+from .rng import *
+from .roc import *
+from .forest import *
+from .frequentist import *
+from .bayes import *
+from .replacement import *
+
 # The synthetic generators need scipy.special and RunConfig lives in the
 # CLI module, so both load on first use: importing the package stays
 # scipy-free, and ``python -m rocbench.cli`` finds the CLI not yet imported.

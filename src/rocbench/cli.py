@@ -136,21 +136,19 @@ def _load_config(args) -> RunConfig:
 
 
 def _out_dir(args) -> str:
-    out = getattr(args, "out", None) or os.environ.get(OUT_ENV) or "."
+    out = args.out or os.environ.get(OUT_ENV) or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _out_file(args, default_name: str) -> str:
-    out = getattr(args, "out", None)
-    if out:
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        return out
-    base = os.environ.get(OUT_ENV) or "."
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, default_name)
+def _out_file(args) -> str:
+    """``--out``, else the subcommand's default file name in the default output directory."""
+    if not args.out:
+        return os.path.join(_out_dir(args), args.out_file)
+    parent = os.path.dirname(args.out)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return args.out
 
 
 def _pair_dict(pair) -> dict:
@@ -285,7 +283,7 @@ def _cmd_train(args) -> int:
     if data.features is None:
         raise ValueError(f"{args.cases}: no feature columns; cannot train")
     forest = train_forest(data.features, data.y, cfg.forest_params())
-    save_forest(_out_file(args, "forest.json"), forest)
+    save_forest(_out_file(args), forest)
     return 0
 
 
@@ -299,7 +297,7 @@ def _scored_cases(args) -> tuple[CohortDataset, np.ndarray]:
 
 def _cmd_roc(args) -> int:
     data, scores = _scored_cases(args)
-    write_roc_csv(_out_file(args, "roc.csv"), build_roc(scores, data.y))
+    write_roc_csv(_out_file(args), build_roc(scores, data.y))
     return 0
 
 
@@ -312,13 +310,13 @@ def _bench_inputs(args) -> tuple:
 
 def _cmd_bench_freq(args) -> int:
     counts, roc, cfg = _bench_inputs(args)
-    write_frequentist_csv(_out_file(args, "verdicts_freq.csv"), _freq_verdicts(counts, roc, cfg, args.cov))
+    write_frequentist_csv(_out_file(args), _freq_verdicts(counts, roc, cfg, args.cov))
     return 0
 
 
 def _cmd_bench_bayes(args) -> int:
     counts, roc, cfg = _bench_inputs(args)
-    write_bayesian_csv(_out_file(args, "verdicts_bayes.csv"), _bayes_verdicts(counts, roc, cfg))
+    write_bayesian_csv(_out_file(args), _bayes_verdicts(counts, roc, cfg))
     return 0
 
 
@@ -328,7 +326,7 @@ def _cmd_combine(args) -> int:
     raw = rate_pair(data.pooled_counts())
     combined = combine_decisions(data, verdicts, scores)
     write_combined_csv(
-        _out_file(args, "combined.csv"),
+        _out_file(args),
         [("raw", raw, 0), ("combined", combined.pair, combined.n_replaced)],
     )
     return 0
@@ -337,7 +335,7 @@ def _cmd_combine(args) -> int:
 def _cmd_path(args) -> int:
     data, scores = _scored_cases(args)
     points = replacement_path(data, read_bayesian_csv(args.verdicts), _parse_floats(args.fractions), scores)
-    write_path_csv(_out_file(args, "path.csv"), points)
+    write_path_csv(_out_file(args), points)
     return 0
 
 
@@ -346,7 +344,7 @@ def _cmd_randomized(args) -> int:
     data, scores = _scored_cases(args)
     verdicts = read_bayesian_csv(args.verdicts)
     rows = _randomized_rows(data, verdicts, scores, cfg.seed, _parse_floats(args.lambdas), args.scope)
-    write_randomized_csv(_out_file(args, "randomized.csv"), rows)
+    write_randomized_csv(_out_file(args), rows)
     return 0
 
 
@@ -496,86 +494,62 @@ def _add_config_flags(p, *fields: str) -> None:
         p.add_argument(flag, dest=name, **kwargs)
 
 
+# input flag -> its help; every input a subcommand takes is required
+_INPUTS = {
+    "--cases": "cases file", "--roc": "curve file", "--verdicts": "bayesian verdict file", "--model": "model file",
+}
+
+# subcommand -> (handler, help, required inputs, default output file or None when
+# --out is a directory, the RunConfig fields it has flags for); in --help order
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "generate a synthetic cohort", (), None, ()),
+    "split": (_cmd_split, "stratified split of a cases file", ("--cases",), None, ("seed",)),
+    "train": (_cmd_train, "fit the forest on a cases file", ("--cases",), "forest.json",
+              ("seed", "n_trees", "max_features", "min_samples_split", "bootstrap")),
+    "roc": (_cmd_roc, "score a cases file with a model and emit its curve", ("--cases", "--model"), "roc.csv", ()),
+    "bench-freq": (_cmd_bench_freq, "confidence-set verdict per maker", ("--cases", "--roc"), "verdicts_freq.csv",
+                   ("seed", "level", "min_cases", "n_resamples")),
+    "bench-bayes": (_cmd_bench_bayes, "posterior dominance verdict per maker", ("--cases", "--roc"),
+                    "verdicts_bayes.csv",
+                    ("seed", "level", "min_cases", "n_draws", "loss_kind", "grid_size", "prior_weight")),
+    "combine": (_cmd_combine, "evaluate the cohort with flagged makers replaced", ("--cases", "--verdicts", "--model"),
+                "combined.csv", ()),
+    "path": (_cmd_path, "pooled pair as the replaced fraction sweeps 0 to 1", ("--cases", "--verdicts", "--model"),
+             "path.csv", ()),
+    "randomized": (_cmd_randomized, "per-case coin flip between maker and machine",
+                   ("--cases", "--verdicts", "--model"), "randomized.csv", ("seed",)),
+    "report": (_cmd_report, "full pipeline on one cases file", ("--cases",), None, tuple(_CONFIG_FLAGS)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rocbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name, (func, summary, inputs, out_file, settings) in _COMMANDS.items():
+        p = subs[name] = sub.add_parser(name, help=summary)
+        for flag in inputs:
+            p.add_argument(flag, required=True, help=_INPUTS[flag])
+        p.add_argument("--out", help=f"output file (default {out_file})" if out_file
+                       else f"output directory (default ${OUT_ENV} or .)")
+        if settings:
+            _add_config_flags(p, *settings)
+        p.set_defaults(func=func, out_file=out_file)
 
-    p = sub.add_parser("simulate", help="generate a synthetic cohort")
+    p = subs["simulate"]
     p.add_argument("--dgp", required=True, choices=list(_GENERATOR_FLAGS),
                    help="generator; any flag below that it does not read is refused")
-    p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
     for name, (flag, kwargs) in _SIMULATE_FLAGS.items():
         readers = ", ".join(g for g, names in _GENERATOR_FLAGS.items() if name in names)
         p.add_argument(flag, dest=name, **{**kwargs, "help": f"{kwargs['help']} (read by {readers})"})
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("split", help="stratified split of a cases file")
-    p.add_argument("--cases", required=True)
+    p = subs["split"]
     p.add_argument("--ratio", required=True, help="e.g. 7:3")
     p.add_argument("--label", default="outer", help="substream label; vary it for nested splits")
     p.add_argument("--names", default="a,b", help="output basenames, e.g. classification,performance")
-    p.add_argument("--out")
-    _add_config_flags(p, "seed")
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("train", help="fit the forest on a cases file")
-    p.add_argument("--cases", required=True)
-    p.add_argument("--out", help="model file (default forest.json)")
-    _add_config_flags(p, "seed", "n_trees", "max_features", "min_samples_split", "bootstrap")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("roc", help="score a cases file with a model and emit its curve")
-    p.add_argument("--cases", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", help="curve file (default roc.csv)")
-    p.set_defaults(func=_cmd_roc)
-
-    p = sub.add_parser("bench-freq", help="confidence-set verdict per maker")
-    p.add_argument("--cases", required=True)
-    p.add_argument("--roc", required=True)
-    p.add_argument("--cov", choices=["bootstrap", "asymptotic"], default="bootstrap")
-    p.add_argument("--out", help="verdict file (default verdicts_freq.csv)")
-    _add_config_flags(p, "seed", "level", "min_cases", "n_resamples")
-    p.set_defaults(func=_cmd_bench_freq)
-
-    p = sub.add_parser("bench-bayes", help="posterior dominance verdict per maker")
-    p.add_argument("--cases", required=True)
-    p.add_argument("--roc", required=True)
-    p.add_argument("--out", help="verdict file (default verdicts_bayes.csv)")
-    _add_config_flags(p, "seed", "level", "min_cases", "n_draws", "loss_kind", "grid_size", "prior_weight")
-    p.set_defaults(func=_cmd_bench_bayes)
-
-    p = sub.add_parser("combine", help="evaluate the cohort with flagged makers replaced")
-    p.add_argument("--cases", required=True, help="performance cases file")
-    p.add_argument("--verdicts", required=True, help="bayesian verdict file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", help="default combined.csv")
-    p.set_defaults(func=_cmd_combine)
-
-    p = sub.add_parser("path", help="pooled pair as the replaced fraction sweeps 0 to 1")
-    p.add_argument("--cases", required=True)
-    p.add_argument("--verdicts", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--fractions", default=",".join(map(format_float, PATH_FRACTIONS)))
-    p.add_argument("--out", help="default path.csv")
-    p.set_defaults(func=_cmd_path)
-
-    p = sub.add_parser("randomized", help="per-case coin flip between maker and machine")
-    p.add_argument("--cases", required=True)
-    p.add_argument("--verdicts", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--lambdas", default=",".join(map(format_float, LAMBDAS)))
-    p.add_argument("--scope", choices=SCOPES, default=SCOPES[0])
-    p.add_argument("--out", help="default randomized.csv")
-    _add_config_flags(p, "seed")
-    p.set_defaults(func=_cmd_randomized)
-
-    p = sub.add_parser("report", help="full pipeline on one cases file")
-    p.add_argument("--cases", required=True)
-    p.add_argument("--out", help=f"output directory (default ${OUT_ENV} or .)")
-    _add_config_flags(p, *_CONFIG_FLAGS)
-    p.set_defaults(func=_cmd_report)
-
+    subs["bench-freq"].add_argument("--cov", choices=["bootstrap", "asymptotic"], default="bootstrap")
+    subs["path"].add_argument("--fractions", default=",".join(map(format_float, PATH_FRACTIONS)))
+    subs["randomized"].add_argument("--lambdas", default=",".join(map(format_float, LAMBDAS)))
+    subs["randomized"].add_argument("--scope", choices=SCOPES, default=SCOPES[0])
     return parser
 
 

@@ -80,14 +80,6 @@ class ConfusionCounts:
     def n(self) -> int:
         return self.n11 + self.n01 + self.n10 + self.n00
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.n11 + other.n11,
-            self.n01 + other.n01,
-            self.n10 + other.n10,
-            self.n00 + other.n00,
-        )
-
 
 def tally_confusion(y: np.ndarray, y_hat: np.ndarray) -> ConfusionCounts:
     """Confusion counts from parallel 0/1 arrays."""

@@ -353,8 +353,13 @@ def forest_from_json(text: str) -> Forest:
     params, names = payload.get("params"), {f.name for f in fields(ForestParams)}
     if not isinstance(params, dict) or set(params) != names:
         raise ValueError(f"params must be an object of exactly the keys {', '.join(sorted(names))}")
-    params = ForestParams(**params)
-    n_features = int(payload["n_features"])
+    if set(payload) != {"format", "params", "n_features", "trees"}:
+        raise ValueError("forest JSON must be an object of exactly the keys format, n_features, params, trees")
+    params, n_features = ForestParams(**params), payload["n_features"]
+    if type(n_features) is not int or n_features < 1:
+        raise ValueError(f"n_features must be an integer >= 1, got {n_features!r}")
+    if not isinstance(payload["trees"], list):
+        raise ValueError("trees must be a list")
     trees = []
     for i, data in enumerate(payload["trees"]):
         try:

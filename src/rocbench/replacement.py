@@ -30,6 +30,7 @@ __all__ = [
     "AcceptanceSchedule",
     "CombinedResult",
     "PathPoint",
+    "RandomizedResult",
     "combine_decisions",
     "replacement_path",
     "randomized_accept",

@@ -65,9 +65,10 @@ class RocCurve:
             raise ValueError("a curve needs at least the two anchor points")
         if not (np.isfinite(t).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("non-finite curve data")
-        if np.any(np.diff(t) >= 0):
+        # neighbours compared, not subtracted: a difference of extreme thresholds overflows
+        if np.any(t[1:] >= t[:-1]):
             raise ValueError("thresholds must be strictly decreasing")
-        if np.any(np.diff(a) < 0) or np.any(np.diff(b) < 0):
+        if np.any(a[1:] < a[:-1]) or np.any(b[1:] < b[:-1]):
             raise ValueError("fpr and tpr must be non-decreasing along the curve")
         if a.min() < 0 or a.max() > 1 or b.min() < 0 or b.max() > 1:
             raise ValueError("rates must lie in [0, 1]")
@@ -172,9 +173,7 @@ class RocCurve:
         n = al.size
         j = int(np.searchsorted(al, a, side="left"))
         if j < n and al[j] == a:
-            k = j
-            while k + 1 < n and al[k + 1] == a:
-                k += 1
+            k = int(np.searchsorted(al, a, side="right")) - 1  # top of the vertical run at a
             if b <= be[j]:
                 return float(th[j])
             if b >= be[k]:
@@ -292,7 +291,7 @@ def build_roc(scores, labels) -> RocCurve:
     order = np.argsort(-s, kind="stable")
     s_desc = s[order]
     y_desc = y[order]
-    change = np.flatnonzero(np.diff(s_desc))
+    change = np.flatnonzero(s_desc[1:] != s_desc[:-1])
     starts = np.r_[0, change + 1]
     cum_pos = np.cumsum(y_desc == 1)
     cum_neg = np.cumsum(y_desc == 0)

@@ -1,5 +1,6 @@
 """End-to-end command driver checks on small synthetic cohorts."""
 
+import argparse
 import csv
 import filecmp
 import json
@@ -451,7 +452,82 @@ UNREAD_FLAGS = {
 }
 
 
+# subcommand -> option -> (dest, required, default), as parsed before the subcommand table
+# declared them; the table may not add, drop or change a flag unnoticed
+PARSED_FLAGS = {
+    "simulate": {
+        "--c0": ("c0", False, None), "--capable-fraction": ("capable_fraction", False, None),
+        "--cases-per-maker": ("cases_per_maker", False, None), "--cutoff-hi": ("cutoff_hi", False, None),
+        "--cutoff-lo": ("cutoff_lo", False, None), "--cutoffs": ("cutoffs", False, None),
+        "--dgp": ("dgp", True, None), "--export-hidden": ("export_hidden", False, None), "--n": ("n", False, None),
+        "--n-cases": ("n_cases", False, None), "--n-makers": ("n_makers", False, None),
+        "--out": ("out", False, None), "--scenario": ("scenario", False, None), "--seed": ("seed", False, None),
+        "--shuffle-groups": ("shuffle_groups", False, None),
+    },
+    "split": {
+        "--cases": ("cases", True, None), "--config": ("config", False, None), "--label": ("label", False, "outer"),
+        "--names": ("names", False, "a,b"), "--out": ("out", False, None), "--ratio": ("ratio", True, None),
+        "--seed": ("seed", False, None),
+    },
+    "train": {
+        "--cases": ("cases", True, None), "--config": ("config", False, None),
+        "--max-features": ("max_features", False, None), "--min-split": ("min_samples_split", False, None),
+        "--no-bootstrap": ("bootstrap", False, None), "--out": ("out", False, None), "--seed": ("seed", False, None),
+        "--trees": ("n_trees", False, None),
+    },
+    "roc": {
+        "--cases": ("cases", True, None), "--model": ("model", True, None), "--out": ("out", False, None),
+    },
+    "bench-freq": {
+        "--cases": ("cases", True, None), "--config": ("config", False, None), "--cov": ("cov", False, "bootstrap"),
+        "--level": ("level", False, None), "--min-cases": ("min_cases", False, None), "--out": ("out", False, None),
+        "--resamples": ("n_resamples", False, None), "--roc": ("roc", True, None), "--seed": ("seed", False, None),
+    },
+    "bench-bayes": {
+        "--cases": ("cases", True, None), "--config": ("config", False, None), "--draws": ("n_draws", False, None),
+        "--grid": ("grid_size", False, None), "--level": ("level", False, None),
+        "--loss": ("loss_kind", False, None), "--min-cases": ("min_cases", False, None),
+        "--out": ("out", False, None), "--prior": ("prior_weight", False, None), "--roc": ("roc", True, None),
+        "--seed": ("seed", False, None),
+    },
+    "combine": {
+        "--cases": ("cases", True, None), "--model": ("model", True, None), "--out": ("out", False, None),
+        "--verdicts": ("verdicts", True, None),
+    },
+    "path": {
+        "--cases": ("cases", True, None),
+        "--fractions": ("fractions", False, "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"),
+        "--model": ("model", True, None), "--out": ("out", False, None), "--verdicts": ("verdicts", True, None),
+    },
+    "randomized": {
+        "--cases": ("cases", True, None), "--config": ("config", False, None),
+        "--lambdas": ("lambdas", False, "0,0.25,0.5,0.75,1"), "--model": ("model", True, None),
+        "--out": ("out", False, None), "--scope": ("scope", False, "less-capable-only"),
+        "--seed": ("seed", False, None), "--verdicts": ("verdicts", True, None),
+    },
+    "report": {
+        "--cases": ("cases", True, None), "--config": ("config", False, None), "--draws": ("n_draws", False, None),
+        "--grid": ("grid_size", False, None), "--inner-ratio": ("inner_ratio", False, None),
+        "--level": ("level", False, None), "--loss": ("loss_kind", False, None),
+        "--max-features": ("max_features", False, None), "--min-cases": ("min_cases", False, None),
+        "--min-split": ("min_samples_split", False, None), "--no-bootstrap": ("bootstrap", False, None),
+        "--out": ("out", False, None), "--outer-ratio": ("outer_ratio", False, None),
+        "--prior": ("prior_weight", False, None), "--resamples": ("n_resamples", False, None),
+        "--seed": ("seed", False, None), "--trees": ("n_trees", False, None),
+    },
+}
+
+
 class TestSubcommandFlags:
+    def test_every_subcommand_parses_as_declared(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            name: {a.option_strings[0]: (a.dest, a.required, a.default) for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert list(parsed) == list(PARSED_FLAGS)
+        assert parsed == PARSED_FLAGS
+
     @pytest.mark.parametrize("command", sorted(UNREAD_FLAGS))
     def test_unread_setting_flag_is_rejected(self, command, workdir, verdicts, tmp_path, capsys):
         inputs = {
@@ -584,6 +660,24 @@ class TestOutEnvVar:
             "simulate", "--dgp", "incentive", "--n", "200", "--seed", "1",
         ]) == 0
         assert (target / "cases.csv").exists()
+
+    @pytest.mark.parametrize("command, default_name", [
+        ("train", "forest.json"), ("roc", "roc.csv"), ("bench-freq", "verdicts_freq.csv"),
+        ("bench-bayes", "verdicts_bayes.csv"), ("combine", "combined.csv"), ("path", "path.csv"),
+        ("randomized", "randomized.csv"),
+    ])
+    def test_env_var_sets_default_file(self, command, default_name, workdir, verdicts, monkeypatch, tmp_path):
+        target = tmp_path / "envout"
+        monkeypatch.setenv("ROCBENCH_OUT", str(target))
+        cases, model, roc = (str(workdir[k]) for k in ("cases", "model", "roc"))
+        inputs = {
+            "train": ["--cases", cases, "--trees", "2", "--min-split", "20"],
+            "roc": ["--cases", cases, "--model", model],
+            "bench-freq": ["--cases", cases, "--roc", roc, "--min-cases", "1", "--resamples", "5"],
+            "bench-bayes": ["--cases", cases, "--roc", roc, "--min-cases", "1", "--draws", "50"],
+        }.get(command, ["--cases", cases, "--verdicts", str(verdicts), "--model", model])
+        assert main([command, *inputs]) == 0
+        assert os.listdir(target) == [default_name]
 
     def test_explicit_out_wins(self, monkeypatch, tmp_path):
         monkeypatch.setenv("ROCBENCH_OUT", str(tmp_path / "ignored"))

@@ -284,6 +284,14 @@ class TestSerialization:
         (lambda p: p["trees"][0]["feature"].__setitem__(0, True), "tree 0: feature entries must be integers"),
         (lambda p: p["trees"][0].update(feature=0), "tree 0: feature entries must be"),
         (lambda p: p["trees"][0]["feature"].__setitem__(0, 2**70), "tree 0: feature index out of range$"),
+        (lambda p: p.pop("trees"), "^forest JSON must be an object of exactly the keys format, n_features, params"),
+        (lambda p: p.pop("n_features"), "exactly the keys format, n_features, params, trees$"),
+        (lambda p: p.update(extra=1), "^forest JSON must be an object of exactly the keys"),
+        (lambda p: p.update(n_features=1.5), "^n_features must be an integer >= 1, got 1.5$"),
+        (lambda p: p.update(n_features="2"), "^n_features must be an integer >= 1, got '2'$"),
+        (lambda p: p.update(n_features=True), "^n_features must be an integer >= 1, got True$"),
+        (lambda p: p.update(n_features=0), "^n_features must be an integer >= 1, got 0$"),
+        (lambda p: p.update(trees={}), "^trees must be a list$"),
     ])
     def test_loader_rejects(self, edit, message):
         with pytest.raises(ValueError, match=message):
@@ -296,6 +304,9 @@ class TestSerialization:
             load_forest(path)
         path.write_text(self._broken(lambda p: p["trees"][0]["feature"].__setitem__(0, 0.7)))
         with pytest.raises(ValueError, match=r"edited\.json: tree 0: feature entries must be integers"):
+            load_forest(path)
+        path.write_text(self._broken(lambda p: p.pop("trees")))
+        with pytest.raises(ValueError, match=r"edited\.json: forest JSON must be an object of exactly the keys"):
             load_forest(path)
 
     def test_nested_file_names_path_and_format(self, tmp_path):

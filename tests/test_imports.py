@@ -1,10 +1,12 @@
 """``report`` runs without scipy, its readers print nothing, and the quantiles that remain match ``scipy.stats``."""
 
 import filecmp
+import importlib
 import math
 import os
 import subprocess
 import sys
+import types
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+import rocbench
 from rocbench.cli import main
 from rocbench.core import ConfusionCounts, RatePair
 from rocbench.frequentist import confidence_ellipse, delta_method_test
@@ -35,6 +38,16 @@ def test_cli_import_leaves_scipy_stats_out():
         proc = _run(f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+
+
+def test_package_exports_each_modules_all():
+    modules = ("core", "rng", "roc", "forest", "frequentist", "bayes", "replacement")
+    declared = {name for m in modules for name in importlib.import_module(f"rocbench.{m}").__all__}
+    modules_bound = {n for n, v in vars(rocbench).items() if isinstance(v, types.ModuleType)}
+    public = {n for n in dir(rocbench) if not n.startswith("_")} - modules_bound
+    assert public == declared | set(rocbench._LAZY)
+    # the readers a benchmark fetches from the package to re-read a report's outputs
+    assert {"read_roc_csv", "read_bayesian_csv", "read_frequentist_csv", "load_forest"} <= public
 
 
 @pytest.fixture(scope="module")

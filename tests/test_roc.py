@@ -1,6 +1,7 @@
 """Curve construction, evaluation, geometry queries, CSV interchange."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,19 @@ class TestThresholds:
     def test_threshold_at_point_on_flat_segment(self):
         assert hand_curve().threshold_at_point((0.5, 1.0)) == pytest.approx(0.45)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_at_point_matches_the_run_scan(self, seed):
+        # tied scores make vertical runs; points sit on vertices, inside runs and on chords
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        roc = build_roc(rng.integers(0, 6, n).astype(float), np.r_[0, 1, rng.integers(0, 2, n - 2)])
+        pairs = [*zip(roc.alphas, roc.betas)]
+        pairs += [(a, float(roc.tpr_at_fpr(a))) for a in rng.random(5)]
+        pairs += [(roc.alphas[k], b) for k, b in zip(rng.integers(0, roc.n_points, 5), rng.random(5))]
+        for pair in pairs:
+            assert roc.threshold_at_point(pair) == _threshold_by_run_scan(roc, pair)
+
     def test_threshold_round_trip(self):
         roc = hand_curve()
         for c in np.linspace(-0.5, 0.85, 28):
@@ -201,6 +215,27 @@ class TestThresholds:
             pair_back = roc.pair_at_threshold(c_back)
             assert pair_back.alpha == pytest.approx(pair.alpha, abs=1e-9)
             assert pair_back.beta == pytest.approx(pair.beta, abs=1e-9)
+
+
+def _threshold_by_run_scan(roc, pair) -> float:
+    """``RocCurve.threshold_at_point`` with the top of a vertical run found one vertex at a time."""
+    a, b = float(pair[0]), float(pair[1])
+    al, be, th = roc.alphas, roc.betas, roc.thresholds
+    n = al.size
+    j = int(np.searchsorted(al, a, side="left"))
+    if j < n and al[j] == a:
+        k = j
+        while k + 1 < n and al[k + 1] == a:
+            k += 1
+        if b <= be[j]:
+            return float(th[j])
+        if b >= be[k]:
+            return float(th[k])
+        m = j + int(np.searchsorted(be[j : k + 1], b, side="left"))
+        s = (b - be[m - 1]) / (be[m] - be[m - 1])
+        return float(th[m - 1] + s * (th[m] - th[m - 1]))
+    s = (a - al[j - 1]) / (al[j] - al[j - 1])
+    return float(th[j - 1] + s * (th[j] - th[j - 1]))
 
 
 class TestDominatingSegment:
@@ -319,6 +354,16 @@ class TestCurveValidation:
     def test_thresholds_strictly_decreasing(self):
         with pytest.raises(ValueError):
             RocCurve(thresholds=[1.0, 1.0, 0.0], alphas=[0, 0.5, 1], betas=[0, 0.5, 1])
+
+    def test_extreme_thresholds_build_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roc = RocCurve([1e308, -1e308], [0, 1], [0, 1])
+            assert roc.n_points == 2
+            roc = build_roc(np.array([1e308, -1e308]), np.array([1, 0]))
+            np.testing.assert_array_equal(roc.thresholds[:2], [1e308, -1e308])
+            with pytest.raises(ValueError, match="thresholds must be strictly decreasing"):
+                RocCurve([-1e308, 1e308], [0, 1], [0, 1])
 
     def test_rates_monotone(self):
         with pytest.raises(ValueError):
