@@ -25,11 +25,20 @@ When ``max_features`` is at least the number of features every node
 uses every feature and nothing is drawn.  Otherwise each level draws
 the subsets of all its open nodes in one batch, in breadth-first node
 order, from the tree's substream after its bootstrap draw.
+
+A tree reads only its own substream, the forest's presort and the data,
+so the trees grow in worker processes forked from the caller, one per
+CPU in the process's affinity mask; the parent grows its share too.
+The model does not depend on how many CPUs there are.  Where the
+platform has no affinity mask, where the mask holds one CPU, or where
+the caller is itself a daemonic worker (which may not have children),
+the trees grow in the calling process.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -282,7 +291,11 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
 
 
 def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
-    """Fit a forest; same (data, params) always yields the identical model."""
+    """Fit a forest; same (data, params) always yields the identical model.
+
+    The trees grow across the CPUs in the process's affinity mask; the
+    model does not depend on how many there are.
+    """
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -296,13 +309,47 @@ def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
         raise ValueError("training data must contain both classes")
     n, d = X.shape
     sorted_rows = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-    trees = []
-    for i in range(params.n_trees):
+
+    def tree(i):
         rng = substream(params.seed, "tree", i)
         # bootstrap multiplicity of every row
         w = np.bincount(rng.integers(0, n, size=n), minlength=n) if params.bootstrap else np.ones(n, dtype=np.int64)
-        trees.append(_grow_tree(X, y, w, sorted_rows, params, rng))
-    return Forest(params=params, n_features=d, trees=trees)
+        return _grow_tree(X, y, w, sorted_rows, params, rng)
+
+    return Forest(params=params, n_features=d, trees=_map_forked(tree, params.n_trees))
+
+
+_task = None  # a forked worker's task; set only in workers, by ``_adopt``
+
+
+def _adopt(task):
+    global _task
+    _task = task
+
+
+def _run(i):
+    return _task(i)
+
+
+def _map_forked(task, n):
+    """``[task(0), ..., task(n - 1)]``, spread over this process and forked workers.
+
+    One process per CPU the affinity mask allows, at most ``n``.  The
+    parent runs the first ``n // workers`` tasks while the pool runs the
+    rest.  ``task`` reaches the workers through the initializer's
+    arguments, which a fork inherits and never pickles.
+    """
+    workers = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "sched_getaffinity") else 1
+    import multiprocessing
+
+    # a daemonic process (a pool worker) may not have children
+    if workers < 2 or multiprocessing.current_process().daemon:
+        return [task(i) for i in range(n)]
+    own = n // workers
+    with multiprocessing.get_context("fork").Pool(workers - 1, _adopt, (task,)) as pool:
+        rest = pool.map_async(_run, range(own, n))
+        head = [task(i) for i in range(own)]
+        return head + rest.get()
 
 
 # -- serialization -----------------------------------------------------

@@ -36,6 +36,18 @@ __all__ = [
 _ON_CURVE_TOL = 1e-12
 
 
+def _between(t0, t1, s) -> float:
+    """The threshold a fraction ``s`` of the way from ``t0`` to ``t1``.
+
+    ``t0 + s * (t1 - t0)`` where the difference is finite, since verdict
+    files print that rounding; the weighted mean, which cannot overflow,
+    where thresholds of opposite sign span more than the largest double.
+    """
+    t0, t1 = float(t0), float(t1)
+    step = t1 - t0  # Python floats: an overflow gives inf, without a warning
+    return float(t0 + s * step if np.isfinite(step) else (1 - s) * t0 + s * t1)
+
+
 @dataclass(frozen=True)
 class DominatingSegment:
     """The stretch of curve that weakly dominates a below-curve pair.
@@ -179,12 +191,10 @@ class RocCurve:
             if b >= be[k]:
                 return float(th[k])
             m = j + int(np.searchsorted(be[j : k + 1], b, side="left"))
-            s = (b - be[m - 1]) / (be[m] - be[m - 1])
-            return float(th[m - 1] + s * (th[m] - th[m - 1]))
+            return _between(th[m - 1], th[m], (b - be[m - 1]) / (be[m] - be[m - 1]))
         if j == 0 or j == n:
             raise ValueError(f"point {pair} is outside the curve's fpr range")
-        s = (a - al[j - 1]) / (al[j] - al[j - 1])
-        return float(th[j - 1] + s * (th[j] - th[j - 1]))
+        return _between(th[j - 1], th[j], (a - al[j - 1]) / (al[j] - al[j - 1]))
 
     # -- geometry queries -------------------------------------------------
 

@@ -16,7 +16,7 @@ from rocbench import cli, synthetic
 from rocbench.cli import RunConfig, build_parser, main
 from rocbench.core import rate_pair, read_cases_csv, write_cases_csv
 from rocbench.forest import load_forest
-from rocbench.roc import read_roc_csv
+from rocbench.roc import build_roc, read_roc_csv, write_roc_csv
 from rocbench.synthetic import (
     ComplementaritySpec,
     HeterogeneousCutoffsSpec,
@@ -188,6 +188,18 @@ class TestBenchmarks:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "maker_id,n,alpha_hat,beta_hat,case_label,c_lower,c_upper"
         assert len(lines) == 5
+
+    def test_freq_verdicts_on_extreme_thresholds(self, workdir, tmp_path, capsys):
+        # thresholds 1e308 and -1e308: interpolating between them must not overflow
+        roc = tmp_path / "roc.csv"
+        write_roc_csv(roc, build_roc(np.array([1e308, -1e308]), np.array([1, 0])))
+        out = tmp_path / "vf.csv"
+        assert main([
+            "bench-freq", "--cases", str(workdir["cases"]), "--roc", str(roc),
+            "--out", str(out), "--min-cases", "1", "--resamples", "30", "--seed", "3",
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().strip().splitlines()) == 5
 
     def test_min_cases_filter_can_empty_the_cohort(self, workdir, capsys):
         code = main([

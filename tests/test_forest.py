@@ -1,12 +1,15 @@
 """Tree growth, prediction, determinism, JSON interchange."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rocbench import forest as forest_module
 from rocbench.forest import (
     Forest,
     ForestParams,
@@ -215,6 +218,83 @@ class TestDeterminism:
         a = train_forest(X, y, ForestParams(seed=1, **base))
         b = train_forest(X, y, ForestParams(seed=2, **base))
         assert forest_to_json(a) != forest_to_json(b)
+
+
+def _cpus(monkeypatch, n):
+    """Make ``train_forest`` see ``n`` CPUs in the affinity mask: 1 grows in-process, more fork workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _train_json(args):
+    X, y, params = args
+    return forest_to_json(train_forest(X, y, params))
+
+
+class TestWorkerProcesses:
+    """Trees grown in forked workers equal trees grown in the calling process, and no worker outlives a call."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_forked_and_in_process_forests_are_identical(self, monkeypatch, seed, bootstrap):
+        rng = np.random.default_rng(30 + seed)
+        X = np.round(rng.normal(size=(400, 4)), 1)
+        y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.0, 400) > 0).astype(int)
+        probe = rng.normal(size=(200, 4))
+        for n_trees in (1, 2, 3, 7):
+            # max_features < d: the per-level feature draws run inside the workers
+            params = ForestParams(n_trees=n_trees, max_features=2, min_samples_split=10,
+                                  bootstrap=bootstrap, seed=seed)
+            runs = []
+            for cpus in (1, 3):
+                _cpus(monkeypatch, cpus)
+                forest = train_forest(X, y, params)
+                runs.append((forest_to_json(forest), forest.predict_propensity(probe)))
+                assert multiprocessing.active_children() == []  # no worker outlives the call
+            assert runs[0][0] == runs[1][0], n_trees
+            assert runs[0][1].tobytes() == runs[1][1].tobytes(), n_trees
+
+    def test_without_an_affinity_mask_trees_grow_in_process(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        X = rng.random((300, 3))
+        y = (X[:, 0] > X[:, 1]).astype(int)
+        params = ForestParams(n_trees=4, max_features=2, min_samples_split=20)
+        _cpus(monkeypatch, 2)
+        forked = forest_to_json(train_forest(X, y, params))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(multiprocessing, "get_context", None)  # any pool would fail
+        assert forest_to_json(train_forest(X, y, params)) == forked
+
+    @pytest.mark.parametrize("failing", [0, 3])  # 0 grows in the parent, 3 in a worker
+    def test_a_failing_tree_reaches_the_caller(self, monkeypatch, failing):
+        rng = np.random.default_rng(42)
+        X = rng.random((300, 3))
+        y = (X[:, 0] > X[:, 1]).astype(int)
+        params = ForestParams(n_trees=7, max_features=2, min_samples_split=20, seed=5)
+        # a tree is known by its bootstrap multiplicities
+        target = np.bincount(substream(params.seed, "tree", failing).integers(0, 300, size=300), minlength=300)
+        grow = forest_module._grow_tree
+
+        def grow_or_fail(X, y, w, *rest):
+            if np.array_equal(w, target):
+                raise RuntimeError(f"tree {failing} failed")
+            return grow(X, y, w, *rest)
+
+        monkeypatch.setattr(forest_module, "_grow_tree", grow_or_fail)
+        _cpus(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match=f"tree {failing} failed"):
+            train_forest(X, y, params)
+        assert multiprocessing.active_children() == []
+
+    def test_inside_a_daemonic_pool_worker(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        X = rng.random((300, 3))
+        y = (X[:, 0] > X[:, 1]).astype(int)
+        args = (X, y, ForestParams(n_trees=5, max_features=2, min_samples_split=20, seed=2))
+        _cpus(monkeypatch, 3)  # the pool's fork inherits the mask, so only the daemon check keeps it in-process
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply_async(_train_json, (args,)).get(timeout=60)
+        assert inside == _train_json(args)
+        assert multiprocessing.active_children() == []
 
 
 class TestSerialization:

@@ -365,6 +365,16 @@ class TestCurveValidation:
             with pytest.raises(ValueError, match="thresholds must be strictly decreasing"):
                 RocCurve([-1e308, 1e308], [0, 1], [0, 1])
 
+    def test_threshold_between_extreme_thresholds_is_finite(self):
+        # 1e308 - -1e308 overflows; the point's threshold still lies between its vertices'
+        roc = build_roc(np.array([1e308, -1e308]), np.array([1, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair, (hi, lo) in (((0.0, 0.5), (0, 1)), ((0.0, 0.25), (0, 1)), ((0.5, 1.0), (1, 2))):
+                c = roc.threshold_at_point(pair)
+                assert np.isfinite(c)
+                assert roc.thresholds[lo] <= c <= roc.thresholds[hi]
+
     def test_rates_monotone(self):
         with pytest.raises(ValueError):
             RocCurve(thresholds=[1.0, 0.5, 0.0], alphas=[0, 0.6, 1], betas=[0, 1.0, 0.9])
