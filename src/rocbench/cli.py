@@ -84,8 +84,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be two positive integers")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        if self.min_cases < 1:
-            raise ValueError("min_cases must be >= 1")
+        for name, least in (("min_cases", 1), ("n_resamples", 1), ("n_draws", 1), ("grid_size", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        ForestParams(self.n_trees, self.max_features, self.min_samples_split, self.bootstrap)
         LossKind(self.loss_kind)
         if self.prior_weight <= 0:
             raise ValueError("prior_weight must be positive")

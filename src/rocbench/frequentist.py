@@ -30,7 +30,7 @@ import numpy as np
 from .core import ConfusionCounts, RatePair, naming_maker, rate_pair
 from .csvio import format_float, format_optional, parse_float, parse_optional, read_fields, write_fields
 from .replacement import Verdicts
-from .roc import DominatingSegment, RocCurve
+from .roc import _ON_CURVE_TOL, DominatingSegment, RocCurve
 
 __all__ = [
     "CaseLabel",
@@ -145,15 +145,6 @@ class EllipseSet:
         d = np.asarray([pair[0] - self.center.alpha, pair[1] - self.center.beta])
         return float(d @ self._inverse() @ d) <= self.chi2_quantile * (1 + 1e-9)
 
-    def boundary(self, n_points: int = 1024) -> np.ndarray:
-        """Boundary discretization, clipped to the unit square; (n, 2)."""
-        w, v = np.linalg.eigh((self.cov + self.cov.T) / 2.0)
-        scale = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-        t = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-        circle = np.vstack([np.cos(t), np.sin(t)])
-        pts = np.asarray(self.center)[:, None] + np.sqrt(self.chi2_quantile) * scale @ circle
-        return np.clip(pts.T, 0.0, 1.0)
-
     def reference_point(self) -> RatePair:
         """Most favorable corner: smallest fpr paired with largest tpr.
 
@@ -182,16 +173,12 @@ def confidence_ellipse(center: RatePair, cov, level: float) -> EllipseSet:
     return EllipseSet(center=center, cov=cov, level=level, chi2_quantile=q)
 
 
-def classify_maker(
-    ellipse: EllipseSet, roc: RocCurve, boundary_points: int = 1024, tol: float = 1e-12
-) -> CaseLabel:
-    """Three-way replace/retain call from the ellipse's position."""
+def classify_maker(ellipse: EllipseSet, roc: RocCurve) -> CaseLabel:
+    """Three-way replace/retain call from the ellipse's position, exact up to the on-curve tolerance."""
     p = ellipse.reference_point()
-    if roc.tpr_at_fpr(p.alpha) - p.beta > tol:
+    if roc.tpr_at_fpr(p.alpha) - p.beta > _ON_CURVE_TOL:
         return CaseLabel.CASE1
-    b = ellipse.boundary(boundary_points)
-    gap = b[:, 1] - roc.tpr_at_fpr(b[:, 0])
-    if float(gap.max()) >= -tol:
+    if roc.ellipse_gap(ellipse.center, ellipse.cov, ellipse.chi2_quantile) >= -_ON_CURVE_TOL:
         return CaseLabel.CASE3
     return CaseLabel.CASE2
 

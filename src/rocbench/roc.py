@@ -214,6 +214,37 @@ class RocCurve:
             c_lower=min(t_a, t_b), c_upper=max(t_a, t_b), a_pair=a_pair, b_pair=b_pair
         )
 
+    def ellipse_gap(self, center, cov, q: float) -> float:
+        """Largest tpr - g(fpr) over the ellipse (x - center)' cov^-1 (x - center) <= q.
+
+        Each point is first clipped to the unit square, save that tpr is not
+        clipped above 1, which cannot change the sign as g <= 1.  Beside a
+        vertical run the gap just left of it counts.  ``cov`` is symmetric,
+        with a positive fpr variance (``confidence_ellipse`` floors it).
+        """
+        ca, cb = float(center[0]), float(center[1])
+        saa, sab, sbb = float(cov[0][0]), float(cov[0][1]), float(cov[1][1])
+        # over fpr = ca + ra * tau, tau in [-1, 1], the upper edge is
+        # tpr = cb + tilt * tau + bulge * sqrt(1 - tau^2)
+        ra, tilt = math.sqrt(q * saa), sab * math.sqrt(q / saa)
+        bulge = math.sqrt(max(q * (sbb - sab * sab / saa), 0.0))
+        # of the slabs the fpr range meets, slab k spans knots k - 1 and k
+        # with their chord; slabs 0 and m are fpr < 0 and > 1, flat at g(0), g(1)
+        ua, m = self._ua, self._ua.size
+        k = np.arange(*(np.searchsorted(ua, [ca - ra, ca + ra], side="right") + [0, 1]))
+        j, r = np.maximum(k - 1, 0), np.minimum(k, m - 1)
+        left, right = np.where(k > 0, ua[j], -np.inf), np.where(k < m, ua[r], np.inf)
+        slope = (self._lo[r] - self._hi[j]) / (right - left)
+        # tpr - chord is concave in tau: it tops where the edge's slope is the chord's, clamped to the slab
+        lean = tilt - slope * ra
+        h = np.hypot(lean, bulge)
+        tau = np.divide(lean, h, out=np.zeros_like(h), where=h > 0.0)
+        tau = np.clip(tau, np.maximum((left - ca) / ra, -1.0), np.minimum((right - ca) / ra, 1.0))
+        edge = cb + tilt * tau + bulge * np.sqrt(1.0 - tau * tau)
+        gap = edge - self._hi[j] - slope * (ca + ra * tau - ua[j])
+        # clipping tpr up to 0 adds the leftmost point, at tpr 0
+        return max(float(gap.max()), -self.tpr_at_fpr(ca - ra))
+
     def concavity_violations(self, tol: float = _ON_CURVE_TOL) -> list[int]:
         """Interior vertex indices where the chord slope increases."""
         da = np.diff(self.alphas)

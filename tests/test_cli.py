@@ -16,6 +16,8 @@ from rocbench import cli, synthetic
 from rocbench.cli import RunConfig, build_parser, main
 from rocbench.core import rate_pair, read_cases_csv, write_cases_csv
 from rocbench.forest import load_forest
+from rocbench.frequentist import benchmark_maker_frequentist, read_frequentist_csv, write_frequentist_csv
+from rocbench.replacement import Verdicts
 from rocbench.roc import build_roc, read_roc_csv, write_roc_csv
 from rocbench.synthetic import (
     ComplementaritySpec,
@@ -188,6 +190,22 @@ class TestBenchmarks:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "maker_id,n,alpha_hat,beta_hat,case_label,c_lower,c_upper"
         assert len(lines) == 5
+
+    def test_freq_verdicts_with_asymptotic_covariance(self, workdir, tmp_path):
+        out = tmp_path / "vf.csv"
+        assert main([
+            "bench-freq", "--cases", str(workdir["cases"]), "--roc", str(workdir["roc"]),
+            "--out", str(out), "--min-cases", "1", "--cov", "asymptotic", "--level", "0.9",
+        ]) == 0
+        roc = read_roc_csv(workdir["roc"])
+        loop = Verdicts.from_rows(
+            benchmark_maker_frequentist(m, c, roc, level=0.9, cov_method="asymptotic")
+            for m, c in read_cases_csv(workdir["cases"]).counts_by_maker().items()
+        )
+        # the file as written: labels, and cuts at the precision verdict files print
+        write_frequentist_csv(tmp_path / "loop.csv", loop)
+        assert out.read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert set(read_frequentist_csv(out)["case_label"].tolist()) > {"case1"}
 
     def test_freq_verdicts_on_extreme_thresholds(self, workdir, tmp_path, capsys):
         # thresholds 1e308 and -1e308: interpolating between them must not overflow
@@ -603,6 +621,19 @@ class TestConfigResolution:
             RunConfig(loss_kind="nonsense")
         with pytest.raises(ValueError):
             RunConfig(prior_weight=0.0)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "1", "grid_size must be >= 2"),
+        ("--draws", "0", "n_draws must be >= 1"),
+        ("--resamples", "0", "n_resamples must be >= 1"),
+        ("--trees", "0", "n_trees must be >= 1"),
+        ("--max-features", "0", "max_features must be >= 1"),
+        ("--min-split", "1", "min_samples_split must be >= 2"),
+    ])
+    def test_bad_setting_refused_before_the_cases_are_read(self, flag, value, message, tmp_path, capsys):
+        argv = ["report", "--cases", str(tmp_path / "missing.csv"), flag, value, "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": f"ValueError: {message}"}
 
     def test_ratio_strings_parsed(self):
         cfg = RunConfig(outer_ratio=(7, 3))

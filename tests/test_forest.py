@@ -285,6 +285,17 @@ class TestWorkerProcesses:
             train_forest(X, y, params)
         assert multiprocessing.active_children() == []
 
+    @given(st.deferred(lambda: training_sets(narrow=True)))  # defined below, beside the reference growers
+    @settings(max_examples=20, deadline=None)
+    def test_property(self, case):
+        X, y, params = case
+        runs = []
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:  # hypothesis takes no function-scoped fixture
+                _cpus(mp, cpus)
+                runs.append(forest_to_json(train_forest(X, y, params)))
+        assert runs[0] == runs[1]
+
     def test_inside_a_daemonic_pool_worker(self, monkeypatch):
         rng = np.random.default_rng(43)
         X = rng.random((300, 3))
@@ -813,7 +824,9 @@ class TestAgainstRecursiveReference:
     @given(training_sets())
     @settings(max_examples=300, deadline=None)
     def test_property(self, case):
-        _assert_matches_reference(*case)
+        with pytest.MonkeyPatch.context() as mp:  # one CPU: no worker pool per example
+            _cpus(mp, 1)
+            _assert_matches_reference(*case)
 
     def test_zero_gain_cut_rounds_as_reference(self):
         # each value holds 34 of 193 positives, so the cut's exact gain is
@@ -850,8 +863,9 @@ class TestAgainstSlotReference:
     @given(training_sets(narrow=True))
     @settings(max_examples=300, deadline=None)
     def test_property(self, case):
-        X, y, params = case
-        _assert_matches_slots(X, y, params)
+        with pytest.MonkeyPatch.context() as mp:  # one CPU: no worker pool per example
+            _cpus(mp, 1)
+            _assert_matches_slots(*case)
 
     def test_feature_draws_on_a_cohort(self):
         rng = np.random.default_rng(5)

@@ -130,20 +130,6 @@ class TestConfidenceEllipse:
         assert e.contains((0.5, 0.5))
         assert not e.contains((0.9, 0.9))
 
-    def test_boundary_on_shell(self):
-        cov = np.array([[4e-4, 1e-4], [1e-4, 9e-4]])
-        e = confidence_ellipse(RatePair(0.5, 0.5), cov, 0.9)
-        pts = e.boundary(256)
-        inv = np.linalg.inv(cov)
-        d = pts - [0.5, 0.5]
-        maha = np.einsum("ij,jk,ik->i", d, inv, d)
-        np.testing.assert_allclose(maha, e.chi2_quantile, rtol=1e-9)
-
-    def test_boundary_clipped_to_unit_square(self):
-        e = confidence_ellipse(RatePair(0.01, 0.99), np.diag([0.01, 0.01]), 0.95)
-        pts = e.boundary()
-        assert pts.min() >= 0.0 and pts.max() <= 1.0
-
     def test_level_validated(self):
         with pytest.raises(ValueError):
             confidence_ellipse(RatePair(0.5, 0.5), np.eye(2), 1.0)
@@ -185,6 +171,36 @@ class TestClassifyMaker:
             for s in (1e-1, 1e-6)
         ]
         assert labels[-1] is CaseLabel.CASE1
+
+    def test_thin_tip_between_boundary_samples_reaches_the_curve(self):
+        # a needle whose farthest point across the diagonal lies 1e-7 above
+        # it; 1024 evenly spaced boundary points all fall below the line
+        theta = np.radians(78.0)
+        u = np.array([np.cos(theta), np.sin(theta)])
+        cov = 0.03**2 * np.outer(u, u) + 0.0003**2 * np.outer([-u[1], u[0]], [-u[1], u[0]])
+        normal = np.array([-1.0, 1.0])
+        reach = np.sqrt(CHI2_2DF_95 * normal @ cov @ normal)
+        e = confidence_ellipse(RatePair(0.5, 0.5 - reach + 1e-7), cov, 0.95)
+        tip = np.asarray(e.center) + 0.999999 * CHI2_2DF_95 * cov @ normal / reach
+        assert e.contains(tip) and tip[1] > tip[0]
+        assert classify_maker(e, diagonal()) is CaseLabel.CASE3
+
+    def test_notch_left_of_a_vertical_run_reaches_the_curve(self):
+        # the curve jumps from tpr 0.2 to 0.8 at fpr 0.5; just left of the
+        # jump the circle's top (about 0.21) clears the chord
+        roc = RocCurve.from_pairs([(0.0, 0.0), (0.5, 0.2), (0.5, 0.8), (1.0, 1.0)])
+        e = confidence_ellipse(RatePair(0.52, 0.19), np.diag([1.5e-4, 1.5e-4]), 0.95)
+        assert classify_maker(e, roc) is CaseLabel.CASE3
+
+    def test_zero_tpr_beside_a_curve_flat_at_zero(self):
+        # the curve is 0 up to fpr 0.3; the thin rising ellipse around
+        # (0.35, 0) stays under the curve except where clipping raises its
+        # lower-left end, left of fpr 0.3, to tpr 0
+        roc = RocCurve.from_pairs([(0.0, 0.0), (0.3, 0.0), (1.0, 1.0)])
+        cov = (0.1**2 / CHI2_2DF_95) * np.array([[1.0, 1 - 1e-6], [1 - 1e-6, 1.0]])
+        e = confidence_ellipse(RatePair(0.35, 0.0), cov, 0.95)
+        assert roc.ellipse_gap(e.center, cov, e.chi2_quantile) == 0.0
+        assert classify_maker(e, roc) is CaseLabel.CASE3
 
 
 class TestDeltaMethod:

@@ -287,6 +287,73 @@ class TestDominatingSegment:
             assert abs(seg.c_upper - hi) <= step + 1e-9
 
 
+CHI2_95 = -2.0 * np.log(0.05)
+
+
+def sampled_gap(roc, center, cov, q, n_points=2**16):
+    """Dense oracle for ``ellipse_gap``: the largest gap over ``n_points`` boundary points.
+
+    Each point's fpr is clipped to [0, 1] (``tpr_at_fpr`` does it) and its
+    tpr up to 0, as ``ellipse_gap`` clips them.
+    """
+    w, v = np.linalg.eigh(cov)
+    scale = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    t = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    pts = np.asarray(center)[:, None] + np.sqrt(q) * scale @ np.vstack([np.cos(t), np.sin(t)])
+    return float((np.maximum(pts[1], 0.0) - roc.tpr_at_fpr(pts[0])).max())
+
+
+@st.composite
+def ellipses_below_curves(draw):
+    """(curve, center, cov): a curve and a 95 % ellipse centered 0-3 tpr radii below it."""
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):  # small integer scores tie, so the curve has vertical runs
+        scores = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    else:
+        scores = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[:2] = [0, 1]
+    roc = build_roc(np.asarray(scores, dtype=float), labels)
+    # variances floored as confidence_ellipse floors them
+    va, vb = (max(10.0 ** draw(st.floats(-14.0, -1.0)), 1e-12) for _ in range(2))
+    rho = draw(st.floats(-(1 - 1e-9), 1 - 1e-9))
+    cov = np.array([[va, rho * np.sqrt(va * vb)], [rho * np.sqrt(va * vb), vb]])
+    ca = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    cb = max(roc.tpr_at_fpr(ca) - draw(st.floats(0.0, 3.0)) * np.sqrt(CHI2_95 * vb), 0.0)
+    return roc, (ca, cb), cov
+
+
+class TestEllipseGap:
+    def test_disc_below_the_diagonal(self):
+        # the top of tpr - fpr over a disc is its center's gap plus the radius along (-1, 1)
+        cov = np.diag([4e-4, 4e-4])
+        gap = diagonal().ellipse_gap((0.5, 0.43), cov, CHI2_95)
+        assert gap == pytest.approx(-0.07 + np.sqrt(CHI2_95 * 8e-4), abs=1e-14)
+
+    @given(ellipses_below_curves())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_boundary_sampling(self, case):
+        roc, center, cov = case
+        n_points = 2**16
+        gap = roc.ellipse_gap(center, cov, CHI2_95)
+        oracle = sampled_gap(roc, center, cov, CHI2_95, n_points)
+        # Sampling can only miss the top.  Samples are dt apart in the
+        # boundary's angle, along which a point moves at most
+        # sqrt(q * largest eigenvalue) per radian.  From the maximizer, the
+        # sample a step towards smaller fpr has a tpr within that distance
+        # and no higher curve value (g is nondecreasing); the step can pass
+        # the leftmost point, and then the sample's fpr exceeds the
+        # maximizer's by at most ra * dt^2 / 2, over which g rises at most
+        # its steepest chord slope times that (no vertical run sits in so
+        # thin a sliver on these curves).
+        dt = 2.0 * np.pi / n_points
+        speed = np.sqrt(CHI2_95 * np.linalg.eigvalsh(cov).max())
+        da, db = np.diff(roc.alphas), np.diff(roc.betas)
+        steepest = (db[da > 0] / da[da > 0]).max()
+        ra = np.sqrt(CHI2_95 * cov[0, 0])
+        assert oracle - 1e-12 <= gap <= oracle + speed * dt + steepest * ra * dt * dt / 2 + 1e-12
+
+
 class TestConcavity:
     def test_diagonal_clean(self):
         assert diagonal().concavity_violations() == []
