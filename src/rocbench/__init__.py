@@ -18,30 +18,11 @@ from .forest import *
 from .frequentist import *
 from .bayes import *
 from .replacement import *
+from .synthetic import *
 
-# The synthetic generators need scipy.special and RunConfig lives in the
-# CLI module, so both load on first use: importing the package stays
-# scipy-free, and ``python -m rocbench.cli`` finds the CLI not yet imported.
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "ComplementaritySpec",
-            "HeterogeneousCutoffsSpec",
-            "IncentiveSpec",
-            "PredictedDoctorSpec",
-            "concave_reference_roc",
-            "concave_reference_tpr",
-            "cutoff_pair",
-            "generate_complementarity",
-            "generate_heterogeneous_cutoffs",
-            "generate_incentive",
-            "generate_predicted_doctor",
-            "incentive_analytic",
-        ),
-        "synthetic",
-    ),
-    "RunConfig": "cli",
-}
+# RunConfig lives in the CLI module, so it loads on first use:
+# ``python -m rocbench.cli`` then finds the CLI not yet imported.
+_LAZY = {"RunConfig": "cli"}
 
 
 def __getattr__(name: str):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from .replacement import (
 )
 from .rng import substream
 from .roc import build_roc, read_roc_csv, write_roc_csv
+from .synthetic import GENERATORS, write_manifest
 
 OUT_ENV = "ROCBENCH_OUT"
 # the sweeps `report` runs, and the defaults of `path` and `randomized`
@@ -76,20 +78,29 @@ class RunConfig:
     prior_weight: float = DEFAULT_PRIOR_WEIGHT
 
     def __post_init__(self):
-        object.__setattr__(self, "outer_ratio", tuple(int(v) for v in self.outer_ratio))
-        object.__setattr__(self, "inner_ratio", tuple(int(v) for v in self.inner_ratio))
+        def integer(value):
+            return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
         for name in ("outer_ratio", "inner_ratio"):
             r = getattr(self, name)
-            if len(r) != 2 or min(r) < 1:
+            if not isinstance(r, (tuple, list)) or len(r) != 2 or not all(integer(v) and v >= 1 for v in r):
                 raise ValueError(f"{name} must be two positive integers")
+            object.__setattr__(self, name, tuple(int(v) for v in r))
+        for name in ("level", "prior_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        for name, least in (("min_cases", 1), ("n_resamples", 1), ("n_draws", 1), ("grid_size", 2)):
-            if getattr(self, name) < least:
+        for name, least in (("seed", 0), ("min_cases", 1), ("n_resamples", 1), ("n_draws", 1), ("grid_size", 2)):
+            value = getattr(self, name)
+            if not integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
                 raise ValueError(f"{name} must be >= {least}")
         ForestParams(self.n_trees, self.max_features, self.min_samples_split, self.bootstrap)
         LossKind(self.loss_kind)
-        if self.prior_weight <= 0:
+        if not self.prior_weight > 0:
             raise ValueError("prior_weight must be positive")
 
     def forest_params(self) -> ForestParams:
@@ -212,9 +223,6 @@ def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, 
 
 def _simulate_spec(args):
     """The ``--dgp`` generator's spec from the flags given; the spec supplies every other value."""
-    # the generators need scipy.special; importing them here keeps it off every other subcommand
-    from .synthetic import GENERATORS
-
     given = {name: getattr(args, name) for name in _SIMULATE_FLAGS if getattr(args, name) is not None}
     unread = [_SIMULATE_FLAGS[name][0] for name in given if name not in _GENERATOR_FLAGS[args.dgp]]
     if unread:
@@ -233,8 +241,6 @@ def _simulate_spec(args):
 
 
 def _cmd_simulate(args) -> int:
-    from .synthetic import GENERATORS, write_manifest
-
     spec = _simulate_spec(args)
     _, generate = GENERATORS[args.dgp]
     out = _out_dir(args)

@@ -17,9 +17,9 @@ Breiman's bagged trees are), so counts are weighted sums and the model
 equals one grown on every bootstrap slot.  The rows are sorted once per
 feature per forest, and a tree keeps the drawn ones; each level then
 evaluates the Gini expression at every distinct-value boundary of every
-open node in one vectorised pass, and a stable partition carries each
-node's rows, still sorted, into its children.  Rows of settled nodes
-drop out.  Prediction moves all rows down one level at a time.
+open node in one vectorised pass, and a stable sort by (feature, child)
+moves each node's rows, still sorted, into its open children; rows of
+settled nodes drop out.  Prediction moves all rows down level by level.
 
 When ``max_features`` is at least the number of features every node
 uses every feature and nothing is drawn.  Otherwise each level draws
@@ -69,12 +69,14 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_features < 1:
-            raise ValueError("max_features must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
+        for name, least in (("n_trees", 1), ("max_features", 1), ("min_samples_split", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not isinstance(self.bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,25 +270,13 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
         value[c_ids[done]] = c_pos[done] / c_count[done]
         ids, size, count, pos = c_ids[~done], c_size[~done], c_count[~done], c_pos[~done]
 
-        # stable partition into the next layout, where each row holds the
-        # open children node by node.  The i-th kept-left sample of the
-        # whole layout moves to i plus the kept-right samples ahead of it
-        # there (those of earlier rows and of earlier nodes in its row);
-        # kept-right samples move the same way past kept-left ones.
-        side = np.zeros(n, dtype=np.int8)
-        side[samples] = np.where(done.take(child), 0, 2 - go_left)
-        sides = side.take(order)
-        kept_left = np.zeros(k, dtype=np.int64)
-        kept_right = np.zeros(k, dtype=np.int64)
-        kept_left[ok] = np.where(done[0::2], 0, c_size[0::2])
-        kept_right[ok] = np.where(done[1::2], 0, c_size[1::2])
-        n_left, n_right = int(kept_left.sum()), int(kept_right.sum())
-        shift_left = (feats[:, None] * n_right + np.cumsum(kept_right) - kept_right).ravel()
-        shift_right = (feats[:, None] * n_left + np.cumsum(kept_left)).ravel()
-        nxt = np.empty(d * (n_left + n_right), dtype=order.dtype)
-        nxt[np.arange(d * n_left) + np.repeat(shift_left, np.tile(kept_left, d))] = order[sides == 1]
-        nxt[np.arange(d * n_right) + np.repeat(shift_right, np.tile(kept_right, d))] = order[sides == 2]
-        order = nxt
+        # next layout: a stable sort by (feature, open child); rows of settled
+        # children and of nodes that did not split sort past all others
+        past = 2 * n_split * d
+        slot = np.full(n, past)
+        slot[samples] = np.where(done.take(child), past, child)
+        key = slot.take(order) + np.repeat(feats * (2 * n_split), m)
+        order = order.take(np.argsort(key, kind="stable")[: d * int(size.sum())])
     return Tree(feature[:n_nodes].copy(), value[:n_nodes].copy())
 
 

@@ -198,13 +198,13 @@ class RocCurve:
 
     # -- geometry queries -------------------------------------------------
 
-    def dominating_segment(self, pair, tol: float = _ON_CURVE_TOL) -> DominatingSegment | None:
+    def dominating_segment(self, pair) -> DominatingSegment | None:
         """Dominating stretch for a pair strictly below the curve, else None."""
         a_q, b_q = float(pair[0]), float(pair[1])
         if not (0.0 <= a_q <= 1.0 and 0.0 <= b_q <= 1.0):
             raise ValueError(f"pair {pair} outside the unit square")
         g_a = self.tpr_at_fpr(a_q)
-        if g_a - b_q <= tol:
+        if g_a - b_q <= _ON_CURVE_TOL:
             return None
         a_pair = RatePair(a_q, float(g_a))
         b_pair = RatePair(float(self.fpr_at_tpr(b_q)), b_q)
@@ -245,14 +245,14 @@ class RocCurve:
         # clipping tpr up to 0 adds the leftmost point, at tpr 0
         return max(float(gap.max()), -self.tpr_at_fpr(ca - ra))
 
-    def concavity_violations(self, tol: float = _ON_CURVE_TOL) -> list[int]:
+    def concavity_violations(self) -> list[int]:
         """Interior vertex indices where the chord slope increases."""
         da = np.diff(self.alphas)
         db = np.diff(self.betas)
         with np.errstate(divide="ignore", invalid="ignore"):
             slopes = db / da
         # a zero-length segment contributes nan; nan comparisons are False
-        bad = slopes[1:] > slopes[:-1] + tol
+        bad = slopes[1:] > slopes[:-1] + _ON_CURVE_TOL
         return [int(i) + 1 for i in np.flatnonzero(bad)]
 
     def distance_to_curve(self, points: np.ndarray) -> np.ndarray:
@@ -285,30 +285,17 @@ class RocCurve:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, pairs, thresholds=None) -> "RocCurve":
+    def from_pairs(cls, pairs) -> "RocCurve":
         """Curve through given (fpr, tpr) vertices; anchors added if missing.
 
-        When thresholds are not supplied, synthetic strictly decreasing
-        thresholds on [0, 1] are assigned.
+        The vertices get synthetic strictly decreasing thresholds on [0, 1].
         """
         pts = [(float(p[0]), float(p[1])) for p in pairs]
         prepend = not pts or pts[0] != (0.0, 0.0)
         append = not pts or pts[-1] != (1.0, 1.0)
-        if thresholds is None:
-            full = ([(0.0, 0.0)] if prepend else []) + pts + ([(1.0, 1.0)] if append else [])
-            arr = np.asarray(full)
-            return cls(np.linspace(1.0, 0.0, arr.shape[0]), arr[:, 0], arr[:, 1])
-        th = list(np.asarray(thresholds, dtype=np.float64))
-        if len(th) != len(pts):
-            raise ValueError("thresholds must match the given pairs")
-        if prepend:
-            pts.insert(0, (0.0, 0.0))
-            th.insert(0, (th[0] + 1.0) if th else 1.0)
-        if append:
-            pts.append((1.0, 1.0))
-            th.append((th[-1] - 1.0) if th else 0.0)
-        arr = np.asarray(pts)
-        return cls(np.asarray(th), arr[:, 0], arr[:, 1])
+        full = ([(0.0, 0.0)] if prepend else []) + pts + ([(1.0, 1.0)] if append else [])
+        arr = np.asarray(full)
+        return cls(np.linspace(1.0, 0.0, arr.shape[0]), arr[:, 0], arr[:, 1])
 
 
 def build_roc(scores, labels) -> RocCurve:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, logit, ndtr
 
 from .core import CohortDataset, RatePair
 from .csvio import write_json
@@ -110,6 +109,8 @@ class ComplementarityResult:
 
 def generate_complementarity(spec: ComplementaritySpec) -> ComplementarityResult:
     """Per-maker draw order: x1, x2, u, outcome draw, cost."""
+    from scipy.special import expit  # kept out of the import of the package
+
     scales = np.array([1.95, 0.25, 2.0])
     if not spec.scale_as_sd:
         scales = np.sqrt(scales)
@@ -199,6 +200,8 @@ class PredictedDoctorResult:
 
 
 def generate_predicted_doctor(spec: PredictedDoctorSpec) -> PredictedDoctorResult:
+    from scipy.special import expit, logit, ndtr  # kept out of the import of the package
+
     g = substream(spec.seed, "maker", 0)
     cut = float(logit(spec.c0))
     if spec.scenario in (1, 3):

@@ -621,6 +621,29 @@ class TestConfigResolution:
             RunConfig(loss_kind="nonsense")
         with pytest.raises(ValueError):
             RunConfig(prior_weight=0.0)
+        # mistyped settings, as a JSON config file can hold them, are refused by name
+        for bad, message in [
+            ({"bootstrap": "false"}, "^bootstrap must be true or false, got 'false'$"),
+            ({"n_trees": "3"}, "^n_trees must be an integer, got '3'$"),
+            ({"outer_ratio": [7.9, 3]}, "^outer_ratio must be two positive integers$"),
+            ({"inner_ratio": [4, True]}, "^inner_ratio must be two positive integers$"),
+            ({"inner_ratio": 4}, "^inner_ratio must be two positive integers$"),
+            ({"prior_weight": "0.1"}, "^prior_weight must be a number, got '0.1'$"),
+            ({"prior_weight": float("nan")}, "^prior_weight must be positive$"),
+            ({"level": True}, "^level must be a number, got True$"),
+            ({"level": None}, "^level must be a number, got None$"),
+            ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
+            ({"seed": -1}, "^seed must be >= 0$"),
+            ({"min_cases": 300.0}, "^min_cases must be an integer, got 300.0$"),
+            ({"n_resamples": "100"}, "^n_resamples must be an integer, got '100'$"),
+            ({"n_draws": False}, "^n_draws must be an integer, got False$"),
+            ({"grid_size": 512.5}, "^grid_size must be an integer, got 512.5$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                RunConfig(**bad)
+        # numpy numbers pass, and the ratios come back as tuples of ints
+        cfg = RunConfig(seed=np.int64(4), outer_ratio=[np.int32(7), 3], level=np.float64(0.9), prior_weight=1)
+        assert cfg.outer_ratio == (7, 3) and type(cfg.outer_ratio[0]) is int
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid", "1", "grid_size must be >= 2"),

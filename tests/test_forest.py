@@ -124,6 +124,10 @@ class TestTrainValidation:
             ForestParams(max_features=0)
         with pytest.raises(ValueError):
             ForestParams(min_samples_split=1)
+        # numpy integers are integers; bool is not
+        assert ForestParams(n_trees=np.int64(3), seed=np.uint64(2**63)).n_trees == 3
+        with pytest.raises(ValueError, match="^n_trees must be an integer, got True$"):
+            ForestParams(n_trees=True)
 
 
 def _collect_features(tree, out):
@@ -383,6 +387,13 @@ class TestSerialization:
         (lambda p: p.update(n_features=True), "^n_features must be an integer >= 1, got True$"),
         (lambda p: p.update(n_features=0), "^n_features must be an integer >= 1, got 0$"),
         (lambda p: p.update(trees={}), "^trees must be a list$"),
+        (lambda p: p["params"].update(n_trees="3"), "^n_trees must be an integer, got '3'$"),
+        (lambda p: p["params"].update(min_samples_split=20.0), "^min_samples_split must be an integer, got 20.0$"),
+        (lambda p: p["params"].update(max_features=True), "^max_features must be an integer, got True$"),
+        (lambda p: p["params"].update(seed=1.5), "^seed must be an integer, got 1.5$"),
+        (lambda p: p["params"].update(seed=-2), "^seed must be >= 0$"),
+        (lambda p: p["params"].update(bootstrap="no"), "^bootstrap must be true or false, got 'no'$"),
+        (lambda p: p["params"].update(bootstrap=1), "^bootstrap must be true or false, got 1$"),
     ])
     def test_loader_rejects(self, edit, message):
         with pytest.raises(ValueError, match=message):
@@ -398,6 +409,9 @@ class TestSerialization:
             load_forest(path)
         path.write_text(self._broken(lambda p: p.pop("trees")))
         with pytest.raises(ValueError, match=r"edited\.json: forest JSON must be an object of exactly the keys"):
+            load_forest(path)
+        path.write_text(self._broken(lambda p: p["params"].update(n_trees="3")))
+        with pytest.raises(ValueError, match=r"edited\.json: n_trees must be an integer, got '3'$"):
             load_forest(path)
 
     def test_nested_file_names_path_and_format(self, tmp_path):
@@ -873,3 +887,7 @@ class TestAgainstSlotReference:
         y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.0, 2000) > 0).astype(int)
         params = ForestParams(n_trees=3, max_features=2, min_samples_split=10, seed=3)
         _assert_matches_slots(X, y, params)
+        # deep trees: levels of about a hundred open nodes, many children settling mid-level
+        X = np.round(rng.normal(size=(5000, 6)), 1)
+        y = (X[:, 1] - X[:, 4] + rng.normal(0.0, 3.0, 5000) > 0).astype(int)
+        _assert_matches_slots(X, y, ForestParams(n_trees=2, max_features=3, min_samples_split=2, seed=8))

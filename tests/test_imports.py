@@ -41,7 +41,7 @@ def test_cli_import_leaves_scipy_stats_out():
 
 
 def test_package_exports_each_modules_all():
-    modules = ("core", "rng", "roc", "forest", "frequentist", "bayes", "replacement")
+    modules = ("core", "rng", "roc", "forest", "frequentist", "bayes", "replacement", "synthetic")
     declared = {name for m in modules for name in importlib.import_module(f"rocbench.{m}").__all__}
     modules_bound = {n for n, v in vars(rocbench).items() if isinstance(v, types.ModuleType)}
     public = {n for n in dir(rocbench) if not n.startswith("_")} - modules_bound

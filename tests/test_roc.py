@@ -451,10 +451,6 @@ class TestCurveValidation:
         np.testing.assert_allclose(roc.alphas, [0, 0.2, 1])
         np.testing.assert_allclose(roc.betas, [0, 0.8, 1])
 
-    def test_from_pairs_with_thresholds(self):
-        roc = RocCurve.from_pairs([(0.2, 0.8)], thresholds=[0.7])
-        np.testing.assert_allclose(roc.thresholds, [1.7, 0.7, -0.3])
-
 
 class TestRocCsv:
     def test_round_trip(self, tmp_path):
