@@ -8,8 +8,6 @@ evaluate the mixed human/machine cohort.  Synthetic generators with
 closed-form truths exercise every stage.
 """
 
-import importlib
-
 # Each module's ``__all__`` is the one list of its public names.
 from .core import *
 from .rng import *
@@ -20,21 +18,6 @@ from .bayes import *
 from .replacement import *
 from .synthetic import *
 
-# RunConfig lives in the CLI module, so it loads on first use:
-# ``python -m rocbench.cli`` then finds the CLI not yet imported.
-_LAZY = {"RunConfig": "cli"}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY})
-
+# ``rocbench.cli`` (the CLI and its RunConfig) stays out, so ``python -m rocbench.cli`` runs it once.
 
 __version__ = "0.1.0"

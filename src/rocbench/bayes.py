@@ -171,8 +171,8 @@ class CostBenefitLoss:
     ``cost(theta_m, alphas, betas)`` and ``benefit(theta_m, betas)``
     receive one candidate curve point and the draw arrays and must
     return per-draw arrays.  The hooks are called once per candidate
-    from a Python loop over the dense candidate x draw mask, so this
-    loss is far slower than the cataloged kinds.
+    from a Python loop over the candidates, so this loss is far slower
+    than the cataloged kinds.
     """
 
     cost: Callable[[RatePair, np.ndarray, np.ndarray], np.ndarray]
@@ -228,46 +228,41 @@ def _benefit_means(
     The posterior expected loss at a candidate is 1 minus this mean.
     Candidates must be sorted by fpr with nondecreasing curve values:
     the baseline indicator counts contiguous runs of candidates (see
-    ``max_dominance``).  The weighted kinds and ``CostBenefitLoss``
-    evaluate the dense candidate x draw mask in chunks.
+    ``max_dominance``).  The weighted kinds evaluate the dense
+    candidate x draw mask in chunks; ``CostBenefitLoss`` takes one
+    candidate at a time.
     """
     n_draws = draws_a.size
     if kind is LossKind.BASELINE:
         start = np.searchsorted(cand_b, draws_b, side="left")
         stop = np.searchsorted(cand_a, draws_a, side="right")
         return _run_counts(start, stop, cand_a.size) / n_draws
-    w_draw = None if isinstance(kind, CostBenefitLoss) else _per_draw_weights(kind, draws_a, draws_b, roc)
     out = np.empty(cand_a.size)
+    if isinstance(kind, CostBenefitLoss):
+        for i, (a, b) in enumerate(zip(cand_a.tolist(), cand_b.tolist())):
+            theta_m = RatePair(a, b)
+            cost = np.asarray(kind.cost(theta_m, draws_a, draws_b), dtype=np.float64)
+            gain = np.asarray(kind.benefit(theta_m, draws_b), dtype=np.float64)
+            # benefit mean such that 1 - mean reproduces the cost/benefit loss
+            out[i] = np.mean(np.where((draws_a >= a) & (draws_b <= b), 1.0 + gain, 1.0 - cost))
+        return out
+    w_draw = _per_draw_weights(kind, draws_a, draws_b, roc)
     chunk = max(1, _CHUNK_CELLS // max(n_draws, 1))
     for lo in range(0, cand_a.size, chunk):
         ca = cand_a[lo : lo + chunk, None]
         cb = cand_b[lo : lo + chunk, None]
         dom = (draws_a[None, :] >= ca) & (draws_b[None, :] <= cb)
-        if isinstance(kind, CostBenefitLoss):
-            block = np.empty(ca.shape[0])
-            for i in range(ca.shape[0]):
-                theta_m = RatePair(float(ca[i, 0]), float(cb[i, 0]))
-                cost = np.asarray(kind.cost(theta_m, draws_a, draws_b), dtype=np.float64)
-                gain = np.asarray(kind.benefit(theta_m, draws_b), dtype=np.float64)
-                # benefit mean such that 1 - mean reproduces the cost/benefit loss
-                block[i] = np.mean(np.where(dom[i], 1.0 + gain, 1.0 - cost))
-            out[lo : lo + chunk] = block
-            continue
         if w_draw is not None:
             contrib = np.where(dom, w_draw[None, :], 0.0)
         elif kind is LossKind.COMPLEMENT_DISTANCE:
             w = np.minimum(draws_a[None, :] - ca, cb - draws_b[None, :])
             contrib = np.where(dom, w, 0.0)
-        elif kind is LossKind.COMPLEMENT_VERTICAL:
+        elif kind in (LossKind.COMPLEMENT_VERTICAL, LossKind.COMPLEMENT_HORIZONTAL):
+            # share of the candidate's gap above the diagonal the draw covers, vertically or horizontally
+            num = draws_b[None, :] - ca if kind is LossKind.COMPLEMENT_VERTICAL else cb - draws_a[None, :]
             den = cb - ca
             with np.errstate(divide="ignore", invalid="ignore"):
-                lam = (draws_b[None, :] - ca) / den
-            lam = np.maximum(np.where(den > 0.0, lam, 1.0), 0.0)
-            contrib = np.where(dom, 1.0 - lam, 0.0)
-        elif kind is LossKind.COMPLEMENT_HORIZONTAL:
-            den = cb - ca
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = (cb - draws_a[None, :]) / den
+                lam = num / den
             lam = np.maximum(np.where(den > 0.0, lam, 1.0), 0.0)
             contrib = np.where(dom, 1.0 - lam, 0.0)
         else:
@@ -354,7 +349,8 @@ def replace_decision(
         raise ValueError("credible_level must be in (0, 1)")
     dom = max_dominance(draws, roc, grid_size)
     if kind is LossKind.BASELINE:
-        theta0_alpha = dom.alpha_d if dom.alpha_d is not None else float(curve_candidate_grid(roc, draws, grid_size)[0])
+        # q_max 0: no candidate dominates, so the first stands; every grid starts at fpr 0
+        theta0_alpha = dom.alpha_d if dom.alpha_d is not None else 0.0
         theta0 = RatePair(theta0_alpha, float(roc.tpr_at_fpr(theta0_alpha)))
         min_loss = 1.0 - dom.q_max
         replace = dom.q_max >= credible_level

@@ -90,6 +90,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            # a plain int stays one, so config.json writes it as given
+            object.__setattr__(self, name, value if type(value) is int else float(value))
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
         for name, least in (("seed", 0), ("min_cases", 1), ("n_resamples", 1), ("n_draws", 1), ("grid_size", 2)):
@@ -98,7 +100,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        ForestParams(self.n_trees, self.max_features, self.min_samples_split, self.bootstrap)
+            object.__setattr__(self, name, int(value))
+        forest = ForestParams(self.n_trees, self.max_features, self.min_samples_split, self.bootstrap)
+        for name in ("n_trees", "max_features", "min_samples_split"):
+            object.__setattr__(self, name, getattr(forest, name))
         LossKind(self.loss_kind)
         if not self.prior_weight > 0:
             raise ValueError("prior_weight must be positive")
@@ -221,13 +226,19 @@ def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, 
 # -- subcommands ---------------------------------------------------------
 
 
+def _reads(spec_type, name: str) -> bool:
+    """Whether a generator reads simulate flag ``name``: its spec has that field, or ``cutoffs`` for a bound."""
+    field = "cutoffs" if name in ("cutoff_lo", "cutoff_hi") else name
+    return field in {f.name for f in dataclasses.fields(spec_type)}
+
+
 def _simulate_spec(args):
     """The ``--dgp`` generator's spec from the flags given; the spec supplies every other value."""
+    spec_type, _ = GENERATORS[args.dgp]
     given = {name: getattr(args, name) for name in _SIMULATE_FLAGS if getattr(args, name) is not None}
-    unread = [_SIMULATE_FLAGS[name][0] for name in given if name not in _GENERATOR_FLAGS[args.dgp]]
+    unread = [_SIMULATE_FLAGS[name][0] for name in given if not _reads(spec_type, name)]
     if unread:
         raise ValueError(f"--dgp {args.dgp} does not read {', '.join(unread)}")
-    spec_type, _ = GENERATORS[args.dgp]
     lo_hi = [given.pop(name, None) for name in ("cutoff_lo", "cutoff_hi")]
     if "cutoffs" in given:
         if lo_hi != [None, None]:
@@ -467,7 +478,8 @@ _CONFIG_FLAGS = {
 }
 
 
-# simulate flag -> its flag and argparse keywords; unset flags stay None and the spec's default holds
+# simulate flag -> its flag and argparse keywords; unset flags stay None and the spec's default holds.
+# Each names a generator spec field, except cutoff_lo and cutoff_hi, the bounds in `cutoffs`.
 _SIMULATE_FLAGS = {
     "seed": ("--seed", dict(type=int, help="generator seed")),
     "n_cases": ("--n-cases", dict(type=int, help="cases in all")),
@@ -482,15 +494,6 @@ _SIMULATE_FLAGS = {
     "cutoff_lo": ("--cutoff-lo", dict(type=float, help="lower bound of the uniform cutoffs")),
     "cutoff_hi": ("--cutoff-hi", dict(type=float, help="upper bound of the uniform cutoffs")),
     "cutoffs": ("--cutoffs", dict(help="comma-separated cutoffs, one per maker")),
-}
-
-# --dgp name -> the simulate flags its generator reads; each sets the spec field of its
-# name, except --cutoff-lo and --cutoff-hi, which set the bounds in `cutoffs`
-_GENERATOR_FLAGS = {
-    "complementarity": ("seed", "n_cases", "n_makers", "capable_fraction", "export_hidden", "shuffle_groups"),
-    "predicted-doctor": ("seed", "scenario", "n", "c0"),
-    "incentive": ("seed", "n"),
-    "heterogeneous-cutoffs": ("seed", "n_makers", "cases_per_maker", "cutoff_lo", "cutoff_hi", "cutoffs"),
 }
 
 
@@ -545,10 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, out_file=out_file)
 
     p = subs["simulate"]
-    p.add_argument("--dgp", required=True, choices=list(_GENERATOR_FLAGS),
+    p.add_argument("--dgp", required=True, choices=list(GENERATORS),
                    help="generator; any flag below that it does not read is refused")
     for name, (flag, kwargs) in _SIMULATE_FLAGS.items():
-        readers = ", ".join(g for g, names in _GENERATOR_FLAGS.items() if name in names)
+        readers = ", ".join(g for g, (spec_type, _) in GENERATORS.items() if _reads(spec_type, name))
         p.add_argument(flag, dest=name, **{**kwargs, "help": f"{kwargs['help']} (read by {readers})"})
     p = subs["split"]
     p.add_argument("--ratio", required=True, help="e.g. 7:3")

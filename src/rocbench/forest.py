@@ -75,6 +75,7 @@ class ForestParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, int(value))
         if not isinstance(self.bootstrap, bool):
             raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
@@ -409,9 +410,9 @@ def forest_from_json(text: str) -> Forest:
 
 
 def save_forest(path, forest: Forest) -> None:
+    text = forest_to_json(forest) + "\n"  # before the open, so a failure leaves no partial file
     with open(path, "w") as fh:
-        fh.write(forest_to_json(forest))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_forest(path) -> Forest:

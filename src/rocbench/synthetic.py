@@ -74,8 +74,7 @@ class ComplementaritySpec:
     outcome is 1 when the logistic of x1 + x2 + u exceeds a uniform
     draw.  Capable makers threshold that same propensity against a
     per-case cost in U(0.4, 1); less capable makers flip the sign of
-    x1 first.  The scale parameters are variances unless
-    ``scale_as_sd`` is set.
+    x1 first.  The scale parameters are variances.
     """
 
     n_cases: int = 600_000
@@ -84,7 +83,6 @@ class ComplementaritySpec:
     seed: int = 0
     export_hidden: bool = False
     shuffle_groups: bool = False
-    scale_as_sd: bool = False
 
     def __post_init__(self):
         if self.n_cases < 1 or self.n_makers < 1:
@@ -111,9 +109,7 @@ def generate_complementarity(spec: ComplementaritySpec) -> ComplementarityResult
     """Per-maker draw order: x1, x2, u, outcome draw, cost."""
     from scipy.special import expit  # kept out of the import of the package
 
-    scales = np.array([1.95, 0.25, 2.0])
-    if not spec.scale_as_sd:
-        scales = np.sqrt(scales)
+    scales = np.sqrt([1.95, 0.25, 2.0])
     makers = _maker_ids(spec.n_makers)
     n_capable = round(spec.capable_fraction * spec.n_makers)
     order = np.arange(spec.n_makers)
@@ -397,7 +393,12 @@ GENERATORS = {
 
 
 def manifest_dict(spec) -> dict:
-    """JSON-ready record of a generator spec (kind tag plus fields)."""
+    """JSON-ready record of a generator spec: its kind tag and its fields.
+
+    Each field's key names the ``simulate`` flag that sets it; ``cutoffs``
+    is set by ``--cutoffs``, or by ``--cutoff-lo`` and ``--cutoff-hi`` for
+    a ``["uniform", lo, hi]`` range.
+    """
     kind = next((k for k, (spec_type, _) in GENERATORS.items() if type(spec) is spec_type), None)
     if kind is None:
         raise TypeError(f"not a generator spec: {type(spec).__name__}")

@@ -1,12 +1,14 @@
 """Posterior sampling, dominance mass, the loss catalog, retention, CSV."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rocbench import bayes
 from rocbench.bayes import (
     CostBenefitLoss,
     DirichletParams,
@@ -367,6 +369,24 @@ class TestMinPosteriorLoss:
             mean = _benefit_means(cand, g, draws.alphas, draws.betas, kind, roc)
             assert np.isfinite(mean).all() and (mean >= 0.0).all() and (mean <= 1.0).all(), kind
 
+    @given(curves_and_draws(), st.integers(2, 600), st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_chunking_changes_no_bit(self, case, grid_size, cells):
+        roc, draws = case
+        cand = curve_candidate_grid(roc, draws, grid_size)
+        g = roc.tpr_at_fpr(cand)
+        assert cand.size * draws.n_draws <= bayes._CHUNK_CELLS  # so the unpatched call runs one chunk
+        hook = CostBenefitLoss(
+            cost=lambda tm, a, b: 1.0 + tm.alpha * a,
+            benefit=lambda tm, b: tm.beta - b,
+        )
+        for kind in [*LossKind, hook]:
+            whole = _benefit_means(cand, g, draws.alphas, draws.betas, kind, roc)
+            # chunks of max(1, cells // n_draws) candidates
+            with mock.patch.object(bayes, "_CHUNK_CELLS", cells):
+                chunked = _benefit_means(cand, g, draws.alphas, draws.betas, kind, roc)
+            assert chunked.tobytes() == whole.tobytes(), kind
+
     def test_point_mass_fully_dominated(self):
         draws = make_draws([(0.5, 0.36)] * 3)
         value, theta = min_posterior_loss(draws, steep_curve())
@@ -439,6 +459,9 @@ class TestReplaceDecision:
         assert v["q_max"] == 0.0
         assert np.isnan(v["alpha_d"])
         assert v["prob_below"] == 0.0
+        # no point dominates, so the grid's first candidate, fpr 0, sets the threshold
+        assert v["theta0_alpha"] == curve_candidate_grid(steep_curve(), draws)[0] == 0.0
+        assert v["theta0_beta"] == 0.0
 
     def test_borderline_mass_respects_level(self):
         below = [(0.5, 0.36)] * 94 + [(0.05, 0.9)] * 6

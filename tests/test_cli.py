@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import filecmp
 import json
 import os
@@ -99,7 +100,7 @@ def simulate_spec(*argv):
 
 class TestSimulateFlags:
     def test_generator_tables_agree(self):
-        assert list(cli._GENERATOR_FLAGS) == list(synthetic.GENERATORS) == list(SIMULATE_READS)
+        assert list(synthetic.GENERATORS) == list(SIMULATE_READS)
         assert {name: spec for name, (spec, _) in synthetic.GENERATORS.items()} == SPECS
 
     @pytest.mark.parametrize("dgp", sorted(SIMULATE_READS))
@@ -121,6 +122,38 @@ class TestSimulateFlags:
         flags = [f for f in SIMULATE_READS[dgp] if f[0] not in ("--cutoff-lo", "--cutoff-hi")]
         assert main(["simulate", "--dgp", dgp, *[v for f in flags for v in f], "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 1
+
+    @pytest.mark.parametrize("dgp, skip", [
+        ("complementarity", ()),
+        ("complementarity", ("--export-hidden", "--shuffle-groups")),
+        ("predicted-doctor", ()),
+        ("incentive", ()),
+        ("heterogeneous-cutoffs", ("--cutoffs",)),
+        ("heterogeneous-cutoffs", ("--cutoff-lo", "--cutoff-hi")),
+    ])
+    def test_manifest_replays_as_a_command_line(self, dgp, skip, tmp_path):
+        argv = [v for flag in SIMULATE_READS[dgp] if flag[0] not in skip for v in flag]
+        assert main(["simulate", "--dgp", dgp, *argv, "--out", str(tmp_path / "first")]) == 0
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        assert manifest.pop("kind") == dgp
+        read = {flag[0] for flag in SIMULATE_READS[dgp]}
+        replay = []
+        for key, value in manifest.items():
+            flag = "--" + key.replace("_", "-")
+            if key == "cutoffs" and value[0] == "uniform":
+                flags = [["--cutoff-lo", repr(value[1])], ["--cutoff-hi", repr(value[2])]]
+            elif key == "cutoffs":
+                flags = [[flag, ",".join(map(repr, value))]]
+            elif isinstance(value, bool):
+                flags = [[flag]]  # a store_true flag, left out when false
+            else:
+                flags = [[flag, repr(value)]]
+            for given in flags:
+                assert given[0] in read, key
+                replay += given if value is not False else []
+        assert main(["simulate", "--dgp", dgp, *replay, "--out", str(tmp_path / "again")]) == 0
+        for name in ("cases.csv", "manifest.json"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes(), name
 
     @pytest.mark.parametrize("dgp", sorted(SPECS))
     def test_unset_flags_keep_the_spec_defaults(self, dgp):
@@ -641,9 +674,17 @@ class TestConfigResolution:
         ]:
             with pytest.raises(ValueError, match=message):
                 RunConfig(**bad)
-        # numpy numbers pass, and the ratios come back as tuples of ints
-        cfg = RunConfig(seed=np.int64(4), outer_ratio=[np.int32(7), 3], level=np.float64(0.9), prior_weight=1)
+        # numpy numbers pass and are stored as plain ones, so config.json can hold them; the ratios
+        # come back as tuples of ints, and a plain int prior weight stays an int
+        cfg = RunConfig(seed=np.int64(4), outer_ratio=[np.int32(7), 3], level=np.float32(0.75),
+                        n_trees=np.int16(5), min_samples_split=np.uint8(20), n_draws=np.int64(300))
         assert cfg.outer_ratio == (7, 3) and type(cfg.outer_ratio[0]) is int
+        assert {name: type(value) for name, value in dataclasses.asdict(cfg).items()} == {
+            f.name: type(getattr(RunConfig, f.name)) for f in dataclasses.fields(RunConfig)
+        }
+        assert (cfg.seed, cfg.level, cfg.n_trees, cfg.min_samples_split, cfg.n_draws) == (4, 0.75, 5, 20, 300)
+        assert type(RunConfig(prior_weight=np.float32(0.5)).prior_weight) is float
+        assert type(RunConfig(prior_weight=1).prior_weight) is int
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid", "1", "grid_size must be >= 2"),

@@ -150,6 +150,16 @@ class TestWriters:
             b'{\n  "a": {\n    "c": null,\n    "d": 0.5\n  },\n  "b": [\n    1,\n    2\n  ]\n}\n'
         )
 
+    def test_write_json_failure_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "t.json"
+        with pytest.raises(TypeError, match="int64"):
+            write_json(path, {"a": 1, "b": np.int64(2)})
+        assert not path.exists()
+        path.write_text("kept\n")
+        with pytest.raises(TypeError, match="int64"):
+            write_json(path, {"a": 1, "b": np.int64(2)})
+        assert path.read_text() == "kept\n"
+
 
 # -- the bulk cases/ROC codec against the row codec ------------------------
 

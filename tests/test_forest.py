@@ -1,5 +1,6 @@
 """Tree growth, prediction, determinism, JSON interchange."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -337,6 +338,28 @@ class TestSerialization:
         path = tmp_path / "forest.json"
         save_forest(path, forest)
         assert forest_to_json(load_forest(path)) == forest_to_json(forest)
+
+    def test_numpy_integer_params_save_as_plain_ints(self, tmp_path):
+        forest, X = self.make()
+        params = ForestParams(n_trees=np.int64(6), max_features=np.int32(2), min_samples_split=np.uint8(30),
+                              seed=np.int64(5))
+        assert [type(v) for v in dataclasses.astuple(params)] == [int, int, int, bool, int]
+        path = tmp_path / "forest.json"
+        save_forest(path, train_forest(X, (X[:, 0] > 0.4).astype(int), params))
+        assert path.read_text() == forest_to_json(forest) + "\n"
+
+    def test_failed_save_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
+        forest, _ = self.make()
+        path = tmp_path / "forest.json"
+        path.write_text("kept\n")
+
+        def fail(_):
+            raise TypeError("not serialisable")
+
+        monkeypatch.setattr(forest_module, "forest_to_json", fail)
+        with pytest.raises(TypeError, match="not serialisable"):
+            save_forest(path, forest)
+        assert path.read_text() == "kept\n"
 
     def test_tree_count_mismatch_rejected(self):
         forest, _ = self.make()

@@ -45,7 +45,7 @@ def test_package_exports_each_modules_all():
     declared = {name for m in modules for name in importlib.import_module(f"rocbench.{m}").__all__}
     modules_bound = {n for n, v in vars(rocbench).items() if isinstance(v, types.ModuleType)}
     public = {n for n in dir(rocbench) if not n.startswith("_")} - modules_bound
-    assert public == declared | set(rocbench._LAZY)
+    assert public == declared
     # the readers a benchmark fetches from the package to re-read a report's outputs
     assert {"read_roc_csv", "read_bayesian_csv", "read_frequentist_csv", "load_forest"} <= public
 

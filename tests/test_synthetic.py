@@ -56,11 +56,6 @@ class TestComplementarity:
         assert f[:, 1].var() == pytest.approx(0.25, abs=0.03)
         assert f[:, 2].var() == pytest.approx(2.0, abs=0.15)
 
-    def test_scale_as_sd_squares_the_spread(self):
-        spec = ComplementaritySpec(n_cases=20_000, n_makers=100, scale_as_sd=True)
-        f = generate_complementarity(spec).data.features
-        assert f[:, 0].var() == pytest.approx(1.95**2, abs=0.3)
-
     def test_hidden_column_only_on_request(self):
         spec = ComplementaritySpec(n_cases=2_000, n_makers=10)
         assert generate_complementarity(spec).data.features.shape == (2_000, 2)
