@@ -13,9 +13,12 @@ then flags (flags win); a subcommand has flags only for the settings it
 reads, but its config file may hold any.  `report` and the subcommands
 share one function per stage, and every random stage draws from a named
 substream of the single run seed, so reruns are byte-identical and the
-chain reproduces `report`.  Errors print one JSON line to
-stderr and exit 2.  The ROCBENCH_OUT environment variable sets the
-default output directory.
+chain reproduces `report`.  The forest's trees and the verdict stage's
+blocks of makers run in processes forked per CPU (`rocbench.workers`);
+outputs do not depend on the CPU count, and `report` refuses a maker
+with one outcome class before the forest trains.  Errors print one JSON
+line to stderr and exit 2.  The ROCBENCH_OUT environment variable sets
+the default output directory.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import DEFAULT_PRIOR_WEIGHT, LossKind, benchmark_maker_bayesian, read_bayesian_csv, write_bayesian_csv
-from .core import CohortDataset, rate_pair, read_cases_csv, stratified_split, write_cases_csv
+from .core import CohortDataset, naming_maker, rate_pair, read_cases_csv, stratified_split, write_cases_csv
 from .csvio import format_float, write_json
 from .forest import ForestParams, load_forest, save_forest, train_forest
 from .frequentist import CaseLabel, benchmark_maker_frequentist, write_frequentist_csv
@@ -48,6 +51,7 @@ from .replacement import (
 from .rng import substream
 from .roc import build_roc, read_roc_csv, write_roc_csv
 from .synthetic import GENERATORS, write_manifest
+from .workers import cpus, map_forked
 
 OUT_ENV = "ROCBENCH_OUT"
 # the sweeps `report` runs, and the defaults of `path` and `randomized`
@@ -189,26 +193,39 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-# each stage below runs in `report` and in its subcommand; each maker draws from its own substream
-def _freq_verdicts(counts: dict, roc, cfg: RunConfig, cov_method: str = "bootstrap") -> Verdicts:
-    return Verdicts.from_rows(
-        benchmark_maker_frequentist(
-            m, c, roc, level=cfg.level, n_resamples=cfg.n_resamples,
-            seed=substream(cfg.seed, "bootstrap", m), cov_method=cov_method,
-        )
-        for m, c in counts.items()
-    )
+# Each stage below runs in `report` and in its subcommand, and each maker draws from its own
+# substream.  So the verdict stage benchmarks contiguous blocks of makers in forked workers
+# (`rocbench.workers`), one block per CPU, and its verdicts do not depend on the CPU count.
+def _verdicts(counts: dict, roc, cfg: RunConfig, cov: str | None = "bootstrap", bayes: bool = True) -> list[Verdicts]:
+    """Frequentist verdicts with ``cov`` covariances (none when None), then Bayesian ones if ``bayes``.
 
+    ``min(CPUs, makers)`` blocks run through one ``map_forked`` call.  A
+    block benchmarks its makers one by one, each maker by every route
+    asked for, so the failure reported is the first in maker order on
+    any number of CPUs; the parent joins the rows in maker order.
+    """
 
-def _bayes_verdicts(counts: dict, roc, cfg: RunConfig) -> Verdicts:
-    return Verdicts.from_rows(
-        benchmark_maker_bayesian(
-            m, c, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws,
-            seed=substream(cfg.seed, "posterior", m), credible_level=cfg.level,
-            kind=cfg.loss(), grid_size=cfg.grid_size,
-        )
-        for m, c in counts.items()
-    )
+    def rows(m, c):
+        if cov is not None:
+            yield benchmark_maker_frequentist(
+                m, c, roc, level=cfg.level, n_resamples=cfg.n_resamples,
+                seed=substream(cfg.seed, "bootstrap", m), cov_method=cov,
+            )
+        if bayes:
+            yield benchmark_maker_bayesian(
+                m, c, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws,
+                seed=substream(cfg.seed, "posterior", m), credible_level=cfg.level,
+                kind=cfg.loss(), grid_size=cfg.grid_size,
+            )
+
+    makers = list(counts.items())
+    k = min(cpus(), len(makers))
+
+    def block(b):
+        return [list(rows(m, c)) for m, c in makers[len(makers) * b // k : len(makers) * (b + 1) // k]]
+
+    per_maker = [r for part in map_forked(block, k) for r in part]
+    return [Verdicts.from_rows(r[i] for r in per_maker) for i in range((cov is not None) + bayes)]
 
 
 def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, scope=SCOPES[0]) -> list:
@@ -329,13 +346,15 @@ def _bench_inputs(args) -> tuple:
 
 def _cmd_bench_freq(args) -> int:
     counts, roc, cfg = _bench_inputs(args)
-    write_frequentist_csv(_out_file(args), _freq_verdicts(counts, roc, cfg, args.cov))
+    (verdicts,) = _verdicts(counts, roc, cfg, cov=args.cov, bayes=False)
+    write_frequentist_csv(_out_file(args), verdicts)
     return 0
 
 
 def _cmd_bench_bayes(args) -> int:
     counts, roc, cfg = _bench_inputs(args)
-    write_bayesian_csv(_out_file(args), _bayes_verdicts(counts, roc, cfg))
+    (verdicts,) = _verdicts(counts, roc, cfg, cov=None)
+    write_bayesian_csv(_out_file(args), verdicts)
     return 0
 
 
@@ -381,14 +400,16 @@ def _cmd_report(args) -> int:
     )
     if data.features is None:
         raise ValueError(f"{args.cases}: no feature columns; cannot train")
+    counts = classification.counts_by_maker()
+    for m, c in counts.items():  # a one-class maker is refused before the forest trains
+        with naming_maker(m):
+            rate_pair(c)
     forest = train_forest(train.features, train.y, cfg.forest_params())
     roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
     scores = forest.predict_propensity(performance.features)
     roc_perf = build_roc(scores, performance.y)
 
-    counts = classification.counts_by_maker()
-    verdicts_freq = _freq_verdicts(counts, roc_val, cfg)
-    verdicts_bayes = _bayes_verdicts(counts, roc_val, cfg)
+    verdicts_freq, verdicts_bayes = _verdicts(counts, roc_val, cfg)
 
     raw_pair = rate_pair(performance.pooled_counts())
     combined_bayes = combine_decisions(performance, verdicts_bayes, scores)

@@ -27,23 +27,22 @@ the subsets of all its open nodes in one batch, in breadth-first node
 order, from the tree's substream after its bootstrap draw.
 
 A tree reads only its own substream, the forest's presort and the data,
-so the trees grow in worker processes forked from the caller, one per
-CPU in the process's affinity mask; the parent grows its share too.
-The model does not depend on how many CPUs there are.  Where the
-platform has no affinity mask, where the mask holds one CPU, or where
-the caller is itself a daemonic worker (which may not have children),
-the trees grow in the calling process.
+so the trees grow through ``workers.map_forked``: in worker processes
+forked from the caller, one per CPU in the process's affinity mask, the
+parent growing its share too, or in the calling process where that
+module's fallbacks apply.  The model does not depend on how many CPUs
+there are.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .rng import substream
+from .workers import map_forked
 
 __all__ = [
     "ForestParams",
@@ -307,40 +306,7 @@ def train_forest(X, y, params: ForestParams = ForestParams()) -> Forest:
         w = np.bincount(rng.integers(0, n, size=n), minlength=n) if params.bootstrap else np.ones(n, dtype=np.int64)
         return _grow_tree(X, y, w, sorted_rows, params, rng)
 
-    return Forest(params=params, n_features=d, trees=_map_forked(tree, params.n_trees))
-
-
-_task = None  # a forked worker's task; set only in workers, by ``_adopt``
-
-
-def _adopt(task):
-    global _task
-    _task = task
-
-
-def _run(i):
-    return _task(i)
-
-
-def _map_forked(task, n):
-    """``[task(0), ..., task(n - 1)]``, spread over this process and forked workers.
-
-    One process per CPU the affinity mask allows, at most ``n``.  The
-    parent runs the first ``n // workers`` tasks while the pool runs the
-    rest.  ``task`` reaches the workers through the initializer's
-    arguments, which a fork inherits and never pickles.
-    """
-    workers = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "sched_getaffinity") else 1
-    import multiprocessing
-
-    # a daemonic process (a pool worker) may not have children
-    if workers < 2 or multiprocessing.current_process().daemon:
-        return [task(i) for i in range(n)]
-    own = n // workers
-    with multiprocessing.get_context("fork").Pool(workers - 1, _adopt, (task,)) as pool:
-        rest = pool.map_async(_run, range(own, n))
-        head = [task(i) for i in range(own)]
-        return head + rest.get()
+    return Forest(params=params, n_features=d, trees=map_forked(tree, params.n_trees))
 
 
 # -- serialization -----------------------------------------------------

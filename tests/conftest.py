@@ -1,0 +1,19 @@
+"""Fixtures shared by the test modules."""
+
+import os
+
+import pytest
+
+
+@pytest.fixture
+def cpu_mask(monkeypatch):
+    """``cpu_mask(n)`` makes the affinity mask hold ``n`` CPUs: 1 runs the forked stages in-process, more fork workers.
+
+    The setting lasts until the test ends, so a hypothesis test that uses
+    it sets the mask at the start of every example.
+    """
+
+    def set_mask(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return set_mask

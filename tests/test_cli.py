@@ -5,15 +5,21 @@ import csv
 import dataclasses
 import filecmp
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rocbench import cli, synthetic
+from rocbench import cli, frequentist, synthetic
 from rocbench.cli import RunConfig, build_parser, main
 from rocbench.core import rate_pair, read_cases_csv, write_cases_csv
 from rocbench.forest import load_forest
@@ -727,7 +733,7 @@ class TestErrorReporting:
         error = json.loads(lines[0])["error"]
         assert error.startswith(f"ValueError: {model}: forest JSON has no format field")
 
-    def test_degenerate_maker_is_named(self, cohort, tmp_path, capsys):
+    def test_degenerate_maker_is_named(self, cohort, tmp_path, capsys, monkeypatch):
         _, cases = cohort
         with open(cases, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -739,6 +745,11 @@ class TestErrorReporting:
         one_class = tmp_path / "cases.csv"
         with open(one_class, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
+
+        def no_training(*args):  # the maker is refused before the forest trains
+            raise RuntimeError("the forest trained")
+
+        monkeypatch.setattr(cli, "train_forest", no_training)
         assert main(["report", "--cases", str(one_class), "--out", str(tmp_path / "run")] + REPORT_FLAGS) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
@@ -794,3 +805,120 @@ class TestOutEnvVar:
         ]) == 0
         assert (explicit / "cases.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+@pytest.fixture(scope="module")
+def pair_cohort(tmp_path_factory):
+    """Two makers: fewer than the CPUs of a three-CPU mask."""
+    root = tmp_path_factory.mktemp("pair")
+    assert main([
+        "simulate", "--dgp", "heterogeneous-cutoffs", "--n-makers", "2",
+        "--cases-per-maker", "400", "--seed", "12", "--out", str(root / "sim"),
+    ]) == 0
+    return root, root / "sim" / "cases.csv"
+
+
+def _outputs(out: Path) -> dict:
+    """Every file under ``out``, by relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestCpuMasks:
+    """The verdict stage runs one block of makers per CPU; outputs and errors do not depend on the mask."""
+
+    BENCH_RUNS = {
+        "freq_bootstrap.csv": ["bench-freq", "--resamples", "30"],
+        "freq_asymptotic.csv": ["bench-freq", "--cov", "asymptotic"],
+        "bayes.csv": ["bench-bayes", "--draws", "500"],
+    }
+
+    @pytest.mark.parametrize("which", ["cohort", "pair_cohort"])  # 6 makers in 3 blocks; 2 makers in 2
+    def test_outputs_do_not_depend_on_the_mask(self, request, which, cpu_mask, tmp_path):
+        _, cases = request.getfixturevalue(which)
+        runs = []
+        for mask in (1, 3):
+            cpu_mask(mask)
+            out = tmp_path / f"cpus{mask}"
+            assert main(["report", "--cases", str(cases), "--out", str(out / "report")] + REPORT_FLAGS) == 0
+            for name, argv in self.BENCH_RUNS.items():
+                assert main([
+                    *argv, "--cases", str(cases), "--roc", str(out / "report" / "roc_validation.csv"),
+                    "--min-cases", "50", "--seed", "11", "--out", str(out / name),
+                ]) == 0
+            assert multiprocessing.active_children() == []
+            runs.append(_outputs(out))
+        assert len(runs[0]) == 11 + len(self.BENCH_RUNS)
+        assert runs[0] == runs[1]
+
+    def test_the_lowest_failing_block_is_reported(self, cohort, workdir, cpu_mask, monkeypatch, capfd):
+        # six makers in four blocks: the parent benchmarks maker 0, three workers makers 1-2, 3 and 4-5;
+        # maker 2's bootstrap aborts after maker 4's has, and maker 2 is named under every mask, on every run
+        _, cases = cohort
+        makers = read_cases_csv(cases).counts_by_maker()
+        counts = list(makers.values())
+        assert len(set(counts)) == 6
+        boot = frequentist.bootstrap_covariance
+
+        def abort(c, *rest):
+            if c in (counts[2], counts[4]):
+                time.sleep(0.3 if c == counts[2] else 0.0)
+                raise RuntimeError("bootstrap aborted")
+            return boot(c, *rest)
+
+        monkeypatch.setattr(frequentist, "bootstrap_covariance", abort)
+        expected = json.dumps({"error": f"RuntimeError: maker {list(makers)[2]!r}: bootstrap aborted"}) + "\n"
+        for mask in (1, 2, 4, 4, 4):
+            cpu_mask(mask)
+            assert main(["bench-freq", "--cases", str(cases), "--roc", str(workdir["roc"]), "--min-cases", "50",
+                         "--out", os.devnull]) == 2
+            assert capfd.readouterr().err == expected, mask
+            assert multiprocessing.active_children() == []
+
+
+@st.composite
+def tiny_cohorts(draw):
+    """Cases rows of 1-3 makers: all features tied, or one separating the classes; makers answering 1 always."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feature = draw(st.sampled_from(["tied", "separating", "noise"]))
+    rows = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(4, 40))
+        y = (rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(int)
+        y_hat = {"ones": np.ones(n, dtype=int), "truth": y, "coin": rng.integers(0, 2, n)}[
+            draw(st.sampled_from(["ones", "truth", "coin"]))
+        ]
+        x = {"tied": np.zeros(n), "separating": y.astype(float), "noise": rng.normal(size=n)}[feature]
+        rows += [f"m{k},{a},{b},{c!r}" for a, b, c in zip(y.tolist(), y_hat.tolist(), x.tolist())]
+    return rows
+
+
+class TestTinyDegenerateCohorts:
+    @given(tiny_cohorts())
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_report_exits_cleanly_and_alike_under_any_mask(self, cpu_mask, capfd, rows):
+        # exit 0 with nothing on stderr, or exit 2 with one JSON line; never a traceback or a warning
+        with tempfile.TemporaryDirectory() as root:
+            cases = Path(root) / "cases.csv"
+            cases.write_text("\n".join(["maker_id,y,y_hat,f1", *rows]) + "\n")
+            runs = []
+            for mask in (1, 3):
+                cpu_mask(mask)
+                capfd.readouterr()
+                out = Path(root) / f"cpus{mask}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(["report", "--cases", str(cases), "--out", str(out), "--min-cases", "1",
+                                 "--trees", "2", "--min-split", "2", "--draws", "50", "--resamples", "10",
+                                 "--grid", "16"])
+                captured = capfd.readouterr()
+                assert [str(w.message) for w in caught] == []
+                assert multiprocessing.active_children() == []
+                assert "Traceback" not in captured.out + captured.err
+                if code == 0:
+                    assert captured.err == ""
+                else:
+                    assert code == 2
+                    lines = captured.err.splitlines()
+                    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+                runs.append((code, captured.err, _outputs(out) if code == 0 else None))
+            assert runs[0] == runs[1]

@@ -4,10 +4,11 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rocbench import forest as forest_module
@@ -225,11 +226,6 @@ class TestDeterminism:
         assert forest_to_json(a) != forest_to_json(b)
 
 
-def _cpus(monkeypatch, n):
-    """Make ``train_forest`` see ``n`` CPUs in the affinity mask: 1 grows in-process, more fork workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def _train_json(args):
     X, y, params = args
     return forest_to_json(train_forest(X, y, params))
@@ -240,7 +236,7 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_forked_and_in_process_forests_are_identical(self, monkeypatch, seed, bootstrap):
+    def test_forked_and_in_process_forests_are_identical(self, cpu_mask, seed, bootstrap):
         rng = np.random.default_rng(30 + seed)
         X = np.round(rng.normal(size=(400, 4)), 1)
         y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.0, 400) > 0).astype(int)
@@ -251,62 +247,78 @@ class TestWorkerProcesses:
                                   bootstrap=bootstrap, seed=seed)
             runs = []
             for cpus in (1, 3):
-                _cpus(monkeypatch, cpus)
+                cpu_mask(cpus)
                 forest = train_forest(X, y, params)
                 runs.append((forest_to_json(forest), forest.predict_propensity(probe)))
                 assert multiprocessing.active_children() == []  # no worker outlives the call
             assert runs[0][0] == runs[1][0], n_trees
             assert runs[0][1].tobytes() == runs[1][1].tobytes(), n_trees
 
-    def test_without_an_affinity_mask_trees_grow_in_process(self, monkeypatch):
+    def test_without_an_affinity_mask_trees_grow_in_process(self, monkeypatch, cpu_mask):
         rng = np.random.default_rng(40)
         X = rng.random((300, 3))
         y = (X[:, 0] > X[:, 1]).astype(int)
         params = ForestParams(n_trees=4, max_features=2, min_samples_split=20)
-        _cpus(monkeypatch, 2)
+        cpu_mask(2)
         forked = forest_to_json(train_forest(X, y, params))
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(multiprocessing, "get_context", None)  # any pool would fail
         assert forest_to_json(train_forest(X, y, params)) == forked
 
-    @pytest.mark.parametrize("failing", [0, 3])  # 0 grows in the parent, 3 in a worker
-    def test_a_failing_tree_reaches_the_caller(self, monkeypatch, failing):
+    @staticmethod
+    def _train_failing(monkeypatch, failing, slow=()):
+        """Train seven trees of which the trees ``failing`` raise, each of ``slow`` after a pause."""
         rng = np.random.default_rng(42)
         X = rng.random((300, 3))
         y = (X[:, 0] > X[:, 1]).astype(int)
         params = ForestParams(n_trees=7, max_features=2, min_samples_split=20, seed=5)
         # a tree is known by its bootstrap multiplicities
-        target = np.bincount(substream(params.seed, "tree", failing).integers(0, 300, size=300), minlength=300)
+        targets = {i: np.bincount(substream(params.seed, "tree", i).integers(0, 300, size=300), minlength=300)
+                   for i in failing}
         grow = forest_module._grow_tree
 
         def grow_or_fail(X, y, w, *rest):
-            if np.array_equal(w, target):
-                raise RuntimeError(f"tree {failing} failed")
+            for i, target in targets.items():
+                if np.array_equal(w, target):
+                    time.sleep(0.3 if i in slow else 0.0)
+                    raise RuntimeError(f"tree {i} failed")
             return grow(X, y, w, *rest)
 
         monkeypatch.setattr(forest_module, "_grow_tree", grow_or_fail)
-        _cpus(monkeypatch, 3)
+        train_forest(X, y, params)
+
+    @pytest.mark.parametrize("failing", [0, 3])  # 0 grows in the parent, 3 in a worker
+    def test_a_failing_tree_reaches_the_caller(self, monkeypatch, cpu_mask, failing):
+        cpu_mask(3)
         with pytest.raises(RuntimeError, match=f"tree {failing} failed"):
-            train_forest(X, y, params)
+            self._train_failing(monkeypatch, [failing])
         assert multiprocessing.active_children() == []
 
+    def test_the_lowest_failing_tree_is_reported(self, monkeypatch, cpu_mask):
+        # under four CPUs the parent grows tree 0 and three workers take trees 1-6 one by one;
+        # tree 2 fails after tree 5 has, and it is the one reported, on every run
+        cpu_mask(4)
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="^tree 2 failed$"):
+                self._train_failing(monkeypatch, [2, 5], slow=[2])
+            assert multiprocessing.active_children() == []
+
     @given(st.deferred(lambda: training_sets(narrow=True)))  # defined below, beside the reference growers
-    @settings(max_examples=20, deadline=None)
-    def test_property(self, case):
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property(self, cpu_mask, case):
         X, y, params = case
         runs = []
         for cpus in (1, 2):
-            with pytest.MonkeyPatch.context() as mp:  # hypothesis takes no function-scoped fixture
-                _cpus(mp, cpus)
-                runs.append(forest_to_json(train_forest(X, y, params)))
+            cpu_mask(cpus)
+            runs.append(forest_to_json(train_forest(X, y, params)))
         assert runs[0] == runs[1]
 
-    def test_inside_a_daemonic_pool_worker(self, monkeypatch):
+    def test_inside_a_daemonic_pool_worker(self, cpu_mask):
         rng = np.random.default_rng(43)
         X = rng.random((300, 3))
         y = (X[:, 0] > X[:, 1]).astype(int)
         args = (X, y, ForestParams(n_trees=5, max_features=2, min_samples_split=20, seed=2))
-        _cpus(monkeypatch, 3)  # the pool's fork inherits the mask, so only the daemon check keeps it in-process
+        cpu_mask(3)  # the pool's fork inherits the mask, so only the daemon check keeps it in-process
         with multiprocessing.get_context("fork").Pool(1) as pool:
             inside = pool.apply_async(_train_json, (args,)).get(timeout=60)
         assert inside == _train_json(args)
@@ -859,11 +871,10 @@ class TestAgainstRecursiveReference:
     """Level-wise flat trees equal the recursive grower node for node."""
 
     @given(training_sets())
-    @settings(max_examples=300, deadline=None)
-    def test_property(self, case):
-        with pytest.MonkeyPatch.context() as mp:  # one CPU: no worker pool per example
-            _cpus(mp, 1)
-            _assert_matches_reference(*case)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property(self, cpu_mask, case):
+        cpu_mask(1)  # no worker pool per example
+        _assert_matches_reference(*case)
 
     def test_zero_gain_cut_rounds_as_reference(self):
         # each value holds 34 of 193 positives, so the cut's exact gain is
@@ -898,11 +909,10 @@ class TestAgainstSlotReference:
     """Trees grown on the distinct drawn rows equal trees grown on every bootstrap slot, node for node."""
 
     @given(training_sets(narrow=True))
-    @settings(max_examples=300, deadline=None)
-    def test_property(self, case):
-        with pytest.MonkeyPatch.context() as mp:  # one CPU: no worker pool per example
-            _cpus(mp, 1)
-            _assert_matches_slots(*case)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property(self, cpu_mask, case):
+        cpu_mask(1)  # no worker pool per example
+        _assert_matches_slots(*case)
 
     def test_feature_draws_on_a_cohort(self):
         rng = np.random.default_rng(5)
