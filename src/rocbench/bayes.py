@@ -204,15 +204,19 @@ def _per_draw_weights(kind: LossKind, draws_a, draws_b, roc: RocCurve):
     return None
 
 
-def _run_counts(start: np.ndarray, stop: np.ndarray, size: int) -> np.ndarray:
-    """How many of the half-open runs [start_i, stop_i) cover each of 0..size-1.
+def _run_share(first: np.ndarray, first_at: np.ndarray, last: np.ndarray, last_at: np.ndarray) -> np.ndarray:
+    """Share of the draws whose run of candidates covers each candidate.
 
-    A difference array: +1 where a run starts, -1 where it stops, then a
-    running sum.  Empty runs (stop_i <= start_i) cover nothing.
+    ``first`` and ``last`` are sorted keys of the same candidates.  Draw
+    i's run starts at the first candidate with ``first >= first_at[i]``
+    and stops after the last with ``last <= last_at[i]``; an empty run
+    covers nothing.  A difference array of the runs, then a running sum.
     """
+    start = np.searchsorted(first, first_at, side="left")
+    stop = np.searchsorted(last, last_at, side="right")
     keep = start < stop
-    edges = np.bincount(start[keep], minlength=size + 1) - np.bincount(stop[keep], minlength=size + 1)
-    return np.cumsum(edges[:size])
+    edges = np.bincount(start[keep], minlength=first.size + 1) - np.bincount(stop[keep], minlength=first.size + 1)
+    return np.cumsum(edges[: first.size]) / first_at.size
 
 
 def _benefit_means(
@@ -232,11 +236,9 @@ def _benefit_means(
     candidate x draw mask in chunks; ``CostBenefitLoss`` takes one
     candidate at a time.
     """
+    if kind is LossKind.BASELINE:  # the candidates dominating a draw: g_k >= beta_i and a_k <= alpha_i
+        return _run_share(cand_b, draws_b, cand_a, draws_a)
     n_draws = draws_a.size
-    if kind is LossKind.BASELINE:
-        start = np.searchsorted(cand_b, draws_b, side="left")
-        stop = np.searchsorted(cand_a, draws_a, side="right")
-        return _run_counts(start, stop, cand_a.size) / n_draws
     out = np.empty(cand_a.size)
     if isinstance(kind, CostBenefitLoss):
         for i, (a, b) in enumerate(zip(cand_a.tolist(), cand_b.tolist())):
@@ -407,9 +409,7 @@ def reversed_null_retain(
         support = float(np.mean(draws.betas > roc.tpr_at_fpr(draws.alphas)))
         return RetentionResult(retain=support >= credible_level, support=support, alpha_at=None)
     cand = curve_candidate_grid(roc, draws, grid_size)
-    start = np.searchsorted(cand, draws.alphas, side="left")
-    stop = np.searchsorted(roc.tpr_at_fpr(cand), draws.betas, side="right")
-    mass = _run_counts(start, stop, cand.size) / draws.n_draws
+    mass = _run_share(cand, draws.alphas, roc.tpr_at_fpr(cand), draws.betas)
     i = int(np.argmax(mass))
     support = float(mass[i])
     alpha_at = float(cand[i]) if support > 0.0 else None

@@ -36,7 +36,7 @@ import numpy as np
 from .bayes import DEFAULT_PRIOR_WEIGHT, LossKind, benchmark_maker_bayesian, read_bayesian_csv, write_bayesian_csv
 from .core import CohortDataset, naming_maker, rate_pair, read_cases_csv, stratified_split, write_cases_csv
 from .csvio import format_float, write_json
-from .forest import ForestParams, load_forest, save_forest, train_forest
+from .forest import ForestParams, _check_integers, load_forest, save_forest, train_forest
 from .frequentist import CaseLabel, benchmark_maker_frequentist, write_frequentist_csv
 from .replacement import (
     AcceptanceSchedule,
@@ -69,10 +69,10 @@ class RunConfig:
     seed: int = 0
     outer_ratio: tuple[int, int] = (7, 3)  # classification : performance
     inner_ratio: tuple[int, int] = (4, 3)  # train : validation
-    n_trees: int = 100
-    max_features: int = 50
-    min_samples_split: int = 50
-    bootstrap: bool = True
+    n_trees: int = ForestParams.n_trees
+    max_features: int = ForestParams.max_features
+    min_samples_split: int = ForestParams.min_samples_split
+    bootstrap: bool = ForestParams.bootstrap
     n_resamples: int = 100
     n_draws: int = 10_000
     level: float = 0.95
@@ -82,12 +82,10 @@ class RunConfig:
     prior_weight: float = DEFAULT_PRIOR_WEIGHT
 
     def __post_init__(self):
-        def integer(value):
-            return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
         for name in ("outer_ratio", "inner_ratio"):
             r = getattr(self, name)
-            if not isinstance(r, (tuple, list)) or len(r) != 2 or not all(integer(v) and v >= 1 for v in r):
+            if not (isinstance(r, (tuple, list)) and len(r) == 2 and all(
+                    isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1 for v in r)):
                 raise ValueError(f"{name} must be two positive integers")
             object.__setattr__(self, name, tuple(int(v) for v in r))
         for name in ("level", "prior_weight"):
@@ -98,19 +96,15 @@ class RunConfig:
             object.__setattr__(self, name, value if type(value) is int else float(value))
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        for name, least in (("seed", 0), ("min_cases", 1), ("n_resamples", 1), ("n_draws", 1), ("grid_size", 2)):
-            value = getattr(self, name)
-            if not integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-            object.__setattr__(self, name, int(value))
+        _check_integers(self, (("seed", 0), ("min_cases", 1), ("n_resamples", 1), ("n_draws", 1), ("grid_size", 2)))
         forest = ForestParams(self.n_trees, self.max_features, self.min_samples_split, self.bootstrap)
         for name in ("n_trees", "max_features", "min_samples_split"):
             object.__setattr__(self, name, getattr(forest, name))
         LossKind(self.loss_kind)
         if not self.prior_weight > 0:
             raise ValueError("prior_weight must be positive")
+        if not self.prior_weight <= sys.float_info.max:  # also an int too large for a float
+            raise ValueError("prior_weight must be finite")
 
     def forest_params(self) -> ForestParams:
         # the forest gets its own substream-derived seed so its
@@ -271,8 +265,9 @@ def _simulate_spec(args):
 def _cmd_simulate(args) -> int:
     spec = _simulate_spec(args)
     _, generate = GENERATORS[args.dgp]
+    data = generate(spec).data  # before the output directory is made, so a refused spec leaves none
     out = _out_dir(args)
-    write_cases_csv(os.path.join(out, "cases.csv"), generate(spec).data)
+    write_cases_csv(os.path.join(out, "cases.csv"), data)
     write_manifest(os.path.join(out, "manifest.json"), spec)
     return 0
 

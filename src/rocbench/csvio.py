@@ -191,7 +191,7 @@ def read_fields(path, fields: Sequence[tuple], finish: Callable = dict, *, uniqu
 
 
 def write_json(path, payload) -> None:
-    """Sorted keys, two-space indent, and a final newline."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"  # before the open, so a failure leaves no partial file
+    """Sorted keys, two-space indent, and a final newline; NaN and infinities are refused."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"  # before the open, so a failure leaves no partial file
     with open(path, "w") as fh:
         fh.write(text)

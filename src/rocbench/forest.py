@@ -37,6 +37,7 @@ there are.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -59,6 +60,17 @@ FORMAT = 3  # forest JSON layout: two breadth-first node arrays per tree
 _ARRAYS = ("feature", "value")
 
 
+def _check_integers(settings, floors) -> None:
+    """Store each (field, floor) of the frozen ``settings`` as a plain int, refusing a non-integer or a value below the floor."""
+    for name, least in floors:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+        object.__setattr__(settings, name, int(value))
+
+
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
@@ -68,13 +80,7 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n_trees", 1), ("max_features", 1), ("min_samples_split", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-            object.__setattr__(self, name, int(value))
+        _check_integers(self, (("n_trees", 1), ("max_features", 1), ("min_samples_split", 2), ("seed", 0)))
         if not isinstance(self.bootstrap, bool):
             raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
@@ -319,7 +325,7 @@ def forest_to_json(forest: Forest) -> str:
         "n_features": forest.n_features,
         "trees": [{name: getattr(t, name).tolist() for name in _ARRAYS} for t in forest.trees],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _tree_from_dict(data: dict, n_features: int) -> Tree:

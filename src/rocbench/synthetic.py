@@ -63,6 +63,21 @@ def _maker_ids(n_makers: int) -> list[str]:
     return [f"m{j:0{width}d}" for j in range(n_makers)]
 
 
+def _cohort(makers: Sequence[str], seed: int, draw) -> tuple[CohortDataset, list[np.ndarray]]:
+    """The cohort drawn maker by maker, and the read-only columns it does not hold.
+
+    ``draw(g, j)`` returns maker j's ``(features, y, y_hat, *extra)``
+    from ``substream(seed, "maker", j)``; every column is the makers'
+    parts stacked in maker order.
+    """
+    parts = [draw(substream(seed, "maker", j), j) for j in range(len(makers))]
+    features, y, y_hat, *extra = (np.concatenate(column) for column in zip(*parts))
+    index = np.repeat(np.arange(len(makers), dtype=np.int64), [part[1].size for part in parts])
+    for column in extra:
+        column.flags.writeable = False
+    return CohortDataset(makers, index, y, y_hat, features), extra
+
+
 # -- complementarity cohort --------------------------------------------
 
 
@@ -119,14 +134,8 @@ def generate_complementarity(spec: ComplementaritySpec) -> ComplementarityResult
     capable[order[:n_capable]] = True
 
     per = spec.n_cases // spec.n_makers
-    cols = 3 if spec.export_hidden else 2
-    features = np.empty((spec.n_cases, cols))
-    u_all = np.empty(spec.n_cases)
-    y = np.empty(spec.n_cases, dtype=np.uint8)
-    y_hat = np.empty(spec.n_cases, dtype=np.uint8)
-    idx = np.repeat(np.arange(spec.n_makers, dtype=np.int64), per)
-    for j in range(spec.n_makers):
-        g = substream(spec.seed, "maker", j)
+
+    def draw(g, j):
         x1 = g.normal(0.0, scales[0], per)
         x2 = g.normal(0.0, scales[1], per)
         u = g.normal(0.0, scales[2], per)
@@ -134,18 +143,12 @@ def generate_complementarity(spec: ComplementaritySpec) -> ComplementarityResult
         cost = g.uniform(0.4, 1.0, per)
         p = expit(x1 + x2 + u)
         score = p if capable[j] else expit(-x1 + x2 + u)
-        rows = slice(j * per, (j + 1) * per)
-        features[rows, 0] = x1
-        features[rows, 1] = x2
-        if spec.export_hidden:
-            features[rows, 2] = u
-        u_all[rows] = u
-        y[rows] = p > delta
-        y_hat[rows] = score > cost
-    u_all.flags.writeable = False
-    data = CohortDataset(makers, idx, y, y_hat, features)
+        features = np.column_stack((x1, x2, u) if spec.export_hidden else (x1, x2))
+        return features, p > delta, score > cost, u
+
+    data, (u,) = _cohort(makers, spec.seed, draw)
     capable_ids = tuple(makers[j] for j in range(spec.n_makers) if capable[j])
-    return ComplementarityResult(data=data, capable_ids=capable_ids, u=u_all)
+    return ComplementarityResult(data=data, capable_ids=capable_ids, u=u)
 
 
 # -- predicted doctor ---------------------------------------------------
@@ -198,12 +201,13 @@ class PredictedDoctorResult:
 def generate_predicted_doctor(spec: PredictedDoctorSpec) -> PredictedDoctorResult:
     from scipy.special import expit, logit, ndtr  # kept out of the import of the package
 
-    g = substream(spec.seed, "maker", 0)
     cut = float(logit(spec.c0))
     if spec.scenario in (1, 3):
-        x = g.uniform(-1.0, 1.0, spec.n)[:, None]
-        u = g.uniform(-2.0, 2.0, spec.n)
         sign = 1.0 if spec.scenario == 1 else -1.0
+
+        def signals(g):
+            x = g.uniform(-1.0, 1.0, spec.n)[:, None]
+            return x, g.uniform(-2.0, 2.0, spec.n)
 
         def truth_score(feats):
             return expit(feats[:, 0])
@@ -216,10 +220,11 @@ def generate_predicted_doctor(spec: PredictedDoctorSpec) -> PredictedDoctorResul
             return np.clip((2.0 - (cut - sign * feats[:, 0])) / 4.0, 0.0, 1.0)
 
     else:
-        x1 = g.normal(0.0, 1.0, spec.n)
-        x2 = g.normal(0.0, np.sqrt(0.5), spec.n)
-        u = g.normal(0.0, 2.0, spec.n)
-        x = np.column_stack([x1, x2])
+
+        def signals(g):
+            x1 = g.normal(0.0, 1.0, spec.n)
+            x2 = g.normal(0.0, np.sqrt(0.5), spec.n)
+            return np.column_stack([x1, x2]), g.normal(0.0, 2.0, spec.n)
 
         def truth_score(feats):
             return expit(feats[:, 0] + feats[:, 1])
@@ -231,12 +236,12 @@ def generate_predicted_doctor(spec: PredictedDoctorSpec) -> PredictedDoctorResul
             # P(u > cut - x1 + x2) under u ~ N(0, sd 2)
             return ndtr(-(cut - feats[:, 0] + feats[:, 1]) / 2.0)
 
-    delta = g.random(spec.n)
-    y = (truth_score(x) > delta).astype(np.uint8)
-    y_hat = (doctor_score(x, u) > spec.c0).astype(np.uint8)
-    u = np.ascontiguousarray(u)
-    u.flags.writeable = False
-    data = CohortDataset(["doctor"], np.zeros(spec.n, dtype=np.int64), y, y_hat, x)
+    def draw(g, _):
+        x, u = signals(g)
+        delta = g.random(spec.n)
+        return x, truth_score(x) > delta, doctor_score(x, u) > spec.c0, u
+
+    data, (u,) = _cohort(["doctor"], spec.seed, draw)
     return PredictedDoctorResult(
         data=data, u=u, truth_score=truth_score,
         doctor_score=doctor_score, predicted_score=predicted_score,
@@ -277,12 +282,12 @@ def incentive_analytic() -> tuple[tuple[float, float], RatePair]:
 
 
 def generate_incentive(spec: IncentiveSpec) -> IncentiveResult:
-    g = substream(spec.seed, "maker", 0)
-    x = g.random(spec.n)
-    delta = g.random(spec.n)
-    y = (x > delta).astype(np.uint8)
-    y_hat = (x < 0.5).astype(np.uint8)
-    data = CohortDataset(["rule"], np.zeros(spec.n, dtype=np.int64), y, y_hat, x[:, None])
+    def draw(g, _):
+        x = g.random(spec.n)
+        delta = g.random(spec.n)
+        return x[:, None], x > delta, x < 0.5
+
+    data, _ = _cohort(["rule"], spec.seed, draw)
     moments, pair = incentive_analytic()
     return IncentiveResult(data=data, moments=moments, pair=pair)
 
@@ -323,7 +328,7 @@ def _resolve_cutoffs(spec: HeterogeneousCutoffsSpec) -> np.ndarray:
         out = np.asarray([float(v) for v in c])
         if out.shape != (spec.n_makers,):
             raise ValueError("explicit cutoffs must list one value per maker")
-        if out.min() < 0.0 or out.max() > 1.0:
+        if not ((out >= 0.0) & (out <= 1.0)).all():  # NaN fails both
             raise ValueError("cutoffs must lie in [0, 1]")
     if np.ptp(out) <= 1e-12:
         raise ValueError("cutoffs are constant; the cohort needs cutoff variation")
@@ -361,23 +366,14 @@ def concave_reference_roc(n_points: int = 513) -> RocCurve:
 
 def generate_heterogeneous_cutoffs(spec: HeterogeneousCutoffsSpec) -> HeterogeneousCutoffsResult:
     cutoffs = _resolve_cutoffs(spec)
-    makers = _maker_ids(spec.n_makers)
-    per = spec.cases_per_maker
-    n = spec.n_makers * per
-    features = np.empty((n, 1))
-    y = np.empty(n, dtype=np.uint8)
-    y_hat = np.empty(n, dtype=np.uint8)
-    idx = np.repeat(np.arange(spec.n_makers, dtype=np.int64), per)
-    for j in range(spec.n_makers):
-        g = substream(spec.seed, "maker", j)
-        x = g.random(per)
-        delta = g.random(per)
-        rows = slice(j * per, (j + 1) * per)
-        features[rows, 0] = x
-        y[rows] = x > delta
-        y_hat[rows] = x > cutoffs[j]
+
+    def draw(g, j):
+        x = g.random(spec.cases_per_maker)
+        delta = g.random(spec.cases_per_maker)
+        return x[:, None], x > delta, x > cutoffs[j]
+
+    data, _ = _cohort(_maker_ids(spec.n_makers), spec.seed, draw)
     cutoffs.flags.writeable = False
-    data = CohortDataset(makers, idx, y, y_hat, features)
     return HeterogeneousCutoffsResult(data=data, cutoffs=cutoffs)
 
 

@@ -539,6 +539,22 @@ class TestReversedNullRetention:
             reversed_null_retain(make_draws([(0.5, 0.5)]), two_segment(), 0.0)
 
 
+class TestRunShare:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_draws_on_candidate_keys_match_dense_masks(self, seed, n_cand, n):
+        # every draw sits exactly on a candidate's fpr and on a (possibly other) candidate's curve
+        # value, and the curve values tie in plateaus: the searchsorted sides decide every count
+        rng = np.random.default_rng(seed)
+        cand_a = np.unique(rng.integers(0, 2 * n_cand, n_cand) / (2 * n_cand))
+        g = np.sort(rng.integers(0, 4, cand_a.size) / 3)
+        alphas, betas = cand_a[rng.integers(0, cand_a.size, n)], g[rng.integers(0, cand_a.size, n)]
+        forward = bayes._run_share(g, betas, cand_a, alphas)  # candidates dominating each draw
+        assert forward.tobytes() == dense_mass(cand_a, g, alphas, betas).tobytes()
+        mirrored = bayes._run_share(cand_a, alphas, g, betas)  # candidates each draw dominates
+        assert mirrored.tobytes() == dense_reverse_mass(cand_a, g, alphas, betas).tobytes()
+
+
 class TestBenchmarkBayesian:
     COUNTS = ConfusionCounts(n11=40, n01=60, n10=60, n00=140)
 

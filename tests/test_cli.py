@@ -183,6 +183,16 @@ class TestSimulateFlags:
         assert len(lines) == 1 and "--cutoffs excludes" in json.loads(lines[0])["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("cutoffs", ["0.1,nan,0.9", "0.1,-0.5,0.9", "0.1,1.5,0.9", "0.1,0.5,inf"])
+    def test_cutoff_outside_the_unit_interval_is_refused(self, cutoffs, tmp_path, capsys):
+        # NaN compares false both ways, so a range test that looks for a failing value lets it through
+        out = tmp_path / "sim"
+        assert main(["simulate", "--dgp", "heterogeneous-cutoffs", "--n-makers", "3", "--cases-per-maker", "20",
+                     "--cutoffs", cutoffs, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert [json.loads(line) for line in lines] == [{"error": "ValueError: cutoffs must lie in [0, 1]"}]
+        assert not out.exists()
+
 
 class TestTrainAndRoc:
     def test_model_honors_flags(self, workdir):
@@ -669,6 +679,8 @@ class TestConfigResolution:
             ({"inner_ratio": 4}, "^inner_ratio must be two positive integers$"),
             ({"prior_weight": "0.1"}, "^prior_weight must be a number, got '0.1'$"),
             ({"prior_weight": float("nan")}, "^prior_weight must be positive$"),
+            ({"prior_weight": float("inf")}, "^prior_weight must be finite$"),
+            ({"prior_weight": 10**400}, "^prior_weight must be finite$"),
             ({"level": True}, "^level must be a number, got True$"),
             ({"level": None}, "^level must be a number, got None$"),
             ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
@@ -704,6 +716,17 @@ class TestConfigResolution:
         argv = ["report", "--cases", str(tmp_path / "missing.csv"), flag, value, "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err) == {"error": f"ValueError: {message}"}
+
+    @pytest.mark.parametrize("command, inputs", [("report", ["--cases"]), ("bench-bayes", ["--cases", "--roc"])])
+    @pytest.mark.parametrize("value", ["inf", "Infinity"])
+    def test_infinite_prior_refused_before_the_cases_are_read(self, command, inputs, value, tmp_path, capsys):
+        # the settings are checked before any input is read, so the missing files are never opened
+        argv = [command, "--prior", value, "--out", str(tmp_path / "run")]
+        for flag in inputs:
+            argv += [flag, str(tmp_path / "missing.csv")]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError: prior_weight must be finite"}
+        assert not (tmp_path / "run").exists()
 
     def test_ratio_strings_parsed(self):
         cfg = RunConfig(outer_ratio=(7, 3))

@@ -160,6 +160,18 @@ class TestWriters:
             write_json(path, {"a": 1, "b": np.int64(2)})
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_non_finite_floats(self, tmp_path, value):
+        # strict JSON: a reader such as JSON.parse or jq rejects NaN and Infinity
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"a": [0.5, value]})
+        assert not path.exists()
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"a": [0.5, value]})
+        assert path.read_text() == "kept\n"
+
 
 # -- the bulk cases/ROC codec against the row codec ------------------------
 

@@ -15,6 +15,7 @@ from rocbench import forest as forest_module
 from rocbench.forest import (
     Forest,
     ForestParams,
+    Tree,
     forest_from_json,
     forest_to_json,
     load_forest,
@@ -370,6 +371,20 @@ class TestSerialization:
 
         monkeypatch.setattr(forest_module, "forest_to_json", fail)
         with pytest.raises(TypeError, match="not serialisable"):
+            save_forest(path, forest)
+        assert path.read_text() == "kept\n"
+
+    def test_non_finite_leaf_value_is_not_written(self, tmp_path):
+        forest, _ = self.make()
+        tree = forest.trees[0]
+        value = tree.value.copy()
+        value[-1] = np.nan
+        forest.trees[0] = Tree(tree.feature, value)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            forest_to_json(forest)
+        path = tmp_path / "forest.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="not JSON compliant"):
             save_forest(path, forest)
         assert path.read_text() == "kept\n"
 

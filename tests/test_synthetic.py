@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit, logit, ndtr
 
 from rocbench.core import RatePair, rate_pair, tally_confusion
+from rocbench.rng import substream
 from rocbench.roc import build_roc
 from rocbench.synthetic import (
     ComplementaritySpec,
@@ -292,3 +295,152 @@ class TestManifest:
         write_manifest(p1, ComplementaritySpec())
         write_manifest(p2, ComplementaritySpec())
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# -- the generators against per-maker preallocate-and-slice loops ------------
+#
+# Each reference fills preallocated columns row slice by row slice, as the
+# generators once did; the generators now stack what each maker's draw
+# returns, and must give the same arrays.
+
+
+def reference_complementarity(spec):
+    scales = np.sqrt([1.95, 0.25, 2.0])
+    order = np.arange(spec.n_makers)
+    if spec.shuffle_groups:
+        order = substream(spec.seed, "groups").permutation(spec.n_makers)
+    capable = np.zeros(spec.n_makers, dtype=bool)
+    capable[order[: round(spec.capable_fraction * spec.n_makers)]] = True
+    per = spec.n_cases // spec.n_makers
+    features = np.empty((spec.n_cases, 3 if spec.export_hidden else 2))
+    u_all = np.empty(spec.n_cases)
+    y = np.empty(spec.n_cases, dtype=np.uint8)
+    y_hat = np.empty(spec.n_cases, dtype=np.uint8)
+    for j in range(spec.n_makers):
+        g = substream(spec.seed, "maker", j)
+        x1 = g.normal(0.0, scales[0], per)
+        x2 = g.normal(0.0, scales[1], per)
+        u = g.normal(0.0, scales[2], per)
+        delta = g.random(per)
+        cost = g.uniform(0.4, 1.0, per)
+        p = expit(x1 + x2 + u)
+        score = p if capable[j] else expit(-x1 + x2 + u)
+        rows = slice(j * per, (j + 1) * per)
+        features[rows, 0] = x1
+        features[rows, 1] = x2
+        if spec.export_hidden:
+            features[rows, 2] = u
+        u_all[rows] = u
+        y[rows] = p > delta
+        y_hat[rows] = score > cost
+    index = np.repeat(np.arange(spec.n_makers, dtype=np.int64), per)
+    return index, y, y_hat, features, u_all
+
+
+def reference_predicted_doctor(spec):
+    g = substream(spec.seed, "maker", 0)
+    cut = float(logit(spec.c0))
+    if spec.scenario in (1, 3):
+        x = g.uniform(-1.0, 1.0, spec.n)[:, None]
+        u = g.uniform(-2.0, 2.0, spec.n)
+        sign = 1.0 if spec.scenario == 1 else -1.0
+        truth, doctor = expit(x[:, 0]), expit(sign * x[:, 0] + u)
+        predicted = np.clip((2.0 - (cut - sign * x[:, 0])) / 4.0, 0.0, 1.0)
+    else:
+        x1 = g.normal(0.0, 1.0, spec.n)
+        x2 = g.normal(0.0, np.sqrt(0.5), spec.n)
+        u = g.normal(0.0, 2.0, spec.n)
+        x = np.column_stack([x1, x2])
+        truth, doctor = expit(x1 + x2), expit(x1 - x2 + u)
+        predicted = ndtr(-(cut - x1 + x2) / 2.0)
+    delta = g.random(spec.n)
+    y = (truth > delta).astype(np.uint8)
+    y_hat = (doctor > spec.c0).astype(np.uint8)
+    return np.zeros(spec.n, dtype=np.int64), y, y_hat, x, u, (truth, doctor, predicted)
+
+
+def reference_incentive(spec):
+    g = substream(spec.seed, "maker", 0)
+    x = g.random(spec.n)
+    delta = g.random(spec.n)
+    return np.zeros(spec.n, dtype=np.int64), (x > delta).astype(np.uint8), (x < 0.5).astype(np.uint8), x[:, None]
+
+
+def reference_heterogeneous_cutoffs(spec, cutoffs):
+    per = spec.cases_per_maker
+    n = spec.n_makers * per
+    features = np.empty((n, 1))
+    y = np.empty(n, dtype=np.uint8)
+    y_hat = np.empty(n, dtype=np.uint8)
+    for j in range(spec.n_makers):
+        g = substream(spec.seed, "maker", j)
+        x = g.random(per)
+        delta = g.random(per)
+        rows = slice(j * per, (j + 1) * per)
+        features[rows, 0] = x
+        y[rows] = x > delta
+        y_hat[rows] = x > cutoffs[j]
+    return np.repeat(np.arange(spec.n_makers, dtype=np.int64), per), y, y_hat, features
+
+
+def assert_same_arrays(got, want):
+    """Equal values, dtypes and shapes, array for array."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def columns(data):
+    return data.maker_index, data.y, data.y_hat, data.features
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestAgainstSliceLoops:
+    @given(SEEDS, st.integers(1, 12), st.integers(1, 9), st.floats(0.0, 1.0), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_complementarity(self, seed, n_makers, per, fraction, hidden, shuffle):
+        spec = ComplementaritySpec(n_cases=n_makers * per, n_makers=n_makers, capable_fraction=fraction, seed=seed,
+                                   export_hidden=hidden, shuffle_groups=shuffle)
+        res = generate_complementarity(spec)
+        *want, u = reference_complementarity(spec)
+        assert_same_arrays([*columns(res.data), res.u], [*want, u])
+        assert not res.u.flags.writeable
+
+    @given(SEEDS, st.sampled_from([1, 2, 3]), st.integers(1, 40), st.floats(0.01, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_predicted_doctor(self, seed, scenario, n, c0):
+        spec = PredictedDoctorSpec(scenario=scenario, n=n, c0=c0, seed=seed)
+        res = generate_predicted_doctor(spec)
+        *want, u, (truth, doctor, predicted) = reference_predicted_doctor(spec)
+        assert res.data.makers == ("doctor",)
+        assert_same_arrays([*columns(res.data), res.u], [*want, u])
+        assert not res.u.flags.writeable
+        x = res.data.features
+        assert_same_arrays([res.truth_score(x), res.doctor_score(x, res.u), res.predicted_score(x)],
+                           [truth, doctor, predicted])
+
+    @given(SEEDS, st.integers(1, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_incentive(self, seed, n):
+        res = generate_incentive(IncentiveSpec(n=n, seed=seed))
+        assert res.data.makers == ("rule",)
+        assert_same_arrays(columns(res.data), reference_incentive(IncentiveSpec(n=n, seed=seed)))
+
+    @given(SEEDS, st.integers(2, 9), st.integers(1, 9), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_heterogeneous_cutoffs(self, seed, n_makers, per, explicit, data):
+        if explicit:
+            values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_makers, max_size=n_makers))
+            cutoffs = tuple([0.0, 1.0] + values[2:])  # not constant
+        else:
+            lo = data.draw(st.floats(0.0, 0.9))
+            cutoffs = ("uniform", lo, data.draw(st.floats(lo + 0.05, 1.0)))
+        spec = HeterogeneousCutoffsSpec(n_makers=n_makers, cases_per_maker=per, cutoffs=cutoffs, seed=seed)
+        res = generate_heterogeneous_cutoffs(spec)
+        want = cutoffs[:n_makers] if explicit else substream(seed, "cutoffs").uniform(cutoffs[1], cutoffs[2], n_makers)
+        assert_same_arrays([res.cutoffs], [np.asarray(want, dtype=np.float64)])
+        assert not res.cutoffs.flags.writeable
+        assert_same_arrays(columns(res.data), reference_heterogeneous_cutoffs(spec, res.cutoffs))
