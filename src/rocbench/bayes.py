@@ -31,6 +31,7 @@ import numpy as np
 from .core import ConfusionCounts, RatePair, naming_maker
 from .csvio import format_float, format_optional, parse_float, parse_optional, read_fields, write_fields
 from .replacement import Verdicts
+from .rng import _draw_kept
 from .roc import RocCurve
 
 __all__ = [
@@ -113,19 +114,8 @@ def sample_posterior(
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     rng = np.random.default_rng(seed)
-    kept = []
-    short = n_draws
-    redrawn = 0
-    while short > 0:
-        t = rng.dirichlet(params.gamma, size=short)
-        ok = (t > 0.0).all(axis=1)
-        kept.append(t[ok])
-        bad = short - int(ok.sum())
-        redrawn += bad
-        short = bad
-        if redrawn > 10 * n_draws:
-            raise RuntimeError("posterior sampling rejected too many zero-cell draws")
-    t = np.concatenate(kept)
+    t, _ = _draw_kept(lambda k: rng.dirichlet(params.gamma, size=k), lambda t: (t > 0.0).all(axis=1),
+                      n_draws, 10 * n_draws, lambda _: "posterior sampling rejected too many zero-cell draws")
     alphas = t[:, 1] / (t[:, 1] + t[:, 3])
     betas = t[:, 0] / (t[:, 0] + t[:, 2])
     for arr in (t, alphas, betas):
@@ -273,6 +263,18 @@ def _benefit_means(
     return out
 
 
+def _first_peak(draws: PosteriorDraws, roc: RocCurve, grid_size: int, score) -> tuple[float, float, float]:
+    """Largest ``score(cand, g)`` over the shared grid ``cand`` and its curve values ``g``, first at the smallest fpr.
+
+    Returns that score with its candidate's fpr and curve value.
+    """
+    cand = curve_candidate_grid(roc, draws, grid_size)
+    g = roc.tpr_at_fpr(cand)
+    values = score(cand, g)
+    i = int(np.argmax(values))
+    return float(values[i]), float(cand[i]), float(g[i])
+
+
 @dataclass(frozen=True)
 class DominanceResult:
     q_max: float
@@ -293,12 +295,8 @@ def max_dominance(
     q_max = 0 means no curve point dominates any draw (all mass above
     the curve) and the maximizer is reported as undefined.
     """
-    cand = curve_candidate_grid(roc, draws, grid_size)
-    q = _benefit_means(cand, roc.tpr_at_fpr(cand), draws.alphas, draws.betas, LossKind.BASELINE, roc)
-    i = int(np.argmax(q))
-    if q[i] == 0.0:
-        return DominanceResult(q_max=0.0, alpha_d=None)
-    return DominanceResult(q_max=float(q[i]), alpha_d=float(cand[i]))
+    q, alpha, _ = _first_peak(draws, roc, grid_size, lambda cand, g: _run_share(g, draws.betas, cand, draws.alphas))
+    return DominanceResult(q_max=q, alpha_d=alpha if q > 0.0 else None)
 
 
 def loss_eval(kind, theta_m, theta_h, roc: RocCurve) -> float:
@@ -324,13 +322,12 @@ def min_posterior_loss(
 
     Returns (value, minimizing curve point); ties pick the smallest
     fpr.  For the baseline indicator the value is exactly 1 - q_max on
-    the same grid.
+    the same grid: the largest mean benefit is the least loss.
     """
-    cand = curve_candidate_grid(roc, draws, grid_size)
-    g_cand = roc.tpr_at_fpr(cand)
-    benefit = _benefit_means(cand, g_cand, draws.alphas, draws.betas, kind, roc)
-    i = int(np.argmax(benefit))  # max benefit == min loss; first hit = smallest fpr
-    return float(1.0 - benefit[i]), RatePair(float(cand[i]), float(g_cand[i]))
+    benefit, alpha, beta = _first_peak(
+        draws, roc, grid_size, lambda cand, g: _benefit_means(cand, g, draws.alphas, draws.betas, kind, roc)
+    )
+    return 1.0 - benefit, RatePair(alpha, beta)
 
 
 def replace_decision(
@@ -408,11 +405,8 @@ def reversed_null_retain(
     if method is RetentionMethod.ABOVE:
         support = float(np.mean(draws.betas > roc.tpr_at_fpr(draws.alphas)))
         return RetentionResult(retain=support >= credible_level, support=support, alpha_at=None)
-    cand = curve_candidate_grid(roc, draws, grid_size)
-    mass = _run_share(cand, draws.alphas, roc.tpr_at_fpr(cand), draws.betas)
-    i = int(np.argmax(mass))
-    support = float(mass[i])
-    alpha_at = float(cand[i]) if support > 0.0 else None
+    support, alpha, _ = _first_peak(draws, roc, grid_size, lambda cand, g: _run_share(cand, draws.alphas, g, draws.betas))
+    alpha_at = alpha if support > 0.0 else None
     return RetentionResult(retain=support >= credible_level, support=support, alpha_at=alpha_at)
 
 

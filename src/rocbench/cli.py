@@ -14,11 +14,11 @@ reads, but its config file may hold any.  `report` and the subcommands
 share one function per stage, and every random stage draws from a named
 substream of the single run seed, so reruns are byte-identical and the
 chain reproduces `report`.  The forest's trees and the verdict stage's
-blocks of makers run in processes forked per CPU (`rocbench.workers`);
-outputs do not depend on the CPU count, and `report` refuses a maker
-with one outcome class before the forest trains.  Errors print one JSON
-line to stderr and exit 2.  The ROCBENCH_OUT environment variable sets
-the default output directory.
+makers run as tasks in processes forked per CPU, one contiguous run of
+tasks per process (`rocbench.workers`), and outputs do not depend on
+the CPU count.  `report` and the bench commands refuse a one-class
+maker before any fork.  Errors print one JSON line to stderr and exit 2.
+The ROCBENCH_OUT environment variable sets the default output directory.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .replacement import (
 from .rng import substream
 from .roc import build_roc, read_roc_csv, write_roc_csv
 from .synthetic import GENERATORS, write_manifest
-from .workers import cpus, map_forked
+from .workers import map_forked
 
 OUT_ENV = "ROCBENCH_OUT"
 # the sweeps `report` runs, and the defaults of `path` and `randomized`
@@ -96,7 +96,7 @@ class RunConfig:
             object.__setattr__(self, name, value if type(value) is int else float(value))
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        _check_integers(self, (("seed", 0), ("min_cases", 1), ("n_resamples", 1), ("n_draws", 1), ("grid_size", 2)))
+        _check_integers(self, (("seed", 0), ("min_cases", 1), ("n_resamples", 2), ("n_draws", 1), ("grid_size", 2)))
         forest = ForestParams(self.n_trees, self.max_features, self.min_samples_split, self.bootstrap)
         for name in ("n_trees", "max_features", "min_samples_split"):
             object.__setattr__(self, name, getattr(forest, name))
@@ -187,39 +187,38 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-# Each stage below runs in `report` and in its subcommand, and each maker draws from its own
-# substream.  So the verdict stage benchmarks contiguous blocks of makers in forked workers
-# (`rocbench.workers`), one block per CPU, and its verdicts do not depend on the CPU count.
-def _verdicts(counts: dict, roc, cfg: RunConfig, cov: str | None = "bootstrap", bayes: bool = True) -> list[Verdicts]:
-    """Frequentist verdicts with ``cov`` covariances (none when None), then Bayesian ones if ``bayes``.
+# Each stage below runs in `report` and in its subcommand.
+def _verdicts(counts: dict, roc, *routes) -> list[Verdicts]:
+    """One table per route, in maker order; ``route(maker, counts, roc)`` is a maker's row.
 
-    ``min(CPUs, makers)`` blocks run through one ``map_forked`` call.  A
-    block benchmarks its makers one by one, each maker by every route
-    asked for, so the failure reported is the first in maker order on
-    any number of CPUs; the parent joins the rows in maker order.
+    Each maker is one ``map_forked`` task that runs every route in turn and draws from its own
+    substreams, so the verdicts, and the failure reported (the first in maker order), do not
+    depend on the CPU count.
     """
-
-    def rows(m, c):
-        if cov is not None:
-            yield benchmark_maker_frequentist(
-                m, c, roc, level=cfg.level, n_resamples=cfg.n_resamples,
-                seed=substream(cfg.seed, "bootstrap", m), cov_method=cov,
-            )
-        if bayes:
-            yield benchmark_maker_bayesian(
-                m, c, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws,
-                seed=substream(cfg.seed, "posterior", m), credible_level=cfg.level,
-                kind=cfg.loss(), grid_size=cfg.grid_size,
-            )
-
     makers = list(counts.items())
-    k = min(cpus(), len(makers))
+    rows = map_forked(lambda i: [route(*makers[i], roc) for route in routes], len(makers))
+    return [Verdicts.from_rows(r[k] for r in rows) for k in range(len(routes))]
 
-    def block(b):
-        return [list(rows(m, c)) for m, c in makers[len(makers) * b // k : len(makers) * (b + 1) // k]]
 
-    per_maker = [r for part in map_forked(block, k) for r in part]
-    return [Verdicts.from_rows(r[i] for r in per_maker) for i in range((cov is not None) + bayes)]
+# A route looks its benchmark up in this module as it runs, so a name rebound after import is the one called.
+def _frequentist(cfg: RunConfig, cov: str = "bootstrap"):
+    return lambda m, c, roc: benchmark_maker_frequentist(
+        m, c, roc, level=cfg.level, n_resamples=cfg.n_resamples, seed=substream(cfg.seed, "bootstrap", m),
+        cov_method=cov)
+
+
+def _bayesian(cfg: RunConfig):
+    return lambda m, c, roc: benchmark_maker_bayesian(
+        m, c, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws, seed=substream(cfg.seed, "posterior", m),
+        credible_level=cfg.level, kind=cfg.loss(), grid_size=cfg.grid_size)
+
+
+def _two_class(counts: dict) -> dict:
+    """``counts``, once every maker has both outcome classes; the first in order that lacks one is refused."""
+    for m, c in counts.items():
+        with naming_maker(m):
+            rate_pair(c)
+    return counts
 
 
 def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, scope=SCOPES[0]) -> list:
@@ -333,22 +332,23 @@ def _cmd_roc(args) -> int:
 
 
 def _bench_inputs(args) -> tuple:
-    """Counts of the makers with at least ``min_cases`` cases, the curve, the config."""
+    """Counts of the makers with at least ``min_cases`` cases, each with both classes; the curve; the config."""
     cfg = _load_config(args)
     data, _ = _filter_small_makers(read_cases_csv(args.cases), cfg.min_cases)
-    return data.counts_by_maker(), read_roc_csv(args.roc), cfg
+    roc = read_roc_csv(args.roc)
+    return _two_class(data.counts_by_maker()), roc, cfg
 
 
 def _cmd_bench_freq(args) -> int:
     counts, roc, cfg = _bench_inputs(args)
-    (verdicts,) = _verdicts(counts, roc, cfg, cov=args.cov, bayes=False)
+    (verdicts,) = _verdicts(counts, roc, _frequentist(cfg, args.cov))
     write_frequentist_csv(_out_file(args), verdicts)
     return 0
 
 
 def _cmd_bench_bayes(args) -> int:
     counts, roc, cfg = _bench_inputs(args)
-    (verdicts,) = _verdicts(counts, roc, cfg, cov=None)
+    (verdicts,) = _verdicts(counts, roc, _bayesian(cfg))
     write_bayesian_csv(_out_file(args), verdicts)
     return 0
 
@@ -395,16 +395,13 @@ def _cmd_report(args) -> int:
     )
     if data.features is None:
         raise ValueError(f"{args.cases}: no feature columns; cannot train")
-    counts = classification.counts_by_maker()
-    for m, c in counts.items():  # a one-class maker is refused before the forest trains
-        with naming_maker(m):
-            rate_pair(c)
+    counts = _two_class(classification.counts_by_maker())  # before the forest trains
     forest = train_forest(train.features, train.y, cfg.forest_params())
     roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
     scores = forest.predict_propensity(performance.features)
     roc_perf = build_roc(scores, performance.y)
 
-    verdicts_freq, verdicts_bayes = _verdicts(counts, roc_val, cfg)
+    verdicts_freq, verdicts_bayes = _verdicts(counts, roc_val, _frequentist(cfg), _bayesian(cfg))
 
     raw_pair = rate_pair(performance.pooled_counts())
     combined_bayes = combine_decisions(performance, verdicts_bayes, scores)

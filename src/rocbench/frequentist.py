@@ -30,6 +30,7 @@ import numpy as np
 from .core import ConfusionCounts, RatePair, naming_maker, rate_pair
 from .csvio import format_float, format_optional, parse_float, parse_optional, read_fields, write_fields
 from .replacement import Verdicts
+from .rng import _draw_kept
 from .roc import _ON_CURVE_TOL, DominatingSegment, RocCurve
 
 __all__ = [
@@ -93,22 +94,13 @@ def bootstrap_pairs(
     n = counts.n
     t_hat = np.array([counts.n11, counts.n01, counts.n10, counts.n00]) / n
     rng = np.random.default_rng(seed)
-    kept = []
-    short = n_resamples
-    n_redrawn = 0
-    while short > 0:
-        draw = rng.multinomial(n, t_hat, size=short)
-        ok = ((draw[:, 0] + draw[:, 2]) > 0) & ((draw[:, 1] + draw[:, 3]) > 0)
-        kept.append(draw[ok])
-        bad = short - int(ok.sum())
-        n_redrawn += bad
-        short = bad
-        if n_redrawn > n_resamples:
-            raise RuntimeError(
-                f"bootstrap aborted: {n_redrawn} degenerate resamples exceed the "
-                f"{n_resamples} requested; counts {counts} are too unbalanced"
-            )
-    draws = np.concatenate(kept)
+    draws, n_redrawn = _draw_kept(
+        lambda k: rng.multinomial(n, t_hat, size=k),
+        lambda d: ((d[:, 0] + d[:, 2]) > 0) & ((d[:, 1] + d[:, 3]) > 0),
+        n_resamples, n_resamples,
+        lambda k: f"bootstrap aborted: {k} degenerate resamples exceed the {n_resamples} requested; "
+                  f"counts {counts} are too unbalanced",
+    )
     alphas = draws[:, 1] / (draws[:, 1] + draws[:, 3])
     betas = draws[:, 0] / (draws[:, 0] + draws[:, 2])
     return BootstrapPairs(alphas=alphas, betas=betas, n_redrawn=n_redrawn)
@@ -163,8 +155,8 @@ def confidence_ellipse(center: RatePair, cov, level: float) -> EllipseSet:
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     cov = np.array(cov, dtype=np.float64)
-    if cov.shape != (2, 2):
-        raise ValueError("cov must be 2x2")
+    if cov.shape != (2, 2) or not np.isfinite(cov).all():  # one resample gives a NaN covariance
+        raise ValueError("cov must be a finite 2x2 matrix")
     cov[0, 0] = max(cov[0, 0], _VAR_FLOOR)  # boundary rates collapse the ellipse
     cov[1, 1] = max(cov[1, 1], _VAR_FLOOR)
     cov.flags.writeable = False

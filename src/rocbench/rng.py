@@ -28,3 +28,20 @@ def substream(seed: int, *labels) -> np.random.Generator:
     """
     key = tuple(_label_key(l) for l in labels)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _draw_kept(draw, keep, n: int, limit: int, abort) -> tuple[np.ndarray, int]:
+    """``n`` rows that pass ``keep``, in draw order from batches ``draw(k)`` of the k still short; the count rejected.
+
+    Raises ``RuntimeError(abort(rejected))`` once more than ``limit`` have been rejected.
+    """
+    kept, short, rejected = [], n, 0
+    while short > 0:
+        rows = draw(short)
+        ok = keep(rows)
+        kept.append(rows[ok])
+        short -= int(ok.sum())
+        rejected += short
+        if rejected > limit:
+            raise RuntimeError(abort(rejected))
+    return np.concatenate(kept), rejected

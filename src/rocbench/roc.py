@@ -48,6 +48,14 @@ def _between(t0, t1, s) -> float:
     return float(t0 + s * step if np.isfinite(step) else (1 - s) * t0 + s * t1)
 
 
+def _query(x, clip: bool) -> np.ndarray:
+    """A curve query's argument as a float array, 0-d for a scalar, clipped to [0, 1] if ``clip``; NaN is refused."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("a curve query at NaN has no answer")
+    return np.clip(x, 0.0, 1.0) if clip else x
+
+
 @dataclass(frozen=True)
 class DominatingSegment:
     """The stretch of curve that weakly dominates a below-curve pair.
@@ -124,9 +132,7 @@ class RocCurve:
         Nondecreasing in alpha in floating point too, not only in exact
         arithmetic: the dominance counts in ``bayes`` depend on it.
         """
-        a = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, 1.0)
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
+        a = _query(alpha, clip=True)
         j = np.searchsorted(self._ua, a, side="left")
         exact = self._ua[j] == a
         k = np.maximum(j, 1)
@@ -138,13 +144,11 @@ class RocCurve:
         # of a knot
         chord = np.minimum(chord, self._lo[k])
         out = np.where(exact, self._hi[j], chord)
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     def fpr_at_tpr(self, beta):
         """Generalized inverse: smallest fpr whose curve value reaches beta."""
-        b = np.clip(np.asarray(beta, dtype=np.float64), 0.0, 1.0)
-        scalar = b.ndim == 0
-        b = np.atleast_1d(b)
+        b = _query(beta, clip=True)
         i = np.searchsorted(self.betas, b, side="left")
         im = np.maximum(i, 1)
         da = self.alphas[im] - self.alphas[im - 1]
@@ -152,31 +156,24 @@ class RocCurve:
         with np.errstate(invalid="ignore", divide="ignore"):
             interp = self.alphas[im - 1] + (b - self.betas[im - 1]) * da / db
         out = np.where(i == 0, self.alphas[0], np.where(da == 0.0, self.alphas[im], interp))
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     def slope_at(self, alpha):
         """Chord slope of g at alpha; at a vertex the left chord wins."""
-        a = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, 1.0)
-        scalar = a.ndim == 0
-        a = np.atleast_1d(a)
-        k = np.maximum(np.searchsorted(self._ua, a, side="left"), 1)
+        k = np.maximum(np.searchsorted(self._ua, _query(alpha, clip=True), side="left"), 1)
         with np.errstate(invalid="ignore", divide="ignore"):
             out = (self._lo[k] - self._hi[k - 1]) / (self._ua[k] - self._ua[k - 1])
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
     # -- thresholds ------------------------------------------------------
 
     def pair_at_threshold(self, c):
         """(fpr, tpr) of the curve at threshold c, linear between vertices."""
-        c = np.asarray(c, dtype=np.float64)
-        scalar = c.ndim == 0
-        c = np.atleast_1d(c)
+        c = _query(c, clip=False)
         t_asc = self.thresholds[::-1]
         a = np.interp(c, t_asc, self.alphas[::-1])
         b = np.interp(c, t_asc, self.betas[::-1])
-        if scalar:
-            return RatePair(float(a[0]), float(b[0]))
-        return a, b
+        return RatePair(float(a), float(b)) if c.ndim == 0 else (a, b)
 
     def threshold_at_point(self, pair) -> float:
         """Threshold of an on-curve point, linear between vertices."""

@@ -3,10 +3,11 @@
 ``map_forked(task, n)`` returns ``[task(0), ..., task(n - 1)]``.  It
 forks one worker per CPU in the process's affinity mask beyond the
 first (``taskset`` narrows the mask), never more processes than tasks.
-The caller runs the first share of the tasks itself while the workers
-run the rest.  ``task`` may be a closure over large arrays: it reaches
-the workers through the fork, never by pickling; only the task indices
-and the results are pickled.
+Each runs one contiguous run of tasks: the caller the first ``n //
+processes``, the workers the rest, cut into runs of ``ceil(rest /
+workers)``, one per worker.  ``task`` may be a closure over large
+arrays: it reaches the workers through the fork, never by pickling;
+only the task indices and the results are pickled.
 
 A failure is the failure of the lowest-index task that fails, raised
 with its type and message, however the workers' timing falls; no worker
@@ -49,7 +50,8 @@ def map_forked(task, n: int) -> list:
         return [task(i) for i in range(n)]
     own = n // workers
     with multiprocessing.get_context("fork").Pool(workers - 1, _adopt, (task,)) as pool:
-        # imap yields in task order, so the first failure it raises is the lowest-index one
-        rest = pool.imap(_run, range(own, n))
+        # one chunk per worker; imap yields in task order and a chunk stops at its first failure,
+        # so the first failure it raises is the lowest-index one
+        rest = pool.imap(_run, range(own, n), chunksize=-(-(n - own) // (workers - 1)))
         head = [task(i) for i in range(own)]
         return head + list(rest)

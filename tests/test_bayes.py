@@ -132,7 +132,44 @@ class TestPosteriorParams:
         np.testing.assert_allclose(posterior_params(counts, 0.5).gamma, [0.5] * 4)
 
 
+def posterior_loop(gamma, n_draws, seed):
+    """Reference for ``sample_posterior``'s rows: the reject-and-redraw loop written out, with its redraw count."""
+    rng = np.random.default_rng(seed)
+    kept = []
+    short = n_draws
+    redrawn = 0
+    while short > 0:
+        t = rng.dirichlet(gamma, size=short)
+        ok = (t > 0.0).all(axis=1)
+        kept.append(t[ok])
+        bad = short - int(ok.sum())
+        redrawn += bad
+        short = bad
+        if redrawn > 10 * n_draws:
+            raise RuntimeError("posterior sampling rejected too many zero-cell draws")
+    return np.concatenate(kept), redrawn
+
+
 class TestSamplePosterior:
+    # about 0.1 % and 73 % of these weights' draws have a zero cell
+    @pytest.mark.parametrize("gamma, n_draws", [((0.01, 0.01, 5, 5), 20_000), ((1e-3, 1e-3, 5, 5), 2_000)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_redrawn_rows_match_the_loop_written_out(self, gamma, n_draws, seed):
+        t, redrawn = posterior_loop(np.array(gamma), n_draws, seed)
+        assert redrawn > 0
+        draws = sample_posterior(DirichletParams(np.array(gamma)), n_draws, seed)
+        np.testing.assert_array_equal(draws.t, t)
+        np.testing.assert_array_equal(draws.alphas, t[:, 1] / (t[:, 1] + t[:, 3]))
+        np.testing.assert_array_equal(draws.betas, t[:, 0] / (t[:, 0] + t[:, 2]))
+
+    def test_too_many_zero_cell_draws_abort(self):
+        gamma = np.array([1e-4, 1e-4, 5, 5])  # about 99.5 % of the draws have a zero cell
+        message = "^posterior sampling rejected too many zero-cell draws$"
+        with pytest.raises(RuntimeError, match=message):
+            posterior_loop(gamma, 50, 0)
+        with pytest.raises(RuntimeError, match=message):
+            sample_posterior(DirichletParams(gamma), 50, 0)
+
     def test_deterministic(self):
         params = DirichletParams(np.array([3.1, 1.1, 2.1, 4.1]))
         a = sample_posterior(params, 500, 7)

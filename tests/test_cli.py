@@ -707,7 +707,8 @@ class TestConfigResolution:
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid", "1", "grid_size must be >= 2"),
         ("--draws", "0", "n_draws must be >= 1"),
-        ("--resamples", "0", "n_resamples must be >= 1"),
+        ("--resamples", "0", "n_resamples must be >= 2"),
+        ("--resamples", "1", "n_resamples must be >= 2"),  # one resample has no sample covariance
         ("--trees", "0", "n_trees must be >= 1"),
         ("--max-features", "0", "max_features must be >= 1"),
         ("--min-split", "1", "min_samples_split must be >= 2"),
@@ -778,6 +779,36 @@ class TestErrorReporting:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].startswith(f"DegenerateMakerError: maker {maker!r}: degenerate counts")
 
+    def test_one_class_maker_is_refused_alike_before_any_fork(self, cohort, workdir, tmp_path, capsys, monkeypatch):
+        # a last maker with no positive case: report, and both bench commands on report's classification
+        # split, refuse it with the same line before any process forks
+        _, cases = cohort
+        with open(cases, newline="") as fh:
+            rows = list(csv.reader(fh))
+        y = rows[0].index("y")
+        rows += [["zz_last", *row[1:y], "0", *row[y + 1:]] for row in rows[1:401]]
+        one_class = tmp_path / "cases.csv"
+        with open(one_class, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+        def no_fork(*args):
+            raise RuntimeError("a stage forked")
+
+        monkeypatch.setattr(cli, "map_forked", no_fork)
+        monkeypatch.setattr("rocbench.forest.map_forked", no_fork)
+        assert main(["report", "--cases", str(one_class), "--out", str(tmp_path / "run")] + REPORT_FLAGS) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error.startswith("DegenerateMakerError: maker 'zz_last': degenerate counts (positives=0")
+        assert main(["split", "--cases", str(one_class), "--ratio", "7:3", "--label", "outer", "--names", "class,perf",
+                     "--seed", "11", "--out", str(tmp_path)]) == 0
+        for command in ("bench-freq", "bench-bayes"):
+            assert main([command, "--cases", str(tmp_path / "class.csv"), "--roc", str(workdir["roc"]),
+                         "--min-cases", "50", "--seed", "11", "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err.splitlines() == lines, command
+        assert not (tmp_path / "bench-freq").exists() and not (tmp_path / "bench-bayes").exists()
+
     def test_module_entry_point_runs_without_warnings(self):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         proc = subprocess.run([sys.executable, "-m", "rocbench.cli", "split", "--help"],
@@ -847,7 +878,8 @@ def _outputs(out: Path) -> dict:
 
 
 class TestCpuMasks:
-    """The verdict stage runs one block of makers per CPU; outputs and errors do not depend on the mask."""
+    """The verdict stage runs one maker per task, one contiguous run of makers per process; outputs and errors do not
+    depend on the mask."""
 
     BENCH_RUNS = {
         "freq_bootstrap.csv": ["bench-freq", "--resamples", "30"],
@@ -855,7 +887,7 @@ class TestCpuMasks:
         "bayes.csv": ["bench-bayes", "--draws", "500"],
     }
 
-    @pytest.mark.parametrize("which", ["cohort", "pair_cohort"])  # 6 makers in 3 blocks; 2 makers in 2
+    @pytest.mark.parametrize("which", ["cohort", "pair_cohort"])  # 6 makers over 3 processes; 2 makers over 2
     def test_outputs_do_not_depend_on_the_mask(self, request, which, cpu_mask, tmp_path):
         _, cases = request.getfixturevalue(which)
         runs = []
@@ -874,7 +906,7 @@ class TestCpuMasks:
         assert runs[0] == runs[1]
 
     def test_the_lowest_failing_block_is_reported(self, cohort, workdir, cpu_mask, monkeypatch, capfd):
-        # six makers in four blocks: the parent benchmarks maker 0, three workers makers 1-2, 3 and 4-5;
+        # six makers over four processes: the parent benchmarks maker 0, three workers makers 1-2, 3-4 and 5;
         # maker 2's bootstrap aborts after maker 4's has, and maker 2 is named under every mask, on every run
         _, cases = cohort
         makers = read_cases_csv(cases).counts_by_maker()

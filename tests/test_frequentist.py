@@ -56,8 +56,60 @@ class TestAsymptoticCovariance:
         assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
 
 
+def bootstrap_loop(counts, n_resamples, seed):
+    """Reference for ``bootstrap_pairs``: the reject-and-redraw loop written out."""
+    n = counts.n
+    t_hat = np.array([counts.n11, counts.n01, counts.n10, counts.n00]) / n
+    rng = np.random.default_rng(seed)
+    kept = []
+    short = n_resamples
+    n_redrawn = 0
+    while short > 0:
+        draw = rng.multinomial(n, t_hat, size=short)
+        ok = ((draw[:, 0] + draw[:, 2]) > 0) & ((draw[:, 1] + draw[:, 3]) > 0)
+        kept.append(draw[ok])
+        bad = short - int(ok.sum())
+        n_redrawn += bad
+        short = bad
+        if n_redrawn > n_resamples:
+            raise RuntimeError(
+                f"bootstrap aborted: {n_redrawn} degenerate resamples exceed the "
+                f"{n_resamples} requested; counts {counts} are too unbalanced"
+            )
+    draws = np.concatenate(kept)
+    return draws[:, 1] / (draws[:, 1] + draws[:, 3]), draws[:, 0] / (draws[:, 0] + draws[:, 2]), n_redrawn
+
+
 class TestBootstrap:
     COUNTS = ConfusionCounts(n11=60, n01=40, n10=40, n00=160)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_redrawn_resamples_match_the_loop_written_out(self, seed):
+        counts = ConfusionCounts(n11=1, n01=30, n10=0, n00=20)  # about 37 % of resamples lose the positive
+        alphas, betas, n_redrawn = bootstrap_loop(counts, 200, seed)
+        assert n_redrawn > 0
+        boot = bootstrap_pairs(counts, 200, seed)
+        np.testing.assert_array_equal(boot.alphas, alphas)
+        np.testing.assert_array_equal(boot.betas, betas)
+        assert boot.n_redrawn == n_redrawn
+
+    def test_aborts_where_the_loop_written_out_does(self):
+        counts = ConfusionCounts(n11=1, n01=0, n10=0, n00=1)  # half the resamples lose a class
+        outcomes = set()
+        for seed in range(12):
+            try:
+                alphas, betas, n_redrawn = bootstrap_loop(counts, 5, seed)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+                    bootstrap_pairs(counts, 5, seed)
+                outcomes.add("aborted")
+                continue
+            boot = bootstrap_pairs(counts, 5, seed)
+            np.testing.assert_array_equal(boot.alphas, alphas)
+            np.testing.assert_array_equal(boot.betas, betas)
+            assert boot.n_redrawn == n_redrawn
+            outcomes.add("kept")
+        assert outcomes == {"aborted", "kept"}
 
     def test_rates_always_in_unit_square(self):
         boot = bootstrap_pairs(self.COUNTS, 200, 0)
@@ -133,6 +185,12 @@ class TestConfidenceEllipse:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             confidence_ellipse(RatePair(0.5, 0.5), np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_refused(self, bad):
+        # the sample covariance of one resample is NaN; a NaN variance would pass its floor
+        with pytest.raises(ValueError, match="^cov must be a finite 2x2 matrix$"):
+            confidence_ellipse(RatePair(0.3, 0.6), np.array([[1e-3, 0.0], [0.0, bad]]), 0.95)
 
 
 class TestClassifyMaker:

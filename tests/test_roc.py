@@ -121,6 +121,27 @@ class TestCurveEvaluation:
             roc.tpr_at_fpr(grid), [roc.tpr_at_fpr(float(a)) for a in grid]
         )
 
+    @pytest.mark.parametrize("query", ["tpr_at_fpr", "fpr_at_tpr", "slope_at", "pair_at_threshold"])
+    def test_a_scalar_gets_floats_equal_to_the_array_answer(self, query):
+        # rates outside [0, 1] are clipped; thresholds outside the curve's range take its end points
+        fn = getattr(hand_curve(), query)
+        xs = np.linspace(-0.25, 1.25, 61)
+        many = fn(xs)
+        for i, x in enumerate(xs.tolist()):
+            for one in (fn(x), fn(np.float64(x)), fn(np.array(x))):
+                if query == "pair_at_threshold":
+                    assert type(one) is RatePair and [type(v) for v in one] == [float, float]
+                    assert one == (many[0][i], many[1][i])
+                else:
+                    assert type(one) is float and one == many[i]
+        np.testing.assert_array_equal(fn(xs.reshape(1, 61)), np.expand_dims(many, -2))
+
+    @pytest.mark.parametrize("query", ["tpr_at_fpr", "fpr_at_tpr", "slope_at", "pair_at_threshold"])
+    @pytest.mark.parametrize("x", [float("nan"), np.array([0.2, np.nan])])
+    def test_a_nan_query_is_refused(self, query, x):
+        with pytest.raises(ValueError, match="^a curve query at NaN has no answer$"):
+            getattr(hand_curve(), query)(x)
+
     def test_auc_trapezoid(self):
         roc = RocCurve.from_pairs([(0, 0), (0.5, 0.75), (1, 1)])
         assert roc.auc() == pytest.approx(0.625)

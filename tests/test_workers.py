@@ -29,6 +29,24 @@ class TestMapForked:
         assert [pid == os.getpid() for pid, _ in results] == [i < own for i in range(n)]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("mask, n, runs", [
+        (3, 7, [range(0, 2), range(2, 5), range(5, 7)]),
+        (4, 7, [range(0, 1), range(1, 3), range(3, 5), range(5, 7)]),
+        (4, 12, [range(0, 3), range(3, 6), range(6, 9), range(9, 12)]),
+        (4, 5, [range(0, 1), range(1, 3), range(3, 5)]),
+    ])
+    def test_each_process_runs_one_contiguous_run(self, cpu_mask, mask, n, runs):
+        def task(i):
+            time.sleep(0.05)  # slow enough that every worker has taken its run before any finishes one
+            return os.getpid()
+
+        cpu_mask(mask)
+        pids = map_forked(task, n)
+        assert [sorted(i for i, pid in enumerate(pids) if pid == p) for p in dict.fromkeys(pids)] == [
+            list(r) for r in runs
+        ]
+        assert pids[0] == os.getpid()
+
     def test_task_reaches_workers_through_the_fork(self, cpu_mask):
         lock = threading.Lock()  # a closure over it cannot be pickled
         cpu_mask(3)
@@ -49,7 +67,7 @@ class TestMapForked:
         assert multiprocessing.active_children() == []
 
     def test_the_lowest_failing_task_is_reported(self, cpu_mask):
-        # under four CPUs the parent runs task 0 and three workers take tasks 1-6 one by one;
+        # under four CPUs the parent runs task 0 and three workers tasks 1-2, 3-4 and 5-6;
         # task 2 fails after task 5 has, and it is the one reported, on every run
         def task(i):
             if i in (2, 5):
