@@ -141,7 +141,14 @@ def curve_candidate_grid(
     parts = [np.linspace(0.0, 1.0, grid_size), roc.knot_alphas]
     if draws is not None:
         parts.append(draws.alphas)
-    return np.unique(np.concatenate(parts))
+    # np.unique's own sort and first-of-each-run, without the numpy.ma import it makes;
+    # every part is finite, so no NaN run needs merging
+    cand = np.concatenate(parts)
+    cand.sort()
+    keep = np.empty(cand.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+    return cand[keep]
 
 
 class LossKind(enum.Enum):

@@ -109,8 +109,10 @@ def bootstrap_pairs(
 def bootstrap_covariance(
     counts: ConfusionCounts, n_resamples: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """2x2 sample covariance of bootstrapped rate pairs."""
+    """2x2 sample covariance of bootstrapped rate pairs; it needs at least 2 resamples."""
     boot = bootstrap_pairs(counts, n_resamples, seed)
+    if boot.alphas.size < 2:  # np.cov would warn and return NaNs
+        raise ValueError(f"a bootstrap covariance needs at least 2 resamples, got {boot.alphas.size}")
     return np.cov(np.vstack([boot.alphas, boot.betas]), ddof=1)
 
 

@@ -25,6 +25,7 @@ fixed seed gives a byte-identical dataset regardless of chunking.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,6 +62,25 @@ __all__ = [
 def _maker_ids(n_makers: int) -> list[str]:
     width = len(str(n_makers - 1))
     return [f"m{j:0{width}d}" for j in range(n_makers)]
+
+
+def _expit(x) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` elementwise, with the C library's ``exp``, as ``scipy.special.expit`` computes it.
+
+    numpy's own ``exp`` can differ from the C library's in the last bit,
+    and the cohorts' bytes depend on every bit.  ``math.exp`` calls the C
+    function, but raises ``OverflowError`` where C returns ``inf``, so
+    exponents above 709 (where the overflow begins, at about 709.78) go
+    one at a time.
+    """
+    z = -np.asarray(x, dtype=np.float64).ravel()
+    e = np.fromiter(map(math.exp, np.minimum(z, 709.0).tolist()), np.float64, z.size)
+    for i in np.flatnonzero(z > 709.0).tolist():
+        try:
+            e[i] = math.exp(z[i])
+        except OverflowError:
+            e[i] = math.inf
+    return (1.0 / (1.0 + e)).reshape(np.shape(x))
 
 
 def _cohort(makers: Sequence[str], seed: int, draw) -> tuple[CohortDataset, list[np.ndarray]]:
@@ -122,8 +142,6 @@ class ComplementarityResult:
 
 def generate_complementarity(spec: ComplementaritySpec) -> ComplementarityResult:
     """Per-maker draw order: x1, x2, u, outcome draw, cost."""
-    from scipy.special import expit  # kept out of the import of the package
-
     scales = np.sqrt([1.95, 0.25, 2.0])
     makers = _maker_ids(spec.n_makers)
     n_capable = round(spec.capable_fraction * spec.n_makers)
@@ -141,8 +159,8 @@ def generate_complementarity(spec: ComplementaritySpec) -> ComplementarityResult
         u = g.normal(0.0, scales[2], per)
         delta = g.random(per)
         cost = g.uniform(0.4, 1.0, per)
-        p = expit(x1 + x2 + u)
-        score = p if capable[j] else expit(-x1 + x2 + u)
+        p = _expit(x1 + x2 + u)
+        score = p if capable[j] else _expit(-x1 + x2 + u)
         features = np.column_stack((x1, x2, u) if spec.export_hidden else (x1, x2))
         return features, p > delta, score > cost, u
 
@@ -199,25 +217,18 @@ class PredictedDoctorResult:
 
 
 def generate_predicted_doctor(spec: PredictedDoctorSpec) -> PredictedDoctorResult:
-    from scipy.special import expit, logit, ndtr  # kept out of the import of the package
-
-    cut = float(logit(spec.c0))
+    sign = -1.0 if spec.scenario == 3 else 1.0
     if spec.scenario in (1, 3):
-        sign = 1.0 if spec.scenario == 1 else -1.0
 
         def signals(g):
             x = g.uniform(-1.0, 1.0, spec.n)[:, None]
             return x, g.uniform(-2.0, 2.0, spec.n)
 
         def truth_score(feats):
-            return expit(feats[:, 0])
+            return _expit(feats[:, 0])
 
         def doctor_score(feats, uu):
-            return expit(sign * feats[:, 0] + uu)
-
-        def predicted_score(feats):
-            # P(u > cut - sign*x) under u ~ U(-2, 2)
-            return np.clip((2.0 - (cut - sign * feats[:, 0])) / 4.0, 0.0, 1.0)
+            return _expit(sign * feats[:, 0] + uu)
 
     else:
 
@@ -227,14 +238,21 @@ def generate_predicted_doctor(spec: PredictedDoctorSpec) -> PredictedDoctorResul
             return np.column_stack([x1, x2]), g.normal(0.0, 2.0, spec.n)
 
         def truth_score(feats):
-            return expit(feats[:, 0] + feats[:, 1])
+            return _expit(feats[:, 0] + feats[:, 1])
 
         def doctor_score(feats, uu):
-            return expit(feats[:, 0] - feats[:, 1] + uu)
+            return _expit(feats[:, 0] - feats[:, 1] + uu)
 
-        def predicted_score(feats):
-            # P(u > cut - x1 + x2) under u ~ N(0, sd 2)
-            return ndtr(-(cut - feats[:, 0] + feats[:, 1]) / 2.0)
+    def predicted_score(feats):
+        # kept out of the cohort's generation, which never calls this
+        from scipy.special import logit, ndtr
+
+        cut = float(logit(spec.c0))
+        if spec.scenario in (1, 3):
+            # P(u > cut - sign*x) under u ~ U(-2, 2)
+            return np.clip((2.0 - (cut - sign * feats[:, 0])) / 4.0, 0.0, 1.0)
+        # P(u > cut - x1 + x2) under u ~ N(0, sd 2)
+        return ndtr(-(cut - feats[:, 0] + feats[:, 1]) / 2.0)
 
     def draw(g, _):
         x, u = signals(g)

@@ -1,11 +1,12 @@
 """Independent tasks spread over this process and workers forked from it.
 
 ``map_forked(task, n)`` returns ``[task(0), ..., task(n - 1)]``.  It
-forks one worker per CPU in the process's affinity mask beyond the
-first (``taskset`` narrows the mask), never more processes than tasks.
+spreads the tasks over one process per CPU in the process's affinity
+mask (``taskset`` narrows the mask), never more processes than tasks.
 Each runs one contiguous run of tasks: the caller the first ``n //
-processes``, the workers the rest, cut into runs of ``ceil(rest /
-workers)``, one per worker.  ``task`` may be a closure over large
+processes``, forked workers the rest, cut into runs of ``ceil(rest /
+(processes - 1))``, one per worker; a worker is forked only for a run,
+so 5 tasks under 4 CPUs fork 2.  ``task`` may be a closure over large
 arrays: it reaches the workers through the fork, never by pickling;
 only the task indices and the results are pickled.
 
@@ -49,9 +50,10 @@ def map_forked(task, n: int) -> list:
     if workers < 2 or multiprocessing.current_process().daemon:
         return [task(i) for i in range(n)]
     own = n // workers
-    with multiprocessing.get_context("fork").Pool(workers - 1, _adopt, (task,)) as pool:
+    chunk = -(-(n - own) // (workers - 1))
+    with multiprocessing.get_context("fork").Pool(-(-(n - own) // chunk), _adopt, (task,)) as pool:
         # one chunk per worker; imap yields in task order and a chunk stops at its first failure,
         # so the first failure it raises is the lowest-index one
-        rest = pool.imap(_run, range(own, n), chunksize=-(-(n - own) // (workers - 1)))
+        rest = pool.imap(_run, range(own, n), chunksize=chunk)
         head = [task(i) for i in range(own)]
         return head + list(rest)

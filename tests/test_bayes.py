@@ -31,7 +31,7 @@ from rocbench.bayes import (
 )
 from rocbench.core import ConfusionCounts, RatePair
 from rocbench.replacement import Verdicts
-from rocbench.roc import RocCurve, build_roc
+from rocbench.roc import RocCurve, build_roc, read_roc_csv
 
 
 def steep_curve():
@@ -229,6 +229,37 @@ class TestCandidateGrid:
     def test_size_validated(self):
         with pytest.raises(ValueError):
             curve_candidate_grid(steep_curve(), grid_size=1)
+
+    @staticmethod
+    def assert_np_unique(roc, draws, grid_size=512):
+        """The grid is ``np.unique`` of its parts, bit for bit (the sign of a zero included)."""
+        parts = [np.linspace(0.0, 1.0, grid_size), roc.knot_alphas] + ([] if draws is None else [draws.alphas])
+        got = curve_candidate_grid(roc, draws, grid_size)
+        want = np.unique(np.concatenate(parts))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(curves_and_draws(), st.integers(2, 600))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_np_unique(self, case, grid_size):
+        roc, draws = case
+        self.assert_np_unique(roc, draws, grid_size)
+        self.assert_np_unique(roc, None, grid_size)
+
+    def test_repeated_knots_and_draws_on_knots(self):
+        # vertical runs repeat fprs among the vertices; draws repeat knots and grid points
+        roc = RocCurve.from_pairs([(0.0, 0.0), (0.0, 0.3), (0.25, 0.5), (0.25, 0.9), (1.0, 1.0)])
+        draws = make_draws([(0.25, 0.1), (0.25, 0.95), (0.0, 0.0), (1.0, 1.0), (0.5, 0.2), (0.5, 0.2)])
+        self.assert_np_unique(roc, draws, 5)
+        assert curve_candidate_grid(roc, draws, 5).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_negative_zero_knot_from_a_csv(self, tmp_path):
+        path = tmp_path / "roc.csv"
+        path.write_text("threshold,fpr,tpr\n1.0,-0.0,-0.0\n0.5,0.25,0.5\n0.0,1.0,1.0\n")
+        roc = read_roc_csv(path)
+        assert np.signbit(roc.knot_alphas[0])
+        for draws in (None, make_draws([(0.0, 0.0), (0.25, 0.2), (0.7, 0.9)])):
+            self.assert_np_unique(roc, draws)
+            self.assert_np_unique(roc, draws, 2)
 
 
 class TestMaxDominance:

@@ -1,6 +1,7 @@
 """Sampling covariance, ellipse sets, three-way calls, delta test, CSV."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -368,6 +369,14 @@ class TestBenchmarkMaker:
         counts = ConfusionCounts(n11=1, n01=0, n10=0, n00=1)
         with pytest.raises(RuntimeError, match=r"^maker 'm7': bootstrap aborted"):
             benchmark_maker_frequentist("m7", counts, two_segment(), n_resamples=1, seed=3)
+
+    def test_one_resample_is_refused_before_any_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.cov of one resample warns three times
+            with pytest.raises(ValueError, match="^a bootstrap covariance needs at least 2 resamples, got 1$"):
+                benchmark_maker_frequentist("m1", self.COUNTS, two_segment(), n_resamples=1, seed=3)
+            with pytest.raises(ValueError, match="needs at least 2 resamples"):
+                bootstrap_covariance(self.COUNTS, 1, 3)
 
     def test_deterministic(self):
         a = benchmark_maker_frequentist("m", self.COUNTS, two_segment(), seed=9)

@@ -1,4 +1,4 @@
-"""``report`` runs without scipy, its readers print nothing, and the quantiles that remain match ``scipy.stats``."""
+"""``report`` and ``simulate`` run without scipy, readers print nothing, and the quantiles left match ``scipy.stats``."""
 
 import filecmp
 import importlib
@@ -71,6 +71,44 @@ def test_report_runs_with_scipy_blocked(tmp_path, small_report):
     assert len(names) == 11 and names == sorted(os.listdir(tmp_path / "blocked"))
     _, mismatch, errors = filecmp.cmpfiles(free, tmp_path / "blocked", names, shallow=False)
     assert mismatch == [] and errors == []
+
+
+def test_report_leaves_numpy_ma_unloaded(tmp_path, small_report):
+    # importing numpy.ma costs 12-18 ms a process; numpy 2 loads it only on use (numpy 1 with numpy itself)
+    argv, _ = small_report
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    proc = _run("import sys, numpy; before = 'numpy.ma' in sys.modules; from rocbench.cli import main\n"
+                f"assert main({argv!r}) == 0\nprint(before, 'numpy.ma' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() in (["False", "False"], ["True", "True"])
+
+
+# every generator at a tiny size: complementarity with its hidden signal and drawn groups, each
+# predicted-doctor scenario, the incentive rule and the heterogeneous cutoffs
+SIMULATIONS = (
+    ["--dgp", "complementarity", "--n-cases", "600", "--n-makers", "6", "--export-hidden", "--shuffle-groups",
+     "--capable-fraction", "0.5"],
+    *(["--dgp", "predicted-doctor", "--scenario", str(k), "--n", "500"] for k in (1, 2, 3)),
+    ["--dgp", "incentive", "--n", "500"],
+    ["--dgp", "heterogeneous-cutoffs", "--n-makers", "4", "--cases-per-maker", "100"],
+)
+
+
+def test_simulate_runs_with_scipy_blocked_and_loads_none(tmp_path):
+    for run, block in (("free", ""), ("blocked", 'sys.modules["scipy"] = None; ')):
+        argvs = [["simulate", *argv, "--seed", "3", "--out", str(tmp_path / run / str(k))]
+                 for k, argv in enumerate(SIMULATIONS)]
+        proc = _run(f"import sys; {block}from rocbench.cli import main\n"
+                    f"for argv in {argvs!r}:\n    assert main(argv) == 0, argv\n"
+                    "print(sorted(m for m, v in sys.modules.items() if v is not None and m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.strip() == "[]", run
+    for k, argv in enumerate(SIMULATIONS):
+        names = ["cases.csv", "manifest.json"]
+        assert sorted(os.listdir(tmp_path / "free" / str(k))) == names, argv
+        _, mismatch, errors = filecmp.cmpfiles(tmp_path / "free" / str(k), tmp_path / "blocked" / str(k), names,
+                                               shallow=False)
+        assert mismatch == [] and errors == [], argv
 
 
 def test_readers_print_nothing(small_report):

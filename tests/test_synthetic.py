@@ -1,6 +1,7 @@
 """Generator contracts: analytic anchors, determinism, manifests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rocbench.synthetic import (
     HeterogeneousCutoffsSpec,
     IncentiveSpec,
     PredictedDoctorSpec,
+    _expit,
     concave_reference_roc,
     concave_reference_tpr,
     cutoff_pair,
@@ -444,3 +446,31 @@ class TestAgainstSliceLoops:
         assert_same_arrays([res.cutoffs], [np.asarray(want, dtype=np.float64)])
         assert not res.cutoffs.flags.writeable
         assert_same_arrays(columns(res.data), reference_heterogeneous_cutoffs(spec, res.cutoffs))
+
+
+# the C library's exp overflows past ln(largest double) = 709.782712893384
+OVERFLOW = 709.7827128933840
+EXPIT_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    math.nextafter(2.2250738585072014e-308, 0.0), 709.0, -709.0, OVERFLOW, -OVERFLOW,
+    math.nextafter(OVERFLOW, 0.0), math.nextafter(OVERFLOW, math.inf),
+    -math.nextafter(OVERFLOW, 0.0), -math.nextafter(OVERFLOW, math.inf), 745.2, -745.2,
+]
+
+
+class TestExpit:
+    """``synthetic._expit`` gives ``scipy.special.expit``'s bits, the cohorts' logistic."""
+
+    @given(st.lists(st.one_of(st.sampled_from(EXPIT_EDGES), st.floats(), st.floats(-800.0, 800.0)), max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert_same_arrays([_expit(x)], [expit(x)])
+
+    def test_edges_and_shape(self):
+        x = np.array(EXPIT_EDGES * 2).reshape(2, -1)
+        assert_same_arrays([_expit(x)], [expit(x)])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # C's exp overflows silently
+            assert _expit(np.array([-OVERFLOW, -1e308, -math.inf])).tolist() == [
+                expit(-OVERFLOW), 0.0, 0.0
+            ]

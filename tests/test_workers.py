@@ -34,18 +34,30 @@ class TestMapForked:
         (4, 7, [range(0, 1), range(1, 3), range(3, 5), range(5, 7)]),
         (4, 12, [range(0, 3), range(3, 6), range(6, 9), range(9, 12)]),
         (4, 5, [range(0, 1), range(1, 3), range(3, 5)]),
+        (2, 7, [range(0, 3), range(3, 7)]),
+        (5, 6, [range(0, 1), range(1, 3), range(3, 5), range(5, 6)]),
     ])
-    def test_each_process_runs_one_contiguous_run(self, cpu_mask, mask, n, runs):
+    def test_each_process_runs_one_contiguous_run(self, cpu_mask, monkeypatch, mask, n, runs):
+        pool_sizes = []
+        fork = multiprocessing.get_context("fork")
+
+        class Recording:
+            def Pool(self, processes, *args):
+                pool_sizes.append(processes)
+                return fork.Pool(processes, *args)
+
         def task(i):
             time.sleep(0.05)  # slow enough that every worker has taken its run before any finishes one
             return os.getpid()
 
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Recording())
         cpu_mask(mask)
         pids = map_forked(task, n)
         assert [sorted(i for i, pid in enumerate(pids) if pid == p) for p in dict.fromkeys(pids)] == [
             list(r) for r in runs
         ]
         assert pids[0] == os.getpid()
+        assert pool_sizes == [len(runs) - 1]  # no worker is forked without a run
 
     def test_task_reaches_workers_through_the_fork(self, cpu_mask):
         lock = threading.Lock()  # a closure over it cannot be pickled
