@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ConfusionCounts, RatePair, naming_maker
+from .core import ConfusionCounts, RatePair, _cells, _rates, naming_maker
 from .csvio import format_float, format_optional, parse_float, parse_optional, read_fields, write_fields
 from .replacement import Verdicts
 from .rng import _draw_kept
@@ -87,7 +87,7 @@ def posterior_params(
         g = prior.gamma
     else:
         g = np.full(4, float(prior))
-    return DirichletParams(g + np.array([counts.n11, counts.n01, counts.n10, counts.n00]))
+    return DirichletParams(g + np.array(_cells(counts)))
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ def sample_posterior(
     rng = np.random.default_rng(seed)
     t, _ = _draw_kept(lambda k: rng.dirichlet(params.gamma, size=k), lambda t: (t > 0.0).all(axis=1),
                       n_draws, 10 * n_draws, lambda _: "posterior sampling rejected too many zero-cell draws")
-    alphas = t[:, 1] / (t[:, 1] + t[:, 3])
-    betas = t[:, 0] / (t[:, 0] + t[:, 2])
+    alphas, betas = _rates(*t.T)
     for arr in (t, alphas, betas):
         arr.flags.writeable = False
     return PosteriorDraws(t=t, alphas=alphas, betas=betas)

@@ -71,9 +71,8 @@ class ConfusionCounts:
     n00: int
 
     def __post_init__(self):
-        for field in ("n11", "n01", "n10", "n00"):
-            v = getattr(self, field)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+        for field, v in vars(self).items():
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
                 raise ValueError(f"{field} must be a non-negative integer, got {v!r}")
 
     @property
@@ -81,24 +80,49 @@ class ConfusionCounts:
         return self.n11 + self.n01 + self.n10 + self.n00
 
 
+# A case's confusion cell is 2 * y + y_hat, so cells 3, 1, 2, 0 hold n11, n01, n10, n00.
+_FIELD_CELLS = [3, 1, 2, 0]
+
+
+def _cell_key(group, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
+    """Per case ``4 * group + 2 * y + y_hat``; sorting by it orders the cases by group, then cell.
+
+    The 0/1 columns may be bool, integer or float; as uint8 they give an integer key.
+    """
+    return 4 * group + 2 * y.astype(np.uint8) + y_hat.astype(np.uint8)
+
+
+def _tally_cells(key: np.ndarray, n_groups: int) -> list[list[int]]:
+    """Each group's counts of ``_cell_key`` values, in field order."""
+    return np.bincount(key, minlength=4 * n_groups).reshape(-1, 4)[:, _FIELD_CELLS].tolist()
+
+
+def _cells(counts: ConfusionCounts) -> tuple[int, int, int, int]:
+    """The counts in field order; ``*t.T`` gives the same four columns of ``[..., 4]`` rows."""
+    return counts.n11, counts.n01, counts.n10, counts.n00
+
+
+def _class_sums(n11, n01, n10, n00):
+    """Positives n11 + n10 and negatives n01 + n00, of counts or of columns."""
+    return n11 + n10, n01 + n00
+
+
+def _rates(n11, n01, n10, n00):
+    """alpha = n01 / (n01 + n00) and beta = n11 / (n11 + n10), of counts or of columns."""
+    positives, negatives = _class_sums(n11, n01, n10, n00)
+    return n01 / negatives, n11 / positives
+
+
 def tally_confusion(y: np.ndarray, y_hat: np.ndarray) -> ConfusionCounts:
     """Confusion counts from parallel 0/1 arrays."""
-    y = np.asarray(y)
-    y_hat = np.asarray(y_hat)
+    y, y_hat = np.asarray(y), np.asarray(y_hat)
     if y.shape != y_hat.shape or y.ndim != 1:
         raise ValueError("y and y_hat must be 1-d arrays of equal length")
     if y.size == 0:
         raise ValueError("empty case set")
     if not (np.isin(y, (0, 1)).all() and np.isin(y_hat, (0, 1)).all()):
         raise ValueError("y and y_hat must be 0 or 1")
-    pos = y == 1
-    hat = y_hat == 1
-    return ConfusionCounts(
-        n11=int(np.count_nonzero(pos & hat)),
-        n01=int(np.count_nonzero(~pos & hat)),
-        n10=int(np.count_nonzero(pos & ~hat)),
-        n00=int(np.count_nonzero(~pos & ~hat)),
-    )
+    return ConfusionCounts(*_tally_cells(_cell_key(0, y, y_hat), 1)[0])
 
 
 def rate_pair(counts: ConfusionCounts) -> RatePair:
@@ -107,14 +131,11 @@ def rate_pair(counts: ConfusionCounts) -> RatePair:
     Raises DegenerateMakerError when either outcome class is absent,
     since the corresponding rate has a zero denominator.
     """
-    negatives = counts.n01 + counts.n00
-    positives = counts.n11 + counts.n10
+    positives, negatives = _class_sums(*_cells(counts))
     if negatives == 0 or positives == 0:
-        raise DegenerateMakerError(
-            f"degenerate counts (positives={positives}, negatives={negatives}): "
-            "both outcome classes are required"
-        )
-    return RatePair(counts.n01 / negatives, counts.n11 / positives)
+        raise DegenerateMakerError(f"degenerate counts (positives={positives}, negatives={negatives}): "
+                                   "both outcome classes are required")
+    return RatePair(*_rates(*_cells(counts)))
 
 
 class CohortDataset:
@@ -173,12 +194,8 @@ class CohortDataset:
 
     def counts_by_maker(self) -> dict[str, ConfusionCounts]:
         """Confusion counts of every maker that has cases, in maker order."""
-        table = np.bincount(_maker_cells(self), minlength=4 * len(self.makers)).reshape(-1, 4)
-        return {
-            maker: ConfusionCounts(n11=int(t[3]), n01=int(t[1]), n10=int(t[2]), n00=int(t[0]))
-            for maker, t in zip(self.makers, table)
-            if t.any()
-        }
+        table = _tally_cells(_cell_key(self.maker_index, self.y, self.y_hat), len(self.makers))
+        return {maker: ConfusionCounts(*t) for maker, t in zip(self.makers, table) if any(t)}
 
     def subset(self, rows: np.ndarray) -> "CohortDataset":
         """New cohort keeping the given case rows, in the given order.
@@ -187,24 +204,19 @@ class CohortDataset:
         writing the subset to CSV and reading it back would order them.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        codes, first, inverse = np.unique(self.maker_index[rows], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        makers = [self.makers[c] for c in codes[order]]
-        new_idx = np.argsort(order)[inverse.reshape(-1)]
+        codes, new_idx = _first_appearance(self.maker_index[rows])
         feats = None if self.features is None else self.features[rows]
-        return CohortDataset(makers, new_idx, self.y[rows], self.y_hat[rows], feats)
+        return CohortDataset([self.makers[c] for c in codes], new_idx, self.y[rows], self.y_hat[rows], feats)
 
     def pooled_counts(self) -> ConfusionCounts:
         return tally_confusion(self.y, self.y_hat)
 
 
-def _maker_cells(data: CohortDataset) -> np.ndarray:
-    """Per case ``4 * maker code + cell`` with cell = 2 * y + y_hat.
-
-    Cells 3, 1, 2, 0 are n11, n01, n10, n00; sorting by this key orders
-    the cases by maker and, within a maker, by confusion cell.
-    """
-    return 4 * data.maker_index + 2 * data.y.astype(np.int64) + data.y_hat
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in order of first appearance, and each entry's index among them."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order).take(inverse.reshape(-1))
 
 
 def _group_rows(key: np.ndarray, n_groups: int) -> list[np.ndarray]:
@@ -234,19 +246,11 @@ def stratified_split(
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError(f"ratio must be two non-negative integers with positive sum, got {ratio}")
     rng = np.random.default_rng(seed)
-    first: list[np.ndarray] = []
-    second: list[np.ndarray] = []
-    for group in _group_rows(_maker_cells(data), 4 * len(data.makers)):
-        m = group.size
-        if m == 0:
-            continue
-        take = _split_quota(m, a, b)
-        perm = rng.permutation(m)
-        first.append(group[perm[:take]])
-        second.append(group[perm[take:]])
-    one = np.sort(np.concatenate(first)) if first else np.empty(0, dtype=np.int64)
-    two = np.sort(np.concatenate(second)) if second else np.empty(0, dtype=np.int64)
-    return data.subset(one), data.subset(two)
+    first = np.zeros(data.n_cases, dtype=bool)  # the rows of the first output
+    for group in _group_rows(_cell_key(data.maker_index, data.y, data.y_hat), 4 * len(data.makers)):
+        if group.size:
+            first[group[rng.permutation(group.size)[: _split_quota(group.size, a, b)]]] = True
+    return data.subset(np.flatnonzero(first)), data.subset(np.flatnonzero(~first))
 
 
 # -- CSV interchange -------------------------------------------------
@@ -289,13 +293,8 @@ def _decode_cases(path) -> CohortDataset | None:
     ones = [b == b"1" for b in bits]
     if not all((one | (b == b"0")).all() for one, b in zip(ones, bits)) or not np.isfinite(features).all():
         return None
-    # maker codes in order of first appearance, as the row parser assigns them
-    ids, first, code = np.unique(makers, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return CohortDataset(
-        [m.decode() for m in ids[order].tolist()], np.argsort(order).take(code.reshape(-1)), *ones,
-        features if features.shape[1] else None,
-    )
+    ids, code = _first_appearance(makers)  # maker codes as the row parser assigns them
+    return CohortDataset([m.decode() for m in ids.tolist()], code, *ones, features if features.shape[1] else None)
 
 
 def _parse_cases(path) -> CohortDataset:

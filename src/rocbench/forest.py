@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
 
 FORMAT = 3  # forest JSON layout: two breadth-first node arrays per tree
 _ARRAYS = ("feature", "value")
+_LARGEST = sys.float_info.max  # a JSON number past it, NaN or Infinity is no finite node value
 
 
 def _check_integers(settings, floors) -> None:
@@ -341,6 +343,8 @@ def _tree_from_dict(data: dict, n_features: int) -> Tree:
         raise ValueError("feature entries must be integers")
     if any(not -1 <= f < n_features for f in data["feature"]):
         raise ValueError("feature index out of range")
+    if not isinstance(data["value"], list) or any(type(v) not in (int, float) or not abs(v) <= _LARGEST for v in data["value"]):
+        raise ValueError("value entries must be finite numbers")  # as forest_to_json writes them
     tree = Tree(np.asarray(data["feature"], dtype=np.int64), np.asarray(data["value"], dtype=np.float64))
     n = tree.feature.size
     if n == 0 or tree.feature.shape != (n,) or tree.value.shape != (n,):

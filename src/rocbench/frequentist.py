@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfusionCounts, RatePair, naming_maker, rate_pair
+from .core import ConfusionCounts, RatePair, _cells, _class_sums, _rates, naming_maker, rate_pair
 from .csvio import format_float, format_optional, parse_float, parse_optional, read_fields, write_fields
 from .replacement import Verdicts
 from .rng import _draw_kept
@@ -66,10 +66,8 @@ class CaseLabel(enum.Enum):
 def asymptotic_covariance(counts: ConfusionCounts) -> np.ndarray:
     """Plug-in covariance of sqrt(n) * (alpha_hat, beta_hat); caller divides by n."""
     alpha, beta = rate_pair(counts)
-    p_hat = (counts.n11 + counts.n10) / counts.n
-    return np.diag(
-        [alpha * (1 - alpha) / (1 - p_hat), beta * (1 - beta) / p_hat]
-    )
+    p_hat = _class_sums(*_cells(counts))[0] / counts.n
+    return np.diag([alpha * (1 - alpha) / (1 - p_hat), beta * (1 - beta) / p_hat])
 
 
 @dataclass(frozen=True)
@@ -92,17 +90,16 @@ def bootstrap_pairs(
         raise ValueError("n_resamples must be >= 1")
     rate_pair(counts)  # validates non-degeneracy
     n = counts.n
-    t_hat = np.array([counts.n11, counts.n01, counts.n10, counts.n00]) / n
+    t_hat = np.array(_cells(counts)) / n
     rng = np.random.default_rng(seed)
     draws, n_redrawn = _draw_kept(
         lambda k: rng.multinomial(n, t_hat, size=k),
-        lambda d: ((d[:, 0] + d[:, 2]) > 0) & ((d[:, 1] + d[:, 3]) > 0),
+        lambda d: np.logical_and(*_class_sums(*d.T)),  # both classes kept
         n_resamples, n_resamples,
         lambda k: f"bootstrap aborted: {k} degenerate resamples exceed the {n_resamples} requested; "
                   f"counts {counts} are too unbalanced",
     )
-    alphas = draws[:, 1] / (draws[:, 1] + draws[:, 3])
-    betas = draws[:, 0] / (draws[:, 0] + draws[:, 2])
+    alphas, betas = _rates(*draws.T)
     return BootstrapPairs(alphas=alphas, betas=betas, n_redrawn=n_redrawn)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rocbench import core
 from rocbench.core import (
     CohortDataset,
     ConfusionCounts,
@@ -43,6 +44,13 @@ class TestConfusionCounts:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConfusionCounts(-1, 0, 0, 1)
+
+    def test_bool_rejected(self):
+        # bool is an int subclass; True would count as 1 and give rates of bools
+        with pytest.raises(ValueError, match="^n11 must be a non-negative integer, got True$"):
+            ConfusionCounts(True, False, True, 2)
+        with pytest.raises(ValueError, match="^n00 must be a non-negative integer, got False$"):
+            ConfusionCounts(1, 1, 1, False)
 
     def test_tally_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -398,3 +406,128 @@ class TestCasesCsv(object):
         assert data.makers == ("b", "a")
         np.testing.assert_array_equal(data.maker_index, [0, 1, 0])
         np.testing.assert_array_equal(data.y_hat, [0, 0, 1])
+
+
+# -- the confusion-cell layout ---------------------------------------------
+#
+# core alone knows that the cells are stored n11, n01, n10, n00; these tests
+# check its helpers against the arithmetic written out field by field.
+
+FIELD_OF = {(1, 1): 0, (0, 1): 1, (1, 0): 2, (0, 0): 3}
+
+
+def case_loop_counts(data):
+    """Per maker with cases, its counts from one pass over the cases, in maker order."""
+    cells = {m: [0, 0, 0, 0] for m in data.makers}
+    for code, yi, hi in zip(data.maker_index.tolist(), data.y.tolist(), data.y_hat.tolist()):
+        cells[data.makers[code]][FIELD_OF[yi, hi]] += 1
+    return {m: ConfusionCounts(*c) for m, c in cells.items() if any(c)}
+
+
+def old_key_split(data, ratio, seed):
+    """The split rows as drawn with the key 4 * maker + 2 * y + y_hat spelled out."""
+    a, b = ratio
+    rng = np.random.default_rng(seed)
+    key = 4 * data.maker_index + 2 * data.y.astype(np.int64) + data.y_hat
+    order = np.argsort(key, kind="stable")
+    first, second = [], []
+    for group in np.split(order, np.cumsum(np.bincount(key, minlength=4 * len(data.makers)))[:-1]):
+        if group.size:
+            take = group.size - (group.size * b) // (a + b)
+            perm = rng.permutation(group.size)
+            first.append(group[perm[:take]])
+            second.append(group[perm[take:]])
+    return [np.sort(np.concatenate(part)) if part else np.empty(0, np.int64) for part in (first, second)]
+
+
+def dict_coder(values):
+    """Distinct values in order of first appearance, and each value's code, by a dict."""
+    codes = {}
+    coded = [codes.setdefault(v, len(codes)) for v in values]
+    return list(codes), coded
+
+
+BIT_DTYPES = [bool, np.uint8, np.int64, np.float64]
+
+
+class TestCellLayout:
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60),
+           st.sampled_from(BIT_DTYPES), st.sampled_from(BIT_DTYPES))
+    @settings(max_examples=200, deadline=None)
+    def test_tally_matches_case_loop(self, pairs, y_dtype, hat_dtype):
+        y = np.array([p[0] for p in pairs], dtype=y_dtype)
+        y_hat = np.array([p[1] for p in pairs], dtype=hat_dtype)
+        got = tally_confusion(y, y_hat)
+        assert got == brute_counts([p[0] for p in pairs], [p[1] for p in pairs])
+        assert all(type(v) is int for v in vars(got).values())
+
+    @given(cohorts(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_by_maker_matches_case_loop(self, data, pick):
+        # cohorts() leaves some makers without cases; a subset drops some more
+        rows = pick.draw(st.lists(st.integers(0, max(data.n_cases - 1, 0)), max_size=data.n_cases))
+        for cohort in (data, data.subset(rows)):
+            got = cohort.counts_by_maker()
+            assert list(got.items()) == list(case_loop_counts(cohort).items())
+            assert all(type(v) is int for c in got.values() for v in vars(c).values())
+
+    @pytest.mark.parametrize("draw", [
+        lambda rng: rng.dirichlet([0.1, 3.0, 0.5, 20.0], size=2000),
+        lambda rng: rng.multinomial(40, [0.1, 0.3, 0.2, 0.4], size=2000),
+    ], ids=["dirichlet", "multinomial"])
+    def test_rows_helpers_match_column_formulas(self, draw):
+        t = draw(np.random.default_rng(4))
+        t = t[(t[:, 0] + t[:, 2] > 0) & (t[:, 1] + t[:, 3] > 0)]
+        positives, negatives = core._class_sums(*t.T)
+        alphas, betas = core._rates(*t.T)
+        for got, want in [
+            (positives, t[:, 0] + t[:, 2]),
+            (negatives, t[:, 1] + t[:, 3]),
+            (alphas, t[:, 1] / (t[:, 1] + t[:, 3])),
+            (betas, t[:, 0] / (t[:, 0] + t[:, 2])),
+        ]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_rate_pair_matches_field_formulas(self, n11, n01, n10, n00):
+        counts = ConfusionCounts(n11, n01, n10, n00)
+        assert core._cells(counts) == (n11, n01, n10, n00)
+        if n01 + n00 == 0 or n11 + n10 == 0:
+            with pytest.raises(DegenerateMakerError, match=f"positives={n11 + n10}, negatives={n01 + n00}"):
+                rate_pair(counts)
+            return
+        pair = rate_pair(counts)
+        assert pair == RatePair(n01 / (n01 + n00), n11 / (n11 + n10))
+        assert type(pair.alpha) is float and type(pair.beta) is float
+
+    @given(cohorts(), st.sampled_from([0, 1, 12345]), st.integers(0, 5), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_split_rows_match_old_key(self, data, seed, a, b):
+        got = stratified_split(data, (a, b), seed)
+        for part, want in zip(got, old_key_split(data, (a, b), seed)):
+            np.testing.assert_array_equal(part.features[:, 0], want)  # features hold the row number
+
+    @given(st.lists(st.sampled_from(["a", "b", "é", "ß", "日本", "m,1", "", "a "]), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_first_appearance_matches_dict_coder(self, ids):
+        want_ids, want_codes = dict_coder(ids)
+        encoded = np.array([m.encode() for m in ids], dtype=bytes)  # as the bulk reader holds maker ids
+        got_ids, got_codes = core._first_appearance(encoded)
+        assert [m.decode() for m in got_ids.tolist()] == want_ids
+        assert got_codes.tolist() == want_codes
+        numbered = np.array([7 * want_ids.index(m) for m in ids], dtype=np.int64)
+        got_ids, got_codes = core._first_appearance(numbered)
+        assert got_ids.tolist() == [7 * k for k in range(len(want_ids))]
+        assert got_codes.tolist() == want_codes
+
+    def test_bulk_and_row_readers_code_non_ascii_makers_alike(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        names = ["日本", "b", "é", "b", "日本", "ß", "é"]
+        rows = "".join(f"{m},{k % 2},1\r\n" for k, m in enumerate(names))
+        path.write_bytes(("maker_id,y,y_hat\r\n" + rows).encode())
+        bulk, parsed = core._decode_cases(path), core._parse_cases(path)
+        assert bulk is not None
+        assert bulk.makers == parsed.makers == ("日本", "b", "é", "ß")
+        np.testing.assert_array_equal(bulk.maker_index, [0, 1, 2, 1, 0, 3, 2])
+        np.testing.assert_array_equal(parsed.maker_index, bulk.maker_index)

@@ -470,6 +470,35 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"old\.json: forest JSON has no format field"):
             load_forest(path)
 
+    # node values that forest_to_json (allow_nan=False, floats from tolist) could never write
+    BAD_VALUES = [float("nan"), float("inf"), float("-inf"), "0.25", True, False, None, [0.5], 10**400]
+
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+    @pytest.mark.parametrize("node", [0, -1], ids=["cut", "leaf"])
+    def test_loader_rejects_non_finite_or_non_number_values(self, tmp_path, bad, node):
+        text = self._broken(lambda p: p["trees"][0]["value"].__setitem__(node, bad))
+        with pytest.raises(ValueError, match="^tree 0: value entries must be finite numbers$"):
+            forest_from_json(text)
+        path = tmp_path / "edited.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"edited\.json: tree 0: value entries must be finite numbers$"):
+            load_forest(path)
+
+    def test_loader_rejects_value_that_is_not_a_list(self):
+        with pytest.raises(ValueError, match="^tree 0: value entries must be finite numbers$"):
+            forest_from_json(self._broken(lambda p: p["trees"][0].update(value=0.5)))
+
+    def test_loader_takes_integer_values(self):
+        forest, X = self.make()
+        payload = json.loads(forest_to_json(forest))
+        tree = payload["trees"][0]
+        leaves = [i for i, f in enumerate(tree["feature"]) if f < 0]
+        tree["value"][leaves[0]] = 1  # a JSON integer is a number too
+        tree["value"][0] = int(tree["value"][0] // 1)
+        back = forest_from_json(json.dumps(payload))
+        assert back.trees[0].value[leaves[0]] == 1.0
+        assert back.trees[0].value.dtype == np.float64
+
 
 def _implied_walk(feature, value, x):
     """Leaf value that row ``x`` reaches through the implied children, one node at a time."""
