@@ -2,11 +2,11 @@
 
 Subcommands cover the pipeline stage by stage (simulate, split, train,
 roc, bench-freq, bench-bayes, combine, path, randomized) plus `report`,
-which runs the whole chain on one cases file: filter small makers,
-split classification/performance, split train/validation, fit the
-forest, build curves, benchmark every maker both ways, evaluate the
-combined cohort, sweep the replacement path, and sweep randomized
-acceptance rates.
+which runs the whole chain on one cases file: drop the makers that
+cannot be benchmarked, split classification/performance, split
+train/validation, fit the forest, build curves, benchmark every maker
+both ways, evaluate the combined cohort, sweep the replacement path,
+and sweep randomized acceptance rates.
 
 Configuration comes from defaults, then an optional JSON config file,
 then flags (flags win); a subcommand has flags only for the settings it
@@ -16,8 +16,9 @@ substream of the single run seed, so reruns are byte-identical and the
 chain reproduces `report`.  The forest's trees and the verdict stage's
 makers run as tasks in processes forked per CPU, one contiguous run of
 tasks per process (`rocbench.workers`), and outputs do not depend on
-the CPU count.  `report` and the bench commands refuse a one-class
-maker before any fork.  Errors print one JSON line to stderr and exit 2.
+the CPU count.  `report` and the bench commands drop a maker with
+fewer than `--min-cases` cases or with one outcome class before any
+fork.  Errors print one JSON line to stderr and exit 2.
 The ROCBENCH_OUT environment variable sets the default output directory.
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import DEFAULT_PRIOR_WEIGHT, LossKind, benchmark_maker_bayesian, read_bayesian_csv, write_bayesian_csv
-from .core import CohortDataset, naming_maker, rate_pair, read_cases_csv, stratified_split, write_cases_csv
+from .core import CohortDataset, rate_pair, read_cases_csv, stratified_split, write_cases_csv
 from .csvio import format_float, write_json
 from .forest import ForestParams, _check_integers, load_forest, save_forest, train_forest
 from .frequentist import CaseLabel, benchmark_maker_frequentist, write_frequentist_csv
@@ -171,16 +172,16 @@ def _pair_dict(pair) -> dict:
     return {"fpr": pair.alpha, "tpr": pair.beta}
 
 
-def _filter_small_makers(data: CohortDataset, min_cases: int) -> tuple[CohortDataset, int]:
-    sizes = np.bincount(data.maker_index, minlength=len(data.makers))
-    keep_codes = np.flatnonzero(sizes >= min_cases)
+def _benchmarkable(data: CohortDataset, min_cases: int) -> tuple[CohortDataset, int]:
+    """The cases of the makers with at least ``min_cases`` cases and both outcome classes, and the others' count."""
+    by_class = np.bincount(2 * data.maker_index + data.y, minlength=2 * len(data.makers)).reshape(-1, 2)
+    keep_codes = np.flatnonzero((by_class.sum(axis=1) >= min_cases) & by_class.all(axis=1))
     dropped = len(data.makers) - keep_codes.size
     if dropped == 0:
         return data, 0
     if keep_codes.size == 0:
-        raise ValueError(f"no maker has at least {min_cases} cases")
-    rows = np.flatnonzero(np.isin(data.maker_index, keep_codes))
-    return data.subset(rows), dropped
+        raise ValueError(f"no maker has at least {min_cases} cases and both outcome classes")
+    return data.subset(np.flatnonzero(np.isin(data.maker_index, keep_codes))), dropped
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -211,14 +212,6 @@ def _bayesian(cfg: RunConfig):
     return lambda m, c, roc: benchmark_maker_bayesian(
         m, c, roc, prior=cfg.prior_weight, n_draws=cfg.n_draws, seed=substream(cfg.seed, "posterior", m),
         credible_level=cfg.level, kind=cfg.loss(), grid_size=cfg.grid_size)
-
-
-def _two_class(counts: dict) -> dict:
-    """``counts``, once every maker has both outcome classes; the first in order that lacks one is refused."""
-    for m, c in counts.items():
-        with naming_maker(m):
-            rate_pair(c)
-    return counts
 
 
 def _randomized_rows(performance, verdicts, scores, seed: int, lambdas=LAMBDAS, scope=SCOPES[0]) -> list:
@@ -332,11 +325,10 @@ def _cmd_roc(args) -> int:
 
 
 def _bench_inputs(args) -> tuple:
-    """Counts of the makers with at least ``min_cases`` cases, each with both classes; the curve; the config."""
+    """Counts of the benchmarkable makers of the cases file; the curve; the config."""
     cfg = _load_config(args)
-    data, _ = _filter_small_makers(read_cases_csv(args.cases), cfg.min_cases)
-    roc = read_roc_csv(args.roc)
-    return _two_class(data.counts_by_maker()), roc, cfg
+    data, _ = _benchmarkable(read_cases_csv(args.cases), cfg.min_cases)
+    return data.counts_by_maker(), read_roc_csv(args.roc), cfg
 
 
 def _cmd_bench_freq(args) -> int:
@@ -384,8 +376,9 @@ def _cmd_randomized(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    data = read_cases_csv(args.cases)
-    data, dropped = _filter_small_makers(data, cfg.min_cases)
+    # every (maker, cell) group keeps a case in the first output of a split, so each kept maker keeps both
+    # classes in the classification split
+    data, dropped = _benchmarkable(read_cases_csv(args.cases), cfg.min_cases)
 
     classification, performance = stratified_split(
         data, cfg.outer_ratio, substream(cfg.seed, "split", "outer")
@@ -395,7 +388,7 @@ def _cmd_report(args) -> int:
     )
     if data.features is None:
         raise ValueError(f"{args.cases}: no feature columns; cannot train")
-    counts = _two_class(classification.counts_by_maker())  # before the forest trains
+    counts = classification.counts_by_maker()
     forest = train_forest(train.features, train.y, cfg.forest_params())
     roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
     scores = forest.predict_propensity(performance.features)
@@ -476,7 +469,7 @@ class _Parser(argparse.ArgumentParser):
 _CONFIG_FLAGS = {
     "seed": ("--seed", dict(type=int, help="run seed (all stages derive from it)")),
     "level": ("--level", dict(type=float, help="confidence/credible level")),
-    "min_cases": ("--min-cases", dict(type=int, help="minimum cases per maker")),
+    "min_cases": ("--min-cases", dict(type=int, help="minimum cases per maker (fewer, or one class: dropped)")),
     "outer_ratio": ("--outer-ratio", dict(help="classification:performance, e.g. 7:3")),
     "inner_ratio": ("--inner-ratio", dict(help="train:validation, e.g. 4:3")),
     "n_trees": ("--trees", dict(type=int, help="forest size")),

@@ -271,14 +271,6 @@ class RocCurve:
             best[lo : lo + chunk] = np.sqrt(d2.min(axis=1))
         return best
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RocCurve)
-            and np.array_equal(self.thresholds, other.thresholds)
-            and np.array_equal(self.alphas, other.alphas)
-            and np.array_equal(self.betas, other.betas)
-        )
-
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -733,6 +733,20 @@ class TestConfigResolution:
         cfg = RunConfig(outer_ratio=(7, 3))
         assert cfg.outer_ratio == (7, 3)
 
+    def test_ratio_strings_from_flags_and_config_agree(self, cohort, tmp_path):
+        _, cases = cohort
+        config = tmp_path / "ratios.json"
+        config.write_text(json.dumps({"outer_ratio": "3:1", "inner_ratio": "1:1"}))
+        runs = {}
+        for name, given in (("flags", ["--outer-ratio", "3:1", "--inner-ratio", "1:1"]),
+                            ("config", ["--config", str(config)])):
+            assert main(["report", "--cases", str(cases), "--out", str(tmp_path / name), *given] + REPORT_FLAGS) == 0
+            runs[name] = _outputs(tmp_path / name)
+        cfg, split = (json.loads(runs["flags"][name]) for name in ("config.json", "split_manifest.json"))
+        assert (cfg["outer_ratio"], cfg["inner_ratio"]) == ([3, 1], [1, 1])
+        assert (split["outer"]["ratio"], split["inner"]["ratio"]) == ([3, 1], [1, 1])
+        assert runs["flags"] == runs["config"]
+
 
 class TestErrorReporting:
     def test_missing_file_is_json_exit_2(self, capsys):
@@ -757,58 +771,6 @@ class TestErrorReporting:
         error = json.loads(lines[0])["error"]
         assert error.startswith(f"ValueError: {model}: forest JSON has no format field")
 
-    def test_degenerate_maker_is_named(self, cohort, tmp_path, capsys, monkeypatch):
-        _, cases = cohort
-        with open(cases, newline="") as fh:
-            rows = list(csv.reader(fh))
-        maker = rows[1][0]
-        y = rows[0].index("y")
-        for row in rows[1:]:
-            if row[0] == maker:
-                row[y] = "1"
-        one_class = tmp_path / "cases.csv"
-        with open(one_class, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-
-        def no_training(*args):  # the maker is refused before the forest trains
-            raise RuntimeError("the forest trained")
-
-        monkeypatch.setattr(cli, "train_forest", no_training)
-        assert main(["report", "--cases", str(one_class), "--out", str(tmp_path / "run")] + REPORT_FLAGS) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"].startswith(f"DegenerateMakerError: maker {maker!r}: degenerate counts")
-
-    def test_one_class_maker_is_refused_alike_before_any_fork(self, cohort, workdir, tmp_path, capsys, monkeypatch):
-        # a last maker with no positive case: report, and both bench commands on report's classification
-        # split, refuse it with the same line before any process forks
-        _, cases = cohort
-        with open(cases, newline="") as fh:
-            rows = list(csv.reader(fh))
-        y = rows[0].index("y")
-        rows += [["zz_last", *row[1:y], "0", *row[y + 1:]] for row in rows[1:401]]
-        one_class = tmp_path / "cases.csv"
-        with open(one_class, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-
-        def no_fork(*args):
-            raise RuntimeError("a stage forked")
-
-        monkeypatch.setattr(cli, "map_forked", no_fork)
-        monkeypatch.setattr("rocbench.forest.map_forked", no_fork)
-        assert main(["report", "--cases", str(one_class), "--out", str(tmp_path / "run")] + REPORT_FLAGS) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])["error"]
-        assert error.startswith("DegenerateMakerError: maker 'zz_last': degenerate counts (positives=0")
-        assert main(["split", "--cases", str(one_class), "--ratio", "7:3", "--label", "outer", "--names", "class,perf",
-                     "--seed", "11", "--out", str(tmp_path)]) == 0
-        for command in ("bench-freq", "bench-bayes"):
-            assert main([command, "--cases", str(tmp_path / "class.csv"), "--roc", str(workdir["roc"]),
-                         "--min-cases", "50", "--seed", "11", "--out", str(tmp_path / command)]) == 2
-            assert capsys.readouterr().err.splitlines() == lines, command
-        assert not (tmp_path / "bench-freq").exists() and not (tmp_path / "bench-bayes").exists()
-
     def test_module_entry_point_runs_without_warnings(self):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         proc = subprocess.run([sys.executable, "-m", "rocbench.cli", "split", "--help"],
@@ -822,6 +784,89 @@ class TestErrorReporting:
         assert exc.value.code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert "required" in err["error"]
+
+
+def _with_maker(cases: Path, out: Path, maker: str, every: int, y=None, n=None) -> Path:
+    """``cases`` with a copy of every ``every``-th row (the first ``n`` such) set after it, as ``maker``'s, with
+    outcome ``y`` if given."""
+    with open(cases, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    col = header.index("y")
+    copied = set(range(0, len(rows), every)[:n])
+    lines = [header]
+    for i, row in enumerate(rows):
+        lines.append(row)
+        if i in copied:
+            lines.append([maker, *row[1:col], row[col] if y is None else y, *row[col + 1:]])
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
+    return out
+
+
+def _without_drop_count(outputs: dict, dropped: int) -> dict:
+    """``outputs`` with ``makers_dropped`` checked to be ``dropped`` in both JSON files that hold it, and removed."""
+    outputs = dict(outputs)
+    for name in ("split_manifest.json", "summary.json"):
+        record = json.loads(outputs.pop(name))
+        assert record.pop("makers_dropped") == dropped, name
+        outputs[name] = record
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def cohort_report(cohort):
+    """``report`` on the cohort, whose six makers are all kept."""
+    root, cases = cohort
+    out = root / "gate"
+    assert main(["report", "--cases", str(cases), "--out", str(out)] + REPORT_FLAGS) == 0
+    return out
+
+
+class TestMakerGate:
+    """A maker with fewer than --min-cases cases or with one outcome class is dropped, not refused: every output
+    equals that of the file without the maker's rows, but for the count of dropped makers."""
+
+    @pytest.mark.parametrize("extra, size, classes", [
+        (dict(every=4, y="0"), 450, (False, True)),  # spread through the file
+        (dict(every=3, y="1"), 600, (True, False)),
+        (dict(every=1, n=40), 40, (True, True)),  # under --min-cases 50, at the top of the file
+    ], ids=["one-class-negative", "one-class-positive", "under-min-cases"])
+    def test_report_drops_the_maker(self, cohort, cohort_report, extra, size, classes, tmp_path, capsys):
+        _, cases = cohort
+        added = _with_maker(cases, tmp_path / "cases.csv", "zz_added", **extra)
+        c = read_cases_csv(added).counts_by_maker()["zz_added"]
+        assert (c.n, c.n11 + c.n10 > 0, c.n01 + c.n00 > 0) == (size, *classes)
+        assert main(["report", "--cases", str(added), "--out", str(tmp_path / "run")] + REPORT_FLAGS) == 0
+        assert capsys.readouterr().err == ""
+        assert _without_drop_count(_outputs(tmp_path / "run"), 1) == _without_drop_count(_outputs(cohort_report), 0)
+
+    def test_bench_commands_drop_the_maker_of_the_classification_split(self, cohort, cohort_report, tmp_path, capsys):
+        # a one-class maker has one class in `split`'s classification file too, so the bench commands drop it
+        # there and write report's verdicts
+        _, cases = cohort
+        added = _with_maker(cases, tmp_path / "cases.csv", "zz_added", every=4, y="0")
+        assert main(["split", "--cases", str(added), "--ratio", "7:3", "--label", "outer", "--names", "class,perf",
+                     "--seed", "11", "--out", str(tmp_path)]) == 0
+        assert "zz_added" in read_cases_csv(tmp_path / "class.csv").makers
+        inputs = ["--cases", str(tmp_path / "class.csv"), "--roc", str(cohort_report / "roc_validation.csv")]
+        for command, name in (("bench-freq", "verdicts_freq.csv"), ("bench-bayes", "verdicts_bayes.csv")):
+            out = tmp_path / name
+            assert main([command, *inputs, "--config", str(cohort_report / "config.json"), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            assert out.read_bytes() == (cohort_report / name).read_bytes()
+            assert "zz_added" not in out.read_text()
+
+    def test_every_maker_dropped_names_both_rules(self, cohort, workdir, tmp_path, capsys):
+        _, cases = cohort
+        # the six makers have 300 cases each, under the threshold; the added one 1800, all positive
+        one_class = _with_maker(cases, tmp_path / "cases.csv", "zz_added", every=1, y="1")
+        argv = ["--cases", str(one_class), "--min-cases", "301", "--out", str(tmp_path / "run")]
+        roc = ["--roc", str(workdir["roc"])]
+        for command in (["report"], ["bench-freq", *roc], ["bench-bayes", *roc]):
+            assert main(command + argv) == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ValueError: no maker has at least 301 cases and both outcome classes"}
+        assert not (tmp_path / "run" / "summary.json").exists()
 
 
 class TestOutEnvVar:

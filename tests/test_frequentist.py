@@ -183,6 +183,18 @@ class TestConfidenceEllipse:
         assert e.contains((0.5, 0.5))
         assert not e.contains((0.9, 0.9))
 
+    def test_singular_covariance_contains_along_its_axis(self):
+        # perfectly correlated rates: inverting the covariance fails, so membership adds the variance floor to the
+        # diagonal; points along the (1, 1) axis stay inside, points across it fall outside
+        cov = [[1e-4, 1e-4], [1e-4, 1e-4]]
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.inv(np.array(cov))
+        e = confidence_ellipse(RatePair(0.3, 0.7), cov, 0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = [e.contains(p) for p in [(0.3, 0.7), (0.31, 0.71), (0.31, 0.69), (0.9, 0.1)]]
+        assert inside == [True, True, False, False]
+
     def test_level_validated(self):
         with pytest.raises(ValueError):
             confidence_ellipse(RatePair(0.5, 0.5), np.eye(2), 1.0)
