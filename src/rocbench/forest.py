@@ -21,6 +21,14 @@ open node in one vectorised pass, and a stable sort by (feature, child)
 moves each node's rows, still sorted, into its open children; rows of
 settled nodes drop out.  Prediction moves all rows down level by level.
 
+The weights and counts are float64 holding integers far below 2**53,
+so every sum of them is exact.  The Gini pass writes into scratch
+buffers allocated once per tree, sized for the root level and sliced at
+every level below it, so a level allocates no array per boundary for
+the arithmetic.  The sort keys of a level take the narrowest unsigned
+type that holds them; numpy sorts keys of up to 16 bits stably by
+radix, and a stable sort has one result whatever the key type.
+
 When ``max_features`` is at least the number of features every node
 uses every feature and nothing is drawn.  Otherwise each level draws
 the subsets of all its open nodes in one batch, in breadth-first node
@@ -147,7 +155,7 @@ def _settled(count, pos, min_samples_split):
     return (pos == 0) | (pos == count) | (count < min_samples_split)
 
 
-def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed):
+def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed, buf):
     """Best Gini cut of each (feature, node) group of one level.
 
     ``vals`` holds the level's rows feature by feature and, within a
@@ -155,8 +163,15 @@ def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed):
     ``wpos`` hold each row's weight and weighted label.  Group g covers
     ``gsize[g]`` positions from ``gstart[g]`` and has weight ``gcount[g]``
     with ``gpos[g]`` positive.  ``allowed`` (one flag per group, or None
-    for all) limits the search.  Returns the gain and the cut of every
-    group; a gain of 0 means no cut.
+    for all) limits the search.  ``buf`` is a float64 scratch array of
+    six rows, each at least ``vals.size + 1`` long; its contents are
+    overwritten.  Returns the gain and the cut of every group; a gain of
+    0 means no cut.
+
+    Weights, weighted labels and the group sums are float64 holding
+    integers, and every sum of them is at most the bootstrap's slot
+    count, far below 2**53: the cumulative sums and their differences
+    are exact, the counts the bootstrap slots gave.
     """
     boundary = np.empty(vals.size, dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=boundary[:-1])
@@ -169,20 +184,43 @@ def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed):
         return gain, cuts
     group = np.repeat(np.arange(gstart.size), gsize).take(at)
     start = gstart.take(group)
-    ccount = np.zeros(wts.size + 1, dtype=np.int64)
+    ccount, cpos = buf[0, : wts.size + 1], buf[1, : wpos.size + 1]
+    ccount[0] = cpos[0] = 0.0
     np.cumsum(wts, out=ccount[1:])
-    cpos = np.zeros(wpos.size + 1, dtype=np.int64)
     np.cumsum(wpos, out=cpos[1:])
 
-    # integer weights: every sum below is the count the bootstrap slots gave
-    n = gcount.take(group).astype(np.float64)
-    n_left = (ccount.take(at + 1) - ccount.take(start)).astype(np.float64)
-    n_right = n - n_left
-    pos_left = (cpos.take(at + 1) - cpos.take(start)).astype(np.float64)
-    pos_right = gpos.take(group).astype(np.float64) - pos_left
-    g_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
-    g_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
-    weighted = (n_left * g_left + n_right * g_right) / n
+    # the Gini expression in the level's buffers, operation by operation as
+    # 1.0 - (a / n) ** 2 - (b / n) ** 2 rounds (``** 2`` is ``np.square``);
+    # n_right and pos_right take the cumulative sums' rows once those are read
+    size = at.size
+    n, n_left, pos_left, weighted = (row[:size] for row in buf[2:])
+    n_right, pos_right = buf[0, :size], buf[1, :size]
+    gcount.take(group, out=n)
+    ccount[1:].take(at, out=n_left)
+    n_left -= ccount.take(start, out=weighted)
+    cpos[1:].take(at, out=pos_left)
+    pos_left -= cpos.take(start, out=weighted)
+    np.subtract(n, n_left, out=n_right)
+    gpos.take(group, out=pos_right)
+    pos_right -= pos_left
+    g_left = np.divide(pos_left, n_left, out=weighted)
+    np.square(g_left, out=g_left)
+    np.subtract(1.0, g_left, out=g_left)
+    neg_left = np.subtract(n_left, pos_left, out=pos_left)
+    neg_left /= n_left
+    np.square(neg_left, out=neg_left)
+    g_left -= neg_left
+    g_left *= n_left  # n_left * g_left, and n_left is read no more
+    g_right = np.divide(pos_right, n_right, out=n_left)
+    np.square(g_right, out=g_right)
+    np.subtract(1.0, g_right, out=g_right)
+    neg_right = np.subtract(n_right, pos_right, out=pos_right)
+    neg_right /= n_right
+    np.square(neg_right, out=neg_right)
+    g_right -= neg_right
+    g_right *= n_right
+    weighted += g_right
+    weighted /= n
 
     # first minimum per group: the smallest cut wins a tie
     runs = np.bincount(group, minlength=gstart.size)
@@ -197,7 +235,7 @@ def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed):
     # impurity rounds as the models' split rule has always rounded it
     parent = np.array([
         1.0 - (p / c) ** 2 - ((c - p) / c) ** 2
-        for p, c in zip(gpos.take(won).astype(np.float64).tolist(), gcount.take(won).tolist())
+        for p, c in zip(gpos.take(won).tolist(), gcount.take(won).tolist())
     ])
     gain[won] = parent - low
     lo, hi = vals.take(at.take(first)), vals.take(at.take(first) + 1)
@@ -219,14 +257,15 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
     rows = np.flatnonzero(drawn)
     n, d = rows.size, X.shape[1]
     xs = np.ascontiguousarray(X[rows].T).ravel()  # feature f of drawn row r at f * n + r
-    ws = w.take(rows)
+    ws = w.take(rows).astype(np.float64)  # integers, so every sum of them is exact
     wys = ws * y.take(rows)
     cap = 2 * n - 1  # every leaf holds at least one drawn row
     feature = np.full(cap, -1, dtype=np.int64)
     value = np.zeros(cap)
+    buf = np.empty((6, d * n + 1))  # _best_cuts' scratch, sized for the root level
 
     # per open node: drawn rows (size), their weight (count) and weighted positives
-    ids, size, count, pos = np.array([0]), np.array([n]), np.array([int(ws.sum())]), np.array([int(wys.sum())])
+    ids, size, count, pos = np.array([0]), np.array([n]), np.array([ws.sum()]), np.array([wys.sum()])
     n_nodes = 1
     if _settled(count, pos, params.min_samples_split)[0]:
         value[0] = pos[0] / count[0]
@@ -248,7 +287,7 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
         offset = np.repeat(feats * n, m)
         gain, cuts = _best_cuts(
             xs.take(order + offset), ws.take(order), wys.take(order),
-            gstart, np.tile(size, d), np.tile(count, d), np.tile(pos, d), allowed,
+            gstart, np.tile(size, d), np.tile(count, d), np.tile(pos, d), allowed, buf,
         )
         gain, cuts = gain.reshape(d, k), cuts.reshape(d, k)
         best = np.argmax(gain, axis=0)  # first feature of the largest gain
@@ -268,8 +307,8 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
         rank = np.cumsum(ok) - 1
         child = 2 * rank.take(node) + ~go_left
         c_size = np.bincount(child, minlength=2 * n_split)
-        c_count = np.bincount(child, weights=ws.take(samples), minlength=2 * n_split).astype(np.int64)
-        c_pos = np.bincount(child, weights=wys.take(samples), minlength=2 * n_split).astype(np.int64)
+        c_count = np.bincount(child, weights=ws.take(samples), minlength=2 * n_split)
+        c_pos = np.bincount(child, weights=wys.take(samples), minlength=2 * n_split)
         c_ids = n_nodes + np.arange(2 * n_split)
         n_nodes += 2 * n_split
         feature[ids[ok]] = best[ok]
@@ -279,11 +318,14 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
         ids, size, count, pos = c_ids[~done], c_size[~done], c_count[~done], c_pos[~done]
 
         # next layout: a stable sort by (feature, open child); rows of settled
-        # children and of nodes that did not split sort past all others
+        # children and of nodes that did not split sort past all others.  The
+        # keys take the narrowest unsigned type, so up to 16 bits numpy sorts
+        # them by radix; a stable sort has one result in any key type
         past = 2 * n_split * d
         slot = np.full(n, past)
         slot[samples] = np.where(done.take(child), past, child)
         key = slot.take(order) + np.repeat(feats * (2 * n_split), m)
+        key = key.astype(np.min_scalar_type(past + (d - 1) * 2 * n_split))
         order = order.take(np.argsort(key, kind="stable")[: d * int(size.sum())])
     return Tree(feature[:n_nodes].copy(), value[:n_nodes].copy())
 

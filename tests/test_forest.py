@@ -968,3 +968,161 @@ class TestAgainstSlotReference:
         X = np.round(rng.normal(size=(5000, 6)), 1)
         y = (X[:, 1] - X[:, 4] + rng.normal(0.0, 3.0, 5000) > 0).astype(int)
         _assert_matches_slots(X, y, ForestParams(n_trees=2, max_features=3, min_samples_split=2, seed=8))
+
+
+# -- the Gini pass that allocated each step's array, on integer sums: --
+# -- the reference for the buffered pass --
+
+
+def _alloc_best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed):
+    """``forest._best_cuts`` as it was before the level buffers: integer
+    weights and sums, and a fresh array for every step of the Gini
+    expression.
+    """
+    boundary = np.empty(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=boundary[:-1])
+    boundary[gstart + gsize - 1] = False
+    if allowed is not None:
+        boundary &= np.repeat(allowed, gsize)
+    at = np.flatnonzero(boundary)
+    gain, cuts = np.zeros(gstart.size), np.zeros(gstart.size)
+    if at.size == 0:
+        return gain, cuts
+    group = np.repeat(np.arange(gstart.size), gsize).take(at)
+    start = gstart.take(group)
+    ccount = np.zeros(wts.size + 1, dtype=np.int64)
+    np.cumsum(wts, out=ccount[1:])
+    cpos = np.zeros(wpos.size + 1, dtype=np.int64)
+    np.cumsum(wpos, out=cpos[1:])
+
+    # integer weights: every sum below is the count the bootstrap slots gave
+    n = gcount.take(group).astype(np.float64)
+    n_left = (ccount.take(at + 1) - ccount.take(start)).astype(np.float64)
+    n_right = n - n_left
+    pos_left = (cpos.take(at + 1) - cpos.take(start)).astype(np.float64)
+    pos_right = gpos.take(group).astype(np.float64) - pos_left
+    g_left = 1.0 - (pos_left / n_left) ** 2 - ((n_left - pos_left) / n_left) ** 2
+    g_right = 1.0 - (pos_right / n_right) ** 2 - ((n_right - pos_right) / n_right) ** 2
+    weighted = (n_left * g_left + n_right * g_right) / n
+
+    # first minimum per group: the smallest cut wins a tie
+    runs = np.bincount(group, minlength=gstart.size)
+    won = np.flatnonzero(runs)
+    runs = runs.take(won)
+    head = np.cumsum(runs) - runs
+    low = np.minimum.reduceat(weighted, head)
+    at_low = np.flatnonzero(weighted == np.repeat(low, runs))
+    first = at_low.take(np.searchsorted(at_low, head))
+
+    # Python floats (``**`` is C pow, not numpy's square), so the parent
+    # impurity rounds as the models' split rule has always rounded it
+    parent = np.array([
+        1.0 - (p / c) ** 2 - ((c - p) / c) ** 2
+        for p, c in zip(gpos.take(won).astype(np.float64).tolist(), gcount.take(won).tolist())
+    ])
+    gain[won] = parent - low
+    lo, hi = vals.take(at.take(first)), vals.take(at.take(first) + 1)
+    mid = (lo + hi) / 2.0
+    # the midpoint of adjacent doubles can round up to ``hi``, and a sum
+    # can overflow; ``lo`` then cuts the same rows
+    cuts[won] = np.where((mid >= lo) & (mid < hi), mid, lo)
+    return gain, cuts
+
+
+@st.composite
+def gini_levels(draw):
+    """One level's ``_alloc_best_cuts`` arguments: groups of rows sorted by value, integer weights."""
+    grid = draw(st.booleans())  # heavy ties
+    value = st.integers(0, 3).map(float) if grid else st.floats(-1e3, 1e3, allow_nan=False)
+    weight = st.integers(1, 3) | st.integers(1, 10**6)
+    groups = draw(st.lists(
+        st.lists(st.tuples(value, weight, st.integers(0, 1)), min_size=1, max_size=30), min_size=1, max_size=8,
+    ))
+    rows = [row for group in groups for row in sorted(group, key=lambda r: r[0])]
+    vals = np.array([r[0] for r in rows])
+    wts = np.array([r[1] for r in rows], dtype=np.int64)
+    wpos = wts * np.array([r[2] for r in rows])
+    gsize = np.array([len(g) for g in groups])
+    gstart = np.cumsum(gsize) - gsize
+    gcount, gpos = np.add.reduceat(wts, gstart), np.add.reduceat(wpos, gstart)
+    allowed = draw(st.none() | st.lists(st.booleans(), min_size=len(groups), max_size=len(groups)).map(np.array))
+    return vals, wts, wpos, gstart, gsize, gcount, gpos, allowed
+
+
+def _doubled(level):
+    """The level followed by a copy of itself, as one level of twice the groups."""
+    vals, wts, wpos, gstart, gsize, gcount, gpos, allowed = level
+    return (
+        np.tile(vals, 2), np.tile(wts, 2), np.tile(wpos, 2), np.concatenate([gstart, gstart + vals.size]),
+        np.tile(gsize, 2), np.tile(gcount, 2), np.tile(gpos, 2), None if allowed is None else np.tile(allowed, 2),
+    )
+
+
+def _buffered_best_cuts(level, buf):
+    """``forest._best_cuts`` on a level of integer weights, passed as the grower passes them: float64."""
+    vals, wts, wpos, gstart, gsize, gcount, gpos, allowed = level
+    as_float = [a.astype(np.float64) for a in (wts, wpos)]
+    return forest_module._best_cuts(
+        vals, *as_float, gstart, gsize, gcount.astype(np.float64), gpos.astype(np.float64), allowed, buf
+    )
+
+
+def _assert_same_cuts(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestBufferedGiniPass:
+    """The Gini pass in reused level buffers equals the allocating pass on integer sums, byte for byte."""
+
+    @given(gini_levels())
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, level):
+        doubled = _doubled(level)
+        buf = np.full((6, doubled[0].size + 1), np.nan)
+        # a larger level first leaves every row of the buffer written past the next level's end
+        _assert_same_cuts(_buffered_best_cuts(doubled, buf), _alloc_best_cuts(*doubled))
+        _assert_same_cuts(_buffered_best_cuts(level, buf), _alloc_best_cuts(*level))
+        # and a buffer exactly as long as the level needs
+        tight = np.full((6, level[0].size + 1), np.nan)
+        _assert_same_cuts(_buffered_best_cuts(level, tight), _alloc_best_cuts(*level))
+
+
+def _splits_per_level(tree):
+    """The number of splitting nodes at each depth of ``tree``."""
+    left = 2 * np.cumsum(tree.feature >= 0) - 1
+    level, counts = np.array([0]), []
+    while level.size:
+        inner = level[tree.feature.take(level) >= 0]
+        counts.append(inner.size)
+        level = np.concatenate([left.take(inner), left.take(inner) + 1])
+    return counts
+
+
+class TestLevelKeys:
+    """The level reorder sorts keys cast to the narrowest unsigned type; the order is the int64 keys' order."""
+
+    @given(st.integers(1, 2**20), st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cast_keys_sort_as_int64_keys(self, n_split, d, data):
+        largest = 2 * n_split * (2 * d - 1)  # the grower's largest key: settled rows of the last feature
+        key = np.array(data.draw(st.lists(
+            st.sampled_from([0, 1, largest - 1, largest]) | st.integers(0, largest), max_size=300,
+        )), dtype=np.int64)
+        cast = key.astype(np.min_scalar_type(largest))
+        assert cast.tolist() == key.tolist()
+        assert np.argsort(cast, kind="stable").tolist() == np.argsort(key, kind="stable").tolist()
+
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_a_level_of_keys_wider_than_sixteen_bits(self, cpu_mask, bootstrap):
+        # twelve binary features in full factorial halve every node exactly, so one level
+        # splits hundreds of nodes; forty constant features widen every key by the feature count
+        n, bits = 4096, 12
+        X = np.hstack([(np.arange(n)[:, None] >> np.arange(bits)) & 1, np.zeros((n, 40))]).astype(np.float64)
+        y = np.random.default_rng(1).integers(0, 2, n)
+        d = X.shape[1]
+        params = ForestParams(n_trees=1, max_features=d, min_samples_split=2, bootstrap=bootstrap, seed=4)
+        cpu_mask(1)
+        widest = max(_splits_per_level(train_forest(X, y, params).trees[0]))
+        assert 2 * widest * (2 * d - 1) > np.iinfo(np.uint16).max
+        _assert_matches_slots(X, y, params)
