@@ -390,8 +390,11 @@ def _cmd_report(args) -> int:
         raise ValueError(f"{args.cases}: no feature columns; cannot train")
     counts = classification.counts_by_maker()
     forest = train_forest(train.features, train.y, cfg.forest_params())
-    roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
-    scores = forest.predict_propensity(performance.features)
+    # one scoring pass, so one fork, for both splits
+    val_scores, scores = np.split(
+        forest.predict_propensity(np.concatenate([validation.features, performance.features])), [validation.n_cases]
+    )
+    roc_val = build_roc(val_scores, validation.y)
     roc_perf = build_roc(scores, performance.y)
 
     verdicts_freq, verdicts_bayes = _verdicts(counts, roc_val, _frequentist(cfg), _bayesian(cfg))

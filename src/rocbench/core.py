@@ -120,7 +120,8 @@ def tally_confusion(y: np.ndarray, y_hat: np.ndarray) -> ConfusionCounts:
         raise ValueError("y and y_hat must be 1-d arrays of equal length")
     if y.size == 0:
         raise ValueError("empty case set")
-    if not (np.isin(y, (0, 1)).all() and np.isin(y_hat, (0, 1)).all()):
+    # the test np.isin(y, (0, 1)) makes, as two elementwise comparisons without its set-up
+    if not (((y == 0) | (y == 1)).all() and ((y_hat == 0) | (y_hat == 1)).all()):
         raise ValueError("y and y_hat must be 0 or 1")
     return ConfusionCounts(*_tally_cells(_cell_key(0, y, y_hat), 1)[0])
 

@@ -39,7 +39,9 @@ so the trees grow through ``workers.map_forked``: in worker processes
 forked from the caller, one per CPU in the process's affinity mask, the
 parent growing its share too, or in the calling process where that
 module's fallbacks apply.  The model does not depend on how many CPUs
-there are.
+there are.  Prediction forks the same way, one contiguous block of rows
+per CPU, each row's score the sum of its leaf values in tree order, so
+the scores do not depend on it either.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .rng import substream
-from .workers import map_forked
+from .workers import cpus, map_forked
 
 __all__ = [
     "ForestParams",
@@ -138,17 +140,30 @@ class Forest:
     trees: list[Tree] = field(default_factory=list)
 
     def predict_propensity(self, X) -> np.ndarray:
-        """Mean leaf positive-fraction over trees, one score per row."""
+        """Mean leaf positive-fraction over trees, one score per row.
+
+        The rows are cut into one contiguous block per CPU in the
+        process's affinity mask, scored through ``workers.map_forked``.
+        A block adds its trees' leaf values in tree order, so each score
+        is the same sum in the same order, whatever the CPU count.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
         if not np.isfinite(X).all():
             raise ValueError("non-finite feature values")
-        columns = np.ascontiguousarray(X.T)
-        total = np.zeros(X.shape[0])
-        for tree in self.trees:
-            total += tree.predict(columns)
-        return total / len(self.trees)
+        n = X.shape[0]
+        blocks = max(1, min(cpus(), n))
+        edges = [b * n // blocks for b in range(blocks + 1)]
+
+        def block(b):
+            columns = np.ascontiguousarray(X[edges[b] : edges[b + 1]].T)
+            total = np.zeros(columns.shape[1])
+            for tree in self.trees:
+                total += tree.predict(columns)
+            return total / len(self.trees)
+
+        return np.concatenate(map_forked(block, blocks))
 
 
 def _settled(count, pos, min_samples_split):

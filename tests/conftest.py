@@ -17,3 +17,14 @@ def cpu_mask(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
     return set_mask
+
+
+@pytest.fixture
+def assert_childless():
+    """``assert_childless()`` fails unless this process has no child at all, running or exited and unreaped."""
+
+    def check():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    return check

@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import filecmp
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 from rocbench import cli, frequentist, synthetic
 from rocbench.cli import RunConfig, build_parser, main
 from rocbench.core import rate_pair, read_cases_csv, write_cases_csv
-from rocbench.forest import load_forest
+from rocbench.forest import Forest, load_forest
 from rocbench.frequentist import benchmark_maker_frequentist, read_frequentist_csv, write_frequentist_csv
 from rocbench.replacement import Verdicts
 from rocbench.roc import build_roc, read_roc_csv, write_roc_csv
@@ -454,6 +453,28 @@ class TestReport:
         assert names == sorted(os.listdir(b))
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert mismatch == [] and errors == []
+
+    @pytest.mark.parametrize("mask", [1, 2])
+    def test_both_splits_are_scored_in_one_call(self, cohort, cpu_mask, monkeypatch, mask):
+        # one scoring call, so one fork, whose scores equal a call for each split, byte for byte
+        root, cases = cohort
+        calls, score = [], Forest.predict_propensity
+
+        def recording(forest, X):
+            calls.append((np.array(X), score(forest, X)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(Forest, "predict_propensity", recording)
+        cpu_mask(mask)
+        out = root / f"one_call{mask}"
+        assert main(["report", "--cases", str(cases), "--out", str(out)] + REPORT_FLAGS) == 0
+        split = json.loads((out / "split_manifest.json").read_text())
+        [(X, scores)] = calls
+        n_val = split["inner"]["validation"]
+        assert X.shape[0] == n_val + split["outer"]["performance"]
+        forest = load_forest(out / "forest.json")
+        assert scores[:n_val].tobytes() == score(forest, X[:n_val]).tobytes()
+        assert scores[n_val:].tobytes() == score(forest, X[n_val:]).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -933,7 +954,7 @@ class TestCpuMasks:
     }
 
     @pytest.mark.parametrize("which", ["cohort", "pair_cohort"])  # 6 makers over 3 processes; 2 makers over 2
-    def test_outputs_do_not_depend_on_the_mask(self, request, which, cpu_mask, tmp_path):
+    def test_outputs_do_not_depend_on_the_mask(self, request, which, cpu_mask, assert_childless, tmp_path):
         _, cases = request.getfixturevalue(which)
         runs = []
         for mask in (1, 3):
@@ -945,12 +966,13 @@ class TestCpuMasks:
                     *argv, "--cases", str(cases), "--roc", str(out / "report" / "roc_validation.csv"),
                     "--min-cases", "50", "--seed", "11", "--out", str(out / name),
                 ]) == 0
-            assert multiprocessing.active_children() == []
+            assert_childless()
             runs.append(_outputs(out))
         assert len(runs[0]) == 11 + len(self.BENCH_RUNS)
         assert runs[0] == runs[1]
 
-    def test_the_lowest_failing_block_is_reported(self, cohort, workdir, cpu_mask, monkeypatch, capfd):
+    def test_the_lowest_failing_block_is_reported(self, cohort, workdir, cpu_mask, assert_childless, monkeypatch,
+                                                  capfd):
         # six makers over four processes: the parent benchmarks maker 0, three workers makers 1-2, 3-4 and 5;
         # maker 2's bootstrap aborts after maker 4's has, and maker 2 is named under every mask, on every run
         _, cases = cohort
@@ -972,7 +994,7 @@ class TestCpuMasks:
             assert main(["bench-freq", "--cases", str(cases), "--roc", str(workdir["roc"]), "--min-cases", "50",
                          "--out", os.devnull]) == 2
             assert capfd.readouterr().err == expected, mask
-            assert multiprocessing.active_children() == []
+            assert_childless()
 
 
 @st.composite
@@ -995,7 +1017,7 @@ def tiny_cohorts(draw):
 class TestTinyDegenerateCohorts:
     @given(tiny_cohorts())
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_report_exits_cleanly_and_alike_under_any_mask(self, cpu_mask, capfd, rows):
+    def test_report_exits_cleanly_and_alike_under_any_mask(self, cpu_mask, assert_childless, capfd, rows):
         # exit 0 with nothing on stderr, or exit 2 with one JSON line; never a traceback or a warning
         with tempfile.TemporaryDirectory() as root:
             cases = Path(root) / "cases.csv"
@@ -1012,7 +1034,7 @@ class TestTinyDegenerateCohorts:
                                  "--grid", "16"])
                 captured = capfd.readouterr()
                 assert [str(w.message) for w in caught] == []
-                assert multiprocessing.active_children() == []
+                assert_childless()
                 assert "Traceback" not in captured.out + captured.err
                 if code == 0:
                     assert captured.err == ""

@@ -62,6 +62,17 @@ class TestConfusionCounts:
         with pytest.raises(ValueError):
             tally_confusion(np.array([0, 2]), np.array([0, 1]))
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_tally_refuses_each_non_binary_value(self, bad, column):
+        good = np.array([0.0, 1.0, 1.0, 0.0])
+        cols = [good.copy(), good.copy()]
+        cols[column][2] = bad
+        with pytest.raises(ValueError, match="^y and y_hat must be 0 or 1$"):
+            tally_confusion(*cols)
+        # the same 0/1 values in floats, bools or integers tally alike
+        assert tally_confusion(good, good[::-1]) == tally_confusion(good.astype(bool), good[::-1].astype(np.int8))
+
 
 class TestRatePair:
     def test_arithmetic(self):

@@ -1,6 +1,7 @@
 """Tree growth, prediction, determinism, JSON interchange."""
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -232,12 +233,22 @@ def _train_json(args):
     return forest_to_json(train_forest(X, y, params))
 
 
+def _refuse_fork():
+    raise AssertionError("forked")
+
+
+def _train_json_unforked(args):
+    """``_train_json`` in a process whose ``os.fork`` fails, so it succeeds only if every tree grew in-process."""
+    os.fork = _refuse_fork  # this process is a pool worker, which the pool ends
+    return _train_json(args)
+
+
 class TestWorkerProcesses:
     """Trees grown in forked workers equal trees grown in the calling process, and no worker outlives a call."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_forked_and_in_process_forests_are_identical(self, cpu_mask, seed, bootstrap):
+    def test_forked_and_in_process_forests_are_identical(self, cpu_mask, assert_childless, seed, bootstrap):
         rng = np.random.default_rng(30 + seed)
         X = np.round(rng.normal(size=(400, 4)), 1)
         y = (X[:, 0] + X[:, 2] + rng.normal(0.0, 1.0, 400) > 0).astype(int)
@@ -251,7 +262,7 @@ class TestWorkerProcesses:
                 cpu_mask(cpus)
                 forest = train_forest(X, y, params)
                 runs.append((forest_to_json(forest), forest.predict_propensity(probe)))
-                assert multiprocessing.active_children() == []  # no worker outlives the call
+                assert_childless()  # no worker outlives the call
             assert runs[0][0] == runs[1][0], n_trees
             assert runs[0][1].tobytes() == runs[1][1].tobytes(), n_trees
 
@@ -263,7 +274,7 @@ class TestWorkerProcesses:
         cpu_mask(2)
         forked = forest_to_json(train_forest(X, y, params))
         monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(multiprocessing, "get_context", None)  # any pool would fail
+        monkeypatch.setattr(os, "fork", _refuse_fork)
         assert forest_to_json(train_forest(X, y, params)) == forked
 
     @staticmethod
@@ -289,20 +300,20 @@ class TestWorkerProcesses:
         train_forest(X, y, params)
 
     @pytest.mark.parametrize("failing", [0, 3])  # 0 grows in the parent, 3 in a worker
-    def test_a_failing_tree_reaches_the_caller(self, monkeypatch, cpu_mask, failing):
+    def test_a_failing_tree_reaches_the_caller(self, monkeypatch, cpu_mask, assert_childless, failing):
         cpu_mask(3)
         with pytest.raises(RuntimeError, match=f"tree {failing} failed"):
             self._train_failing(monkeypatch, [failing])
-        assert multiprocessing.active_children() == []
+        assert_childless()
 
-    def test_the_lowest_failing_tree_is_reported(self, monkeypatch, cpu_mask):
+    def test_the_lowest_failing_tree_is_reported(self, monkeypatch, cpu_mask, assert_childless):
         # under four CPUs the parent grows tree 0 and three workers take trees 1-6 one by one;
         # tree 2 fails after tree 5 has, and it is the one reported, on every run
         cpu_mask(4)
         for _ in range(3):
             with pytest.raises(RuntimeError, match="^tree 2 failed$"):
                 self._train_failing(monkeypatch, [2, 5], slow=[2])
-            assert multiprocessing.active_children() == []
+            assert_childless()
 
     @given(st.deferred(lambda: training_sets(narrow=True)))  # defined below, beside the reference growers
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -314,16 +325,67 @@ class TestWorkerProcesses:
             runs.append(forest_to_json(train_forest(X, y, params)))
         assert runs[0] == runs[1]
 
-    def test_inside_a_daemonic_pool_worker(self, cpu_mask):
+    def test_inside_a_daemonic_pool_worker(self, cpu_mask, assert_childless):
         rng = np.random.default_rng(43)
         X = rng.random((300, 3))
         y = (X[:, 0] > X[:, 1]).astype(int)
         args = (X, y, ForestParams(n_trees=5, max_features=2, min_samples_split=20, seed=2))
         cpu_mask(3)  # the pool's fork inherits the mask, so only the daemon check keeps it in-process
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            inside = pool.apply_async(_train_json, (args,)).get(timeout=60)
+            inside = pool.apply_async(_train_json_unforked, (args,)).get(timeout=60)
         assert inside == _train_json(args)
-        assert multiprocessing.active_children() == []
+        assert_childless()
+
+
+@functools.cache
+def _block_forest():
+    rng = np.random.default_rng(44)
+    X = np.round(rng.normal(size=(500, 3)), 1)
+    y = (X[:, 0] - X[:, 1] + rng.normal(0.0, 1.0, 500) > 0).astype(int)
+    return train_forest(X, y, ForestParams(n_trees=7, max_features=2, min_samples_split=10, seed=4))
+
+
+def _one_pass_scores(forest, X):
+    """The forest's scores in one process, all rows at once: the loop the row blocks replaced."""
+    columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    total = np.zeros(columns.shape[1])
+    for tree in forest.trees:
+        total += tree.predict(columns)
+    return total / len(forest.trees)
+
+
+class TestRowBlocks:
+    """Rows scored in one block per CPU get the bytes of one pass over all rows, on any mask."""
+
+    @given(n=st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 2000)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_mask_gives_the_one_pass_bytes(self, cpu_mask, assert_childless, n, seed):
+        forest = _block_forest()
+        X = np.round(np.random.default_rng(seed).normal(size=(n, 3)), 1)  # ties with the cuts' midpoints too
+        expected = _one_pass_scores(forest, X)
+        for mask in (1, 2, 3, 4):
+            cpu_mask(mask)
+            got = forest.predict_propensity(X)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == expected.tobytes(), mask
+        assert_childless()
+
+    @pytest.mark.parametrize("mask", [1, 2, 3])
+    def test_one_call_over_two_splits_equals_a_call_each(self, cpu_mask, mask):
+        # report scores its validation and performance rows in one call and splits the result
+        rng = np.random.default_rng(45)
+        first, second = rng.normal(size=(301, 3)), rng.normal(size=(257, 3))
+        cpu_mask(mask)
+        forest = _block_forest()
+        both = forest.predict_propensity(np.concatenate([first, second]))
+        assert both[:301].tobytes() == forest.predict_propensity(first).tobytes()
+        assert both[301:].tobytes() == forest.predict_propensity(second).tobytes()
+
+    def test_one_cpu_forks_nothing(self, cpu_mask, monkeypatch):
+        cpu_mask(1)
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+        X = np.random.default_rng(46).normal(size=(40, 3))
+        assert _block_forest().predict_propensity(X).tobytes() == _one_pass_scores(_block_forest(), X).tobytes()
 
 
 class TestSerialization:

@@ -83,6 +83,16 @@ def test_report_leaves_numpy_ma_unloaded(tmp_path, small_report):
     assert proc.stdout.split() in (["False", "False"], ["True", "True"])
 
 
+def test_report_leaves_multiprocessing_unloaded(tmp_path, small_report):
+    # the forked stages run on os.fork and pipes: importing multiprocessing and opening a pool cost 16-17 ms
+    argv, _ = small_report
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    proc = _run("import sys; from rocbench.cli import main\n"
+                f"assert main({argv!r}) == 0\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # every generator at a tiny size: complementarity with its hidden signal and drawn groups, each
 # predicted-doctor scenario, the incentive rule and the heterogeneous cutoffs
 SIMULATIONS = (
