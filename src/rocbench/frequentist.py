@@ -108,9 +108,15 @@ def bootstrap_covariance(
 ) -> np.ndarray:
     """2x2 sample covariance of bootstrapped rate pairs; it needs at least 2 resamples."""
     boot = bootstrap_pairs(counts, n_resamples, seed)
-    if boot.alphas.size < 2:  # np.cov would warn and return NaNs
-        raise ValueError(f"a bootstrap covariance needs at least 2 resamples, got {boot.alphas.size}")
-    return np.cov(np.vstack([boot.alphas, boot.betas]), ddof=1)
+    n = boot.alphas.size
+    if n < 2:  # np.cov would warn and return NaNs
+        raise ValueError(f"a bootstrap covariance needs at least 2 resamples, got {n}")
+    # np.cov(x, ddof=1)'s own steps, bit for bit, without its dispatch and checks
+    x = np.array([boot.alphas, boot.betas])
+    x -= (x.sum(axis=1) / n)[:, None]
+    cov = np.dot(x, x.T)
+    cov *= 1 / (n - 1)
+    return cov
 
 
 @dataclass(frozen=True)
@@ -142,10 +148,10 @@ class EllipseSet:
         These are the exact per-coordinate extremes of the ellipse,
         clipped to the unit square.
         """
-        r = np.sqrt(self.chi2_quantile * np.diag(self.cov))
+        q, cov = self.chi2_quantile, self.cov
         return RatePair(
-            float(np.clip(self.center.alpha - r[0], 0.0, 1.0)),
-            float(np.clip(self.center.beta + r[1], 0.0, 1.0)),
+            min(max(self.center.alpha - math.sqrt(q * cov.item(0, 0)), 0.0), 1.0),
+            min(max(self.center.beta + math.sqrt(q * cov.item(1, 1)), 0.0), 1.0),
         )
 
 

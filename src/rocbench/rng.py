@@ -39,9 +39,10 @@ def _draw_kept(draw, keep, n: int, limit: int, abort) -> tuple[np.ndarray, int]:
     while short > 0:
         rows = draw(short)
         ok = keep(rows)
-        kept.append(rows[ok])
-        short -= int(ok.sum())
+        n_ok = int(np.count_nonzero(ok))
+        kept.append(rows if n_ok == ok.size else rows[ok])
+        short -= n_ok
         rejected += short
         if rejected > limit:
             raise RuntimeError(abort(rejected))
-    return np.concatenate(kept), rejected
+    return (kept[0] if len(kept) == 1 else np.concatenate(kept)), rejected

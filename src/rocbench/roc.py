@@ -16,7 +16,10 @@ curve value reaches b.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,24 +39,57 @@ __all__ = [
 _ON_CURVE_TOL = 1e-12
 
 
-def _between(t0, t1, s) -> float:
-    """The threshold a fraction ``s`` of the way from ``t0`` to ``t1``.
+def _between(t0: float, t1: float, s: float) -> float:
+    """The threshold a fraction ``s`` of the way from ``t0`` to ``t1``, all Python floats.
 
     ``t0 + s * (t1 - t0)`` where the difference is finite, since verdict
     files print that rounding; the weighted mean, which cannot overflow,
     where thresholds of opposite sign span more than the largest double.
     """
-    t0, t1 = float(t0), float(t1)
     step = t1 - t0  # Python floats: an overflow gives inf, without a warning
-    return float(t0 + s * step if np.isfinite(step) else (1 - s) * t0 + s * t1)
+    return t0 + s * step if math.isfinite(step) else (1 - s) * t0 + s * t1
+
+
+_NAN_QUERY = "a curve query at NaN has no answer"
+_SCALARS = (float, int, np.floating, np.integer)
 
 
 def _query(x, clip: bool) -> np.ndarray:
     """A curve query's argument as a float array, 0-d for a scalar, clipped to [0, 1] if ``clip``; NaN is refused."""
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
-        raise ValueError("a curve query at NaN has no answer")
-    return np.clip(x, 0.0, 1.0) if clip else x
+        raise ValueError(_NAN_QUERY)
+    return x.clip(0.0, 1.0) if clip else x
+
+
+def _scalar_query(x) -> float | None:
+    """A scalar curve query (a number or a 0-d array) as a Python float clipped to [0, 1], else None.
+
+    The clip is ``np.clip``'s: -0.0 stays -0.0.  NaN is refused as ``_query`` refuses it.
+    """
+    if not (isinstance(x, _SCALARS) or (isinstance(x, np.ndarray) and x.ndim == 0)):
+        return None
+    x = float(x)
+    if x != x:
+        raise ValueError(_NAN_QUERY)
+    return min(max(x, 0.0), 1.0)
+
+
+class _Slabs(NamedTuple):
+    """Read-only tables of a curve's slabs, built once per curve.
+
+    Slab k spans knot k - 1 to knot k of the m distinct fprs; slabs 0 and
+    m are fpr < 0 and fpr > 1, flat at g(0) and g(1).  Over its slab the
+    curve is the chord from (fpr0, tpr0), the top of knot k - 1's vertical
+    run, rising ``rise`` over ``run`` to the bottom of knot k's.
+    """
+
+    left: np.ndarray  # the slab's smallest fpr: knot k - 1, -inf for slab 0
+    right: np.ndarray  # its largest: knot k, inf for slab m
+    fpr0: np.ndarray
+    tpr0: np.ndarray
+    rise: np.ndarray
+    run: np.ndarray  # right - left: positive, as the knots strictly increase
 
 
 @dataclass(frozen=True)
@@ -107,6 +143,33 @@ class RocCurve:
         self._ua = ua
         self._lo = b[first]
         self._hi = b[last]
+        self._samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # see _grid_and_knots
+
+    @cached_property
+    def _slabs(self) -> _Slabs:
+        # built on first use, so a curve that is only written costs nothing; a
+        # forked worker inherits the tables if its parent built them first
+        ua, lo, hi = self._ua, self._lo, self._hi
+        left, right = np.r_[-np.inf, ua], np.r_[ua, np.inf]
+        fpr0, tpr0 = np.r_[ua[0], ua], np.r_[hi[0], hi]
+        slabs = _Slabs(left, right, fpr0, tpr0, np.r_[lo, lo[-1]] - tpr0, right - left)
+        for arr in slabs:
+            arr.flags.writeable = False
+        return slabs
+
+    def _grid_and_knots(self, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``grid_size`` evenly spaced fprs on [0, 1] followed by the knot fprs, and g at each.
+
+        Read-only, built once per curve and size: ``bayes`` lays every
+        maker's candidate grid out from them.
+        """
+        if grid_size not in self._samples:
+            fprs = np.concatenate([np.linspace(0.0, 1.0, grid_size), self._ua])
+            g = self.tpr_at_fpr(fprs)
+            for arr in (fprs, g):
+                arr.flags.writeable = False
+            self._samples[grid_size] = fprs, g
+        return self._samples[grid_size]
 
     # -- basic views ---------------------------------------------------
 
@@ -130,39 +193,55 @@ class RocCurve:
         """Curve value g(alpha); accepts scalars or arrays.
 
         Nondecreasing in alpha in floating point too, not only in exact
-        arithmetic: the dominance counts in ``bayes`` depend on it.
+        arithmetic: the dominance counts in ``bayes`` depend on it.  A
+        scalar is answered in Python floats, with the array path's
+        operations in its order, so both give the same bits.
         """
+        ua, lo, hi, t = self._ua, self._lo, self._hi, self._slabs
+        a = _scalar_query(alpha)
+        if a is not None:
+            j = bisect_left(ua, a)
+            if ua.item(j) == a:
+                return hi.item(j)
+            chord = t.tpr0.item(j) + (a - t.fpr0.item(j)) * t.rise.item(j) / t.run.item(j)
+            # rounding can overshoot the chord's right end by an ulp just left of a knot
+            return chord if chord < lo.item(j) else lo.item(j)  # np.minimum's choice
         a = _query(alpha, clip=True)
-        j = np.searchsorted(self._ua, a, side="left")
-        exact = self._ua[j] == a
-        k = np.maximum(j, 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            chord = self._hi[k - 1] + (a - self._ua[k - 1]) * (
-                self._lo[k] - self._hi[k - 1]
-            ) / (self._ua[k] - self._ua[k - 1])
-        # rounding can overshoot the chord's right end by an ulp just left
-        # of a knot
-        chord = np.minimum(chord, self._lo[k])
-        out = np.where(exact, self._hi[j], chord)
+        j = ua.searchsorted(a)  # the slab whose chord reaches a; at a knot its top wins
+        chord = np.minimum(t.tpr0[j] + (a - t.fpr0[j]) * t.rise[j] / t.run[j], lo[j])
+        out = np.where(ua[j] == a, hi[j], chord)
         return float(out) if out.ndim == 0 else out
 
     def fpr_at_tpr(self, beta):
         """Generalized inverse: smallest fpr whose curve value reaches beta."""
+        b = _scalar_query(beta)
+        if b is not None:
+            al, be = self.alphas, self.betas
+            i = bisect_left(be, b)
+            if i == 0:
+                return al.item(0)
+            a0, a1, b0 = al.item(i - 1), al.item(i), be.item(i - 1)
+            da = a1 - a0
+            return a1 if da == 0.0 else a0 + (b - b0) * da / (be.item(i) - b0)
         b = _query(beta, clip=True)
         i = np.searchsorted(self.betas, b, side="left")
         im = np.maximum(i, 1)
         da = self.alphas[im] - self.alphas[im - 1]
         db = self.betas[im] - self.betas[im - 1]
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):  # db is 0 only where i == 0, which takes alphas[0]
             interp = self.alphas[im - 1] + (b - self.betas[im - 1]) * da / db
         out = np.where(i == 0, self.alphas[0], np.where(da == 0.0, self.alphas[im], interp))
         return float(out) if out.ndim == 0 else out
 
     def slope_at(self, alpha):
         """Chord slope of g at alpha; at a vertex the left chord wins."""
-        k = np.maximum(np.searchsorted(self._ua, _query(alpha, clip=True), side="left"), 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = (self._lo[k] - self._hi[k - 1]) / (self._ua[k] - self._ua[k - 1])
+        t = self._slabs
+        a = _scalar_query(alpha)
+        if a is not None:
+            k = max(bisect_left(self._ua, a), 1)
+            return t.rise.item(k) / t.run.item(k)
+        k = np.maximum(self._ua.searchsorted(_query(alpha, clip=True)), 1)
+        out = t.rise[k] / t.run[k]
         return float(out) if out.ndim == 0 else out
 
     # -- thresholds ------------------------------------------------------
@@ -180,18 +259,20 @@ class RocCurve:
         a, b = float(pair[0]), float(pair[1])
         al, be, th = self.alphas, self.betas, self.thresholds
         n = al.size
-        j = int(np.searchsorted(al, a, side="left"))
-        if j < n and al[j] == a:
-            k = int(np.searchsorted(al, a, side="right")) - 1  # top of the vertical run at a
-            if b <= be[j]:
-                return float(th[j])
-            if b >= be[k]:
-                return float(th[k])
-            m = j + int(np.searchsorted(be[j : k + 1], b, side="left"))
-            return _between(th[m - 1], th[m], (b - be[m - 1]) / (be[m] - be[m - 1]))
+        j = bisect_left(al, a)
+        if j < n and al.item(j) == a:
+            k = bisect_right(al, a, j) - 1  # top of the vertical run at a
+            if b <= be.item(j):
+                return th.item(j)
+            if b >= be.item(k):
+                return th.item(k)
+            m = bisect_left(be, b, j, k + 1)
+            b0 = be.item(m - 1)
+            return _between(th.item(m - 1), th.item(m), (b - b0) / (be.item(m) - b0))
         if j == 0 or j == n:
             raise ValueError(f"point {pair} is outside the curve's fpr range")
-        return _between(th[j - 1], th[j], (a - al[j - 1]) / (al[j] - al[j - 1]))
+        a0 = al.item(j - 1)
+        return _between(th.item(j - 1), th.item(j), (a - a0) / (al.item(j) - a0))
 
     # -- geometry queries -------------------------------------------------
 
@@ -220,25 +301,24 @@ class RocCurve:
         with a positive fpr variance (``confidence_ellipse`` floors it).
         """
         ca, cb = float(center[0]), float(center[1])
-        saa, sab, sbb = float(cov[0][0]), float(cov[0][1]), float(cov[1][1])
+        (saa, sab), (_, sbb) = np.asarray(cov, dtype=np.float64).tolist()
         # over fpr = ca + ra * tau, tau in [-1, 1], the upper edge is
         # tpr = cb + tilt * tau + bulge * sqrt(1 - tau^2)
         ra, tilt = math.sqrt(q * saa), sab * math.sqrt(q / saa)
         bulge = math.sqrt(max(q * (sbb - sab * sab / saa), 0.0))
-        # of the slabs the fpr range meets, slab k spans knots k - 1 and k
-        # with their chord; slabs 0 and m are fpr < 0 and > 1, flat at g(0), g(1)
-        ua, m = self._ua, self._ua.size
-        k = np.arange(*(np.searchsorted(ua, [ca - ra, ca + ra], side="right") + [0, 1]))
-        j, r = np.maximum(k - 1, 0), np.minimum(k, m - 1)
-        left, right = np.where(k > 0, ua[j], -np.inf), np.where(k < m, ua[r], np.inf)
-        slope = (self._lo[r] - self._hi[j]) / (right - left)
+        # the slabs the fpr range meets: one run of the slab tables
+        ua, t = self._ua, self._slabs
+        s = slice(bisect_right(ua, ca - ra), bisect_right(ua, ca + ra) + 1)
+        fpr0 = t.fpr0[s]
+        slope = t.rise[s] / t.run[s]
         # tpr - chord is concave in tau: it tops where the edge's slope is the chord's, clamped to the slab
         lean = tilt - slope * ra
-        h = np.hypot(lean, bulge)
-        tau = np.divide(lean, h, out=np.zeros_like(h), where=h > 0.0)
-        tau = np.clip(tau, np.maximum((left - ca) / ra, -1.0), np.minimum((right - ca) / ra, 1.0))
+        h = np.hypot(lean, bulge)  # >= |lean| and >= bulge
+        tau = lean / h if bulge > 0.0 else np.divide(lean, h, out=np.zeros_like(h), where=h > 0.0)
+        # tau is in [-1, 1] already, and every slab here meets the fpr range, so the slab bounds alone clamp it
+        tau = np.minimum(np.maximum(tau, (t.left[s] - ca) / ra), (t.right[s] - ca) / ra)
         edge = cb + tilt * tau + bulge * np.sqrt(1.0 - tau * tau)
-        gap = edge - self._hi[j] - slope * (ca + ra * tau - ua[j])
+        gap = edge - t.tpr0[s] - slope * (ca + ra * tau - fpr0)
         # clipping tpr up to 0 adds the leftmost point, at tpr 0
         return max(float(gap.max()), -self.tpr_at_fpr(ca - ra))
 

@@ -261,6 +261,34 @@ class TestCandidateGrid:
             self.assert_np_unique(roc, draws)
             self.assert_np_unique(roc, draws, 2)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_curve_values_equal_the_full_lookup(self, data):
+        # draw fprs on knots, on uniform-grid points, at 0 and 1, and repeated
+        roc, draws = data.draw(curves_and_draws())
+        grid_size = data.draw(st.integers(2, 600))
+        on = st.sampled_from([*np.linspace(0.0, 1.0, grid_size).tolist(), *roc.knot_alphas.tolist(), 0.0, 1.0])
+        alphas = np.r_[draws.alphas, data.draw(st.lists(on, max_size=12)), draws.alphas[: data.draw(st.integers(0, 5))]]
+        draws = make_draws(np.column_stack([alphas, np.random.default_rng(alphas.size).random(alphas.size)]))
+        self.assert_np_unique(roc, draws, grid_size)
+        cand = curve_candidate_grid(roc, draws, grid_size)
+        np.testing.assert_array_equal(bayes._grid_values(roc, draws, grid_size), roc.tpr_at_fpr(cand))
+
+    def test_shared_part_is_built_once_per_curve_and_size(self):
+        roc = two_segment()
+        draws = make_draws([(0.3, 0.5), (0.7, 0.1)])
+        max_dominance(draws, roc, 16)
+        parts = roc._samples[16]
+        min_posterior_loss(draws, roc, LossKind.DIAGONAL_VERTICAL, 16)
+        assert roc._samples[16] is parts and list(roc._samples) == [16]
+        assert two_segment()._samples == {}  # each curve holds its own
+        for arr in parts:
+            assert arr.size == 16 + roc.knot_alphas.size
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        grid = curve_candidate_grid(roc, None, 16)
+        grid[0] = 0.5  # the caller's own copy
+
 
 class TestMaxDominance:
     def test_hand_example(self):
@@ -481,6 +509,50 @@ class TestMinPosteriorLoss:
         roc = steep_curve()
         _, theta = min_posterior_loss(draws, roc, LossKind.DIAGONAL_VERTICAL)
         assert theta.beta == pytest.approx(roc.tpr_at_fpr(theta.alpha))
+
+
+class TestRowsOfEveryLossKind:
+    """Rows pinned from before the shared candidate grid and its curve values were cached per curve."""
+
+    # replace, then min_loss, threshold, theta0_alpha and theta0_beta as float.hex
+    ROWS = {
+        LossKind.EUCLIDEAN: (
+            False, "0x1.9a037161c9f27p-1", "0x1.2492492492492p-1",
+            "0x1.0000000000000p-3", "0x1.4000000000000p-1",
+        ),
+        LossKind.COMPLEMENT_DISTANCE: (
+            False, "0x1.ac943c75882dcp-1", "0x1.2492492492492p-1",
+            "0x1.0000000000000p-3", "0x1.4000000000000p-1",
+        ),
+        LossKind.DIAGONAL_VERTICAL: (
+            True, "0x1.0105950404ee0p-2", "0x1.2492492492492p-1",
+            "0x1.0000000000000p-3", "0x1.4000000000000p-1",
+        ),
+        LossKind.DIAGONAL_HORIZONTAL: (
+            False, "0x1.452026907163ep-2", "0x1.2492492492492p-1",
+            "0x1.0000000000000p-3", "0x1.4000000000000p-1",
+        ),
+        LossKind.COMPLEMENT_VERTICAL: (
+            False, "0x1.a579cb48a1462p-2", "0x1.0776c93ca25b4p-1",
+            "0x1.cbc07f578f816p-3", "0x1.59780feaf1f03p-1",
+        ),
+        LossKind.COMPLEMENT_HORIZONTAL: (
+            False, "0x1.0b675ea089866p-1", "0x1.75d75d75d75d8p-1",
+            "0x1.c71c71c71c71cp-4", "0x1.e38e38e38e38ep-2",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", [kind for kind in LossKind if kind is not LossKind.BASELINE], ids=str)
+    def test_row_is_unchanged(self, kind):
+        roc = RocCurve.from_pairs([(0.0, 0.25), (0.125, 0.5), (0.125, 0.625), (0.375, 0.75), (0.375, 0.8125),
+                                   (0.75, 0.9375)])
+        counts = ConfusionCounts(n11=40, n01=30, n10=60, n00=70)
+        row = benchmark_maker_bayesian("m", counts, roc, n_draws=300, seed=7, credible_level=0.7, kind=kind,
+                                       grid_size=64)
+        replace, *floats = self.ROWS[kind]
+        assert row["replace"] is replace
+        assert [row[k].hex() for k in ("min_loss", "threshold", "theta0_alpha", "theta0_beta")] == floats
+        assert [row[k] for k in ("q_max", "alpha_d", "prob_below")] == [1.0, 0.125, 1.0]
 
 
 class TestCostBenefit:

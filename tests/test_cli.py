@@ -997,6 +997,35 @@ class TestCpuMasks:
             assert_childless()
 
 
+class TestCurveTablesAcrossForks:
+    """A curve builds its slab tables and shared candidate grid on first use, read-only: a forked worker may inherit
+    its parent's or build its own, and the verdicts are the same either way."""
+
+    @pytest.mark.parametrize("loss", ["baseline", "diagonal-vertical"])
+    def test_verdicts_do_not_depend_on_where_the_tables_were_built(self, workdir, cpu_mask, assert_childless, loss):
+        counts = read_cases_csv(workdir["cases"]).counts_by_maker()
+        assert len(counts) == 4
+        cfg = RunConfig(seed=5, n_draws=300, n_resamples=30, grid_size=64, loss_kind=loss)
+        routes = (cli._frequentist(cfg), cli._bayesian(cfg))
+        first = next(iter(counts.items()))
+        tables = []
+        for mask, warm in ((1, False), (3, False), (3, True)):  # in-process; forked, cold; forked, built before
+            cpu_mask(mask)
+            roc = read_roc_csv(workdir["roc"])  # a new curve has no tables yet
+            assert "_slabs" not in vars(roc) and roc._samples == {}
+            if warm:
+                routes[1](*first, roc)
+                assert "_slabs" in vars(roc) and 64 in roc._samples
+            verdicts = cli._verdicts(counts, roc, *routes)
+            assert_childless()
+            names = [route(*first, roc).keys() for route in routes]
+            tables.append([{name: repr(v[name].tolist()) for name in keys} for v, keys in zip(verdicts, names)])
+        assert tables[0] == tables[1] == tables[2]
+        for arr in [*roc._slabs, *roc._samples[64]]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
 @st.composite
 def tiny_cohorts(draw):
     """Cases rows of 1-3 makers: all features tied, or one separating the classes; makers answering 1 always."""

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rocbench.core import ConfusionCounts, RatePair
 from rocbench.frequentist import (
@@ -154,6 +156,17 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_pairs(self.COUNTS, 0, 0)
 
+    @given(st.integers(0, 60), st.integers(0, 60), st.integers(5, 60), st.integers(5, 60), st.integers(2, 400),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_covariance_is_np_cov_bit_for_bit(self, n11, n01, n10, n00, n_resamples, seed):
+        # a zero n11 or n01 gives a rate that never moves, and a zero variance
+        counts = ConfusionCounts(n11=n11, n01=n01, n10=n10, n00=n00)
+        boot = bootstrap_pairs(counts, n_resamples, seed)
+        want = np.cov(np.vstack([boot.alphas, boot.betas]), ddof=1)
+        got = bootstrap_covariance(counts, n_resamples, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestConfidenceEllipse:
     def test_quantile_value(self):
@@ -166,6 +179,23 @@ class TestConfidenceEllipse:
         p = e.reference_point()
         assert p.alpha == pytest.approx(0.15104506338638368, abs=1e-15)
         assert p.beta == pytest.approx(0.37343240492042445, abs=1e-15)
+
+    @given(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.just(0.0), st.floats(1e-14, 1.0)),
+        st.one_of(st.just(0.0), st.floats(1e-14, 1.0)),
+        st.floats(-1.0, 1.0),
+        st.floats(0.01, 0.999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reference_point_is_the_numpy_corner_bit_for_bit(self, ca, cb, va, vb, rho, level):
+        e = confidence_ellipse(RatePair(ca, cb), [[va, rho * np.sqrt(va * vb)], [rho * np.sqrt(va * vb), vb]], level)
+        r = np.sqrt(e.chi2_quantile * np.diag(e.cov))
+        want = (np.clip(e.center.alpha - r[0], 0.0, 1.0), np.clip(e.center.beta + r[1], 0.0, 1.0))
+        got = e.reference_point()
+        assert type(got) is RatePair and [type(v) for v in got] == [float, float]
+        assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
 
     def test_reference_point_clipped(self):
         e = confidence_ellipse(RatePair(0.01, 0.99), np.diag([0.01, 0.01]), 0.95)

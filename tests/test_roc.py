@@ -184,6 +184,95 @@ class TestCurveEvaluation:
         assert a.auc() == pytest.approx(diagonal().auc())
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def curves_with_runs(draw):
+    """Curves whose vertices repeat fprs (vertical runs) and tprs: tied integer scores, or lattice points."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        scores = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        labels[:2] = [0, 1]
+        return build_roc(np.asarray(scores, dtype=float), labels)
+    size = draw(st.sampled_from([3, 8, 97]))
+    k = draw(st.integers(1, 12))
+    alphas = sorted(draw(st.lists(st.integers(0, size), min_size=k, max_size=k)))
+    betas = sorted(draw(st.lists(st.integers(0, size), min_size=k, max_size=k)))
+    return RocCurve.from_pairs([(a / size, b / size) for a, b in zip(alphas, betas)])
+
+
+def _queries(draw, roc, values):
+    """Rates at and one ulp around the curve's ``values``, at 0, 1 and -0.0, outside [0, 1] and anywhere."""
+    picks = draw(st.lists(st.sampled_from(values.tolist()), min_size=1, max_size=8))
+    near = [v for p in picks for v in (np.nextafter(p, -np.inf), np.nextafter(p, np.inf))]
+    anywhere = draw(st.lists(st.floats(-0.5, 1.5), max_size=8))
+    return np.array([0.0, -0.0, 1.0, -0.25, 1.25, -np.inf, np.inf, *picks, *near, *anywhere])
+
+
+class TestScalarFastPaths:
+    """A scalar curve query is answered in Python floats; it must give the array path's bits, as a float."""
+
+    @pytest.mark.parametrize("query, values", [
+        ("tpr_at_fpr", "alphas"), ("fpr_at_tpr", "betas"), ("slope_at", "alphas"),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_scalar_gets_the_array_paths_bits(self, query, values, data):
+        roc = data.draw(curves_with_runs())
+        fn = getattr(roc, query)
+        xs = _queries(data.draw, roc, getattr(roc, values))
+        many = fn(xs)
+        for x, want in zip(xs.tolist(), many.tolist()):
+            kinds = [x, np.float64(x), np.array(x)] + ([int(x), np.int64(x)] if x.is_integer() else [])
+            for one in map(fn, kinds):
+                assert type(one) is float and _bits(one) == _bits(want), (x, one, want)
+
+    def test_the_chord_is_clamped_one_ulp_left_of_a_knot(self):
+        # unclamped, the chord into knot 0.5 rounds one ulp above the knot's bottom just left of it
+        roc = RocCurve.from_pairs([(0.008333333333333333, 0.15), (0.5, 0.4166666666666667), (0.8916666666666667, 0.7),
+                                   (0.9, 0.8333333333333334)])
+        a = np.nextafter(0.5, 0.0)
+        assert roc.tpr_at_fpr(float(a)) == roc.tpr_at_fpr(np.array([a]))[0] == 0.4166666666666667
+
+    @pytest.mark.parametrize("query", ["tpr_at_fpr", "fpr_at_tpr", "slope_at"])
+    @pytest.mark.parametrize("x", [np.float64("nan"), np.array(np.nan)])
+    def test_a_nan_scalar_is_refused(self, query, x):
+        with pytest.raises(ValueError, match="^a curve query at NaN has no answer$"):
+            getattr(hand_curve(), query)(x)
+
+    @given(curves_with_runs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_threshold_at_point_gets_the_numpy_scalar_bits(self, roc, data):
+        # on vertices, inside vertical runs, on chords and at -0.0; as floats, numpy scalars, 0-d arrays and ints
+        ks = data.draw(st.lists(st.integers(0, roc.n_points - 1), min_size=1, max_size=6))
+        us = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+        pairs = [(roc.alphas[k], roc.betas[k]) for k in ks]
+        pairs += [(roc.alphas[k], u) for k, u in zip(ks, us)]
+        pairs += [(u, roc.tpr_at_fpr(u)) for u in us]
+        pairs += [(-0.0, roc.betas[0]), (-0.0, us[0]), (0, 0), (1, 1)]
+        for a, b in pairs:
+            want = _threshold_by_run_scan(roc, (a, b))
+            for pair in ((a, b), (np.float64(a), np.float64(b)), (np.array(a), np.array(b))):
+                one = roc.threshold_at_point(pair)
+                assert type(one) is float and _bits(one) == _bits(want), (pair, one, want)
+
+    def test_tables_are_built_once_and_read_only(self):
+        roc = hand_curve()
+        assert "_slabs" not in vars(roc)  # built on first use
+        roc.tpr_at_fpr(0.5)
+        slabs = roc._slabs
+        roc.ellipse_gap((0.5, 0.5), np.diag([1e-3, 1e-3]), 5.99)
+        roc.slope_at([0.2, 0.7])
+        assert roc._slabs is slabs
+        for arr in slabs:
+            assert arr.size == roc.knot_alphas.size + 1
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
 class TestSlope:
     def test_segment_slopes(self):
         roc = two_segment()
