@@ -128,19 +128,6 @@ def prob_below_roc(draws: PosteriorDraws, roc: RocCurve) -> float:
     return np.count_nonzero(below) / below.size  # np.mean's value: a sum of 0/1 is exact
 
 
-def _sorted_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` sorted, and the mask of the first value of each run of equal values.
-
-    np.unique's own sort and first-of-each-run, without the numpy.ma
-    import it makes; NaNs are not merged.
-    """
-    x = np.sort(x)
-    first = np.empty(x.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(x[1:], x[:-1], out=first[1:])
-    return x, first
-
-
 def curve_candidate_grid(
     roc: RocCurve, draws: PosteriorDraws | None = None, grid_size: int = 512
 ) -> np.ndarray:
@@ -148,29 +135,20 @@ def curve_candidate_grid(
 
     Sharing one grid across the dominance maximizer and the loss
     minimizer makes the baseline duality (min loss = 1 - q_max) exact.
-    The grid and knots are laid out once per curve and grid size.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    parts, _ = roc._grid_and_knots(grid_size)
-    cand, first = _sorted_runs(parts if draws is None else np.concatenate([parts, draws.alphas]))
-    return cand[first]
-
-
-def _grid_values(roc: RocCurve, draws: PosteriorDraws, grid_size: int) -> np.ndarray:
-    """``roc.tpr_at_fpr(curve_candidate_grid(roc, draws, grid_size))``, with only the draw fprs looked up.
-
-    g is nondecreasing, so the cached values and the draws' values, sorted
-    on their own, line up with the sorted fprs; the same runs then drop out
-    (the fprs are sorted again: ``curve_candidate_grid`` returns only the
-    grid).  The draw fprs are looked up in sorted order, which numpy's
-    binary search walks several times faster than thousands of unsorted keys.
-    """
-    parts, g_parts = roc._grid_and_knots(grid_size)
-    _, first = _sorted_runs(np.concatenate([parts, draws.alphas]))
-    g = np.concatenate([g_parts, roc.tpr_at_fpr(np.sort(draws.alphas))])
-    g.sort()
-    return g[first]
+    parts = [np.linspace(0.0, 1.0, grid_size), roc.knot_alphas]
+    if draws is not None:
+        parts.append(draws.alphas)
+    # np.unique's own sort and first-of-each-run, without the numpy.ma import it makes;
+    # every part is finite, so no NaN run needs merging
+    cand = np.concatenate(parts)
+    cand.sort()
+    keep = np.empty(cand.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+    return cand[keep]
 
 
 class LossKind(enum.Enum):
@@ -298,7 +276,7 @@ def _first_peak(draws: PosteriorDraws, roc: RocCurve, grid_size: int, score) -> 
     Returns that score with its candidate's fpr and curve value.
     """
     cand = curve_candidate_grid(roc, draws, grid_size)
-    g = _grid_values(roc, draws, grid_size)
+    g = roc.tpr_at_fpr(cand)
     values = score(cand, g)
     i = int(np.argmax(values))
     return float(values[i]), float(cand[i]), float(g[i])

@@ -379,6 +379,8 @@ def _cmd_report(args) -> int:
     # every (maker, cell) group keeps a case in the first output of a split, so each kept maker keeps both
     # classes in the classification split
     data, dropped = _benchmarkable(read_cases_csv(args.cases), cfg.min_cases)
+    if data.features is None:
+        raise ValueError(f"{args.cases}: no feature columns; cannot train")
 
     classification, performance = stratified_split(
         data, cfg.outer_ratio, substream(cfg.seed, "split", "outer")
@@ -386,8 +388,6 @@ def _cmd_report(args) -> int:
     train, validation = stratified_split(
         classification, cfg.inner_ratio, substream(cfg.seed, "split", "inner")
     )
-    if data.features is None:
-        raise ValueError(f"{args.cases}: no feature columns; cannot train")
     counts = classification.counts_by_maker()
     forest = train_forest(train.features, train.y, cfg.forest_params())
     # one scoring pass, so one fork, for both splits

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +75,7 @@ def _scalar_query(x) -> float | None:
 
 
 class _Slabs(NamedTuple):
-    """Read-only tables of a curve's slabs, built once per curve.
+    """Read-only tables of a curve's slabs, built with the curve.
 
     Slab k spans knot k - 1 to knot k of the m distinct fprs; slabs 0 and
     m are fpr < 0 and fpr > 1, flat at g(0) and g(1).  Over its slab the
@@ -139,37 +138,14 @@ class RocCurve:
         # _lo its bottom; chords run from hi of one knot to lo of the next
         ua, first = np.unique(a, return_index=True)
         last = np.r_[first[1:], a.size] - 1
-        ua.flags.writeable = False
-        self._ua = ua
-        self._lo = b[first]
-        self._hi = b[last]
-        self._samples: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # see _grid_and_knots
-
-    @cached_property
-    def _slabs(self) -> _Slabs:
-        # built on first use, so a curve that is only written costs nothing; a
-        # forked worker inherits the tables if its parent built them first
-        ua, lo, hi = self._ua, self._lo, self._hi
+        lo, hi = b[first], b[last]
         left, right = np.r_[-np.inf, ua], np.r_[ua, np.inf]
         fpr0, tpr0 = np.r_[ua[0], ua], np.r_[hi[0], hi]
         slabs = _Slabs(left, right, fpr0, tpr0, np.r_[lo, lo[-1]] - tpr0, right - left)
-        for arr in slabs:
+        # forked workers share these, so none may change under them
+        for arr in (ua, lo, hi, *slabs):
             arr.flags.writeable = False
-        return slabs
-
-    def _grid_and_knots(self, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """``grid_size`` evenly spaced fprs on [0, 1] followed by the knot fprs, and g at each.
-
-        Read-only, built once per curve and size: ``bayes`` lays every
-        maker's candidate grid out from them.
-        """
-        if grid_size not in self._samples:
-            fprs = np.concatenate([np.linspace(0.0, 1.0, grid_size), self._ua])
-            g = self.tpr_at_fpr(fprs)
-            for arr in (fprs, g):
-                arr.flags.writeable = False
-            self._samples[grid_size] = fprs, g
-        return self._samples[grid_size]
+        self._ua, self._lo, self._hi, self._slabs = ua, lo, hi, slabs
 
     # -- basic views ---------------------------------------------------
 
@@ -236,10 +212,6 @@ class RocCurve:
     def slope_at(self, alpha):
         """Chord slope of g at alpha; at a vertex the left chord wins."""
         t = self._slabs
-        a = _scalar_query(alpha)
-        if a is not None:
-            k = max(bisect_left(self._ua, a), 1)
-            return t.rise.item(k) / t.run.item(k)
         k = np.maximum(self._ua.searchsorted(_query(alpha, clip=True)), 1)
         out = t.rise[k] / t.run[k]
         return float(out) if out.ndim == 0 else out

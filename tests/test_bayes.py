@@ -251,6 +251,8 @@ class TestCandidateGrid:
         draws = make_draws([(0.25, 0.1), (0.25, 0.95), (0.0, 0.0), (1.0, 1.0), (0.5, 0.2), (0.5, 0.2)])
         self.assert_np_unique(roc, draws, 5)
         assert curve_candidate_grid(roc, draws, 5).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        grid = curve_candidate_grid(roc, None, 5)
+        grid[0] = 0.5  # the caller's own copy, though the curve's knots are read-only
 
     def test_negative_zero_knot_from_a_csv(self, tmp_path):
         path = tmp_path / "roc.csv"
@@ -263,7 +265,7 @@ class TestCandidateGrid:
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_curve_values_equal_the_full_lookup(self, data):
+    def test_draws_on_knots_and_grid_points_match_np_unique(self, data):
         # draw fprs on knots, on uniform-grid points, at 0 and 1, and repeated
         roc, draws = data.draw(curves_and_draws())
         grid_size = data.draw(st.integers(2, 600))
@@ -271,23 +273,6 @@ class TestCandidateGrid:
         alphas = np.r_[draws.alphas, data.draw(st.lists(on, max_size=12)), draws.alphas[: data.draw(st.integers(0, 5))]]
         draws = make_draws(np.column_stack([alphas, np.random.default_rng(alphas.size).random(alphas.size)]))
         self.assert_np_unique(roc, draws, grid_size)
-        cand = curve_candidate_grid(roc, draws, grid_size)
-        np.testing.assert_array_equal(bayes._grid_values(roc, draws, grid_size), roc.tpr_at_fpr(cand))
-
-    def test_shared_part_is_built_once_per_curve_and_size(self):
-        roc = two_segment()
-        draws = make_draws([(0.3, 0.5), (0.7, 0.1)])
-        max_dominance(draws, roc, 16)
-        parts = roc._samples[16]
-        min_posterior_loss(draws, roc, LossKind.DIAGONAL_VERTICAL, 16)
-        assert roc._samples[16] is parts and list(roc._samples) == [16]
-        assert two_segment()._samples == {}  # each curve holds its own
-        for arr in parts:
-            assert arr.size == 16 + roc.knot_alphas.size
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-        grid = curve_candidate_grid(roc, None, 16)
-        grid[0] = 0.5  # the caller's own copy
 
 
 class TestMaxDominance:

@@ -205,17 +205,26 @@ class TestTrainAndRoc:
         assert roc.n_points >= 2
         assert 0.5 < roc.auc() <= 1.0
 
-    @pytest.mark.parametrize("command", ["train", "combine", "path", "randomized"])
-    def test_featureless_cases_rejected(self, command, workdir, verdicts, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["report", "train", "roc", "combine", "path", "randomized"])
+    def test_featureless_cases_rejected(self, command, workdir, verdicts, tmp_path, capsys, monkeypatch):
+        # before any work: report splits nothing, and no command writes a file
         path = tmp_path / "bare.csv"
         path.write_text("maker_id,y,y_hat\nm0,1,0\nm0,0,1\n")
+
+        def split(*args):
+            raise AssertionError("stratified_split called")
+
+        monkeypatch.setattr(cli, "stratified_split", split)
         argv = [command, "--cases", str(path), "--out", str(tmp_path / "out")]
-        if command != "train":
-            argv += ["--verdicts", str(verdicts), "--model", str(workdir["model"])]
+        if command == "report":
+            argv += ["--min-cases", "1"]
+        elif command != "train":
+            argv += ["--model", str(workdir["model"])] + (["--verdicts", str(verdicts)] if command != "roc" else [])
         assert main(argv) == 2
-        err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1
-        assert "feature" in json.loads(err)["error"]
+        verb = "train" if command in ("report", "train") else "score"
+        expected = {"error": f"ValueError: {path}: no feature columns; cannot {verb}"}
+        assert capsys.readouterr().err.splitlines() == [json.dumps(expected)]
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
 class TestBenchmarks:
@@ -998,32 +1007,25 @@ class TestCpuMasks:
 
 
 class TestCurveTablesAcrossForks:
-    """A curve builds its slab tables and shared candidate grid on first use, read-only: a forked worker may inherit
-    its parent's or build its own, and the verdicts are the same either way."""
+    """A curve builds its read-only tables at construction, so forked workers share the parent's: their verdicts
+    equal the in-process ones."""
 
     @pytest.mark.parametrize("loss", ["baseline", "diagonal-vertical"])
-    def test_verdicts_do_not_depend_on_where_the_tables_were_built(self, workdir, cpu_mask, assert_childless, loss):
+    def test_forked_verdicts_equal_in_process_verdicts(self, workdir, cpu_mask, assert_childless, loss):
         counts = read_cases_csv(workdir["cases"]).counts_by_maker()
         assert len(counts) == 4
         cfg = RunConfig(seed=5, n_draws=300, n_resamples=30, grid_size=64, loss_kind=loss)
         routes = (cli._frequentist(cfg), cli._bayesian(cfg))
         first = next(iter(counts.items()))
         tables = []
-        for mask, warm in ((1, False), (3, False), (3, True)):  # in-process; forked, cold; forked, built before
+        for mask in (1, 3):  # in-process; forked
             cpu_mask(mask)
-            roc = read_roc_csv(workdir["roc"])  # a new curve has no tables yet
-            assert "_slabs" not in vars(roc) and roc._samples == {}
-            if warm:
-                routes[1](*first, roc)
-                assert "_slabs" in vars(roc) and 64 in roc._samples
+            roc = read_roc_csv(workdir["roc"])
             verdicts = cli._verdicts(counts, roc, *routes)
             assert_childless()
             names = [route(*first, roc).keys() for route in routes]
             tables.append([{name: repr(v[name].tolist()) for name in keys} for v, keys in zip(verdicts, names)])
-        assert tables[0] == tables[1] == tables[2]
-        for arr in [*roc._slabs, *roc._samples[64]]:
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+        assert tables[0] == tables[1]
 
 
 @st.composite

@@ -259,16 +259,17 @@ class TestScalarFastPaths:
                 one = roc.threshold_at_point(pair)
                 assert type(one) is float and _bits(one) == _bits(want), (pair, one, want)
 
-    def test_tables_are_built_once_and_read_only(self):
+    def test_tables_are_built_with_the_curve_and_read_only(self):
         roc = hand_curve()
-        assert "_slabs" not in vars(roc)  # built on first use
-        roc.tpr_at_fpr(0.5)
         slabs = roc._slabs
+        roc.tpr_at_fpr(0.5)
         roc.ellipse_gap((0.5, 0.5), np.diag([1e-3, 1e-3]), 5.99)
         roc.slope_at([0.2, 0.7])
         assert roc._slabs is slabs
-        for arr in slabs:
-            assert arr.size == roc.knot_alphas.size + 1
+        tables = [(arr, roc.knot_alphas.size + 1) for arr in slabs]
+        tables += [(arr, roc.knot_alphas.size) for arr in (roc._ua, roc._lo, roc._hi)]
+        for arr, size in tables:
+            assert arr.size == size
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
