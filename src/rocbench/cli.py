@@ -282,9 +282,9 @@ def _split_args(args) -> tuple[tuple[int, int], list[str]]:
 def _cmd_split(args) -> int:
     ratio, (name_a, name_b) = _split_args(args)
     cfg = _load_config(args)
-    out = _out_dir(args)
     data = read_cases_csv(args.cases)
     left, right = stratified_split(data, ratio, substream(cfg.seed, "split", args.label))
+    out = _out_dir(args)  # after the input is read and split, so a refused input leaves no directory
     write_cases_csv(os.path.join(out, f"{name_a}.csv"), left)
     write_cases_csv(os.path.join(out, f"{name_b}.csv"), right)
     write_json(
@@ -375,7 +375,6 @@ def _cmd_randomized(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args)
     # every (maker, cell) group keeps a case in the first output of a split, so each kept maker keeps both
     # classes in the classification split
     data, dropped = _benchmarkable(read_cases_csv(args.cases), cfg.min_cases)
@@ -405,6 +404,7 @@ def _cmd_report(args) -> int:
     points = replacement_path(performance, verdicts_bayes, PATH_FRACTIONS, scores)
     lam_rows = _randomized_rows(performance, verdicts_bayes, scores, cfg.seed)
 
+    out = _out_dir(args)  # once every output is computed, so a refused input leaves no directory
     write_json(os.path.join(out, "config.json"), dataclasses.asdict(cfg))
     write_json(
         os.path.join(out, "split_manifest.json"),

@@ -15,11 +15,22 @@ A tree is stored as two node arrays in breadth-first order (see
 rows its bootstrap drew, each weighted by how often it was drawn (as
 Breiman's bagged trees are), so counts are weighted sums and the model
 equals one grown on every bootstrap slot.  The rows are sorted once per
-feature per forest, and a tree keeps the drawn ones; each level then
+feature per forest, and a tree keeps the drawn ones.
+
+A level is laid out feature by feature and, within a feature, node by
+node, each node's rows sorted by that feature's value.  Every entry
+carries its row, its value, its weight and its weighted label, gathered
+once at the root (the attribute lists of SLIQ and SPRINT).  Each level
 evaluates the Gini expression at every distinct-value boundary of every
-open node in one vectorised pass, and a stable sort by (feature, child)
-moves each node's rows, still sorted, into its open children; rows of
-settled nodes drop out.  Prediction moves all rows down level by level.
+open node in one vectorised pass.  A node's rows sorted by its winning
+feature are one segment of the layout; the values up to the winning
+boundary are at most the cut and those past it exceed it, so the left
+child is a prefix of that segment, and its size, weight and positives
+are the sums at the boundary.  A stable sort by (feature, open child)
+then moves every node's entries, still sorted, into its open children,
+the one permutation applied to all four carried arrays; entries of
+settled nodes drop out.  Prediction moves every row one step per level,
+a leaf sending a row back to itself.
 
 The weights and counts are float64 holding integers far below 2**53,
 so every sum of them is exact.  The Gini pass writes into scratch
@@ -113,24 +124,27 @@ class Tree:
     value: np.ndarray
 
     def predict(self, columns: np.ndarray) -> np.ndarray:
-        """Leaf value of each row of ``columns``, the (d, n) C-contiguous transpose of the rows."""
+        """Leaf value of each row of ``columns``, the (d, n) C-contiguous transpose of the rows.
+
+        Every row takes one step per level of the tree.  A leaf sends a
+        row back to itself: it cuts feature 0 at +inf, which no finite
+        value exceeds.
+        """
         n = columns.shape[1]
         column_major = columns.ravel()  # row r's value of feature f at f * n + r
-        left = 2 * np.cumsum(self.feature >= 0) - 1  # left child of each internal node
-        out = np.empty(n)
+        inner = self.feature >= 0
+        child = np.where(inner, 2 * inner.cumsum() - 1, np.arange(inner.size))  # left child, or the leaf itself
+        offset = np.where(inner, self.feature * n, 0)
+        cut = np.where(inner, self.value, np.inf)
+        depth, level = 0, np.zeros(1, dtype=np.int64)
+        while (level := level[inner.take(level)]).size:  # ids increase down every path, so this ends
+            depth += 1
+            level = np.concatenate((child.take(level), child.take(level) + 1))
         rows = np.arange(n)
         node = np.zeros(n, dtype=np.int64)
-        feat = self.feature.take(node)
-        while rows.size:
-            leaf = feat < 0
-            if leaf.any():
-                out[rows[leaf]] = self.value.take(node[leaf])
-                inner = ~leaf
-                rows, node, feat = rows[inner], node[inner], feat[inner]
-            go_right = column_major.take(feat * n + rows) > self.value.take(node)
-            node = left.take(node) + go_right
-            feat = self.feature.take(node)
-        return out
+        for _ in range(depth):
+            node = child.take(node) + (column_major.take(offset.take(node) + rows) > cut.take(node))
+        return self.value.take(node)
 
 
 @dataclass
@@ -170,63 +184,73 @@ def _settled(count, pos, min_samples_split):
     return (pos == 0) | (pos == count) | (count < min_samples_split)
 
 
-def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed, buf):
+def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, gparent, allowed, buf):
     """Best Gini cut of each (feature, node) group of one level.
 
     ``vals`` holds the level's rows feature by feature and, within a
     feature, node by node, sorted by that feature's value; ``wts`` and
     ``wpos`` hold each row's weight and weighted label.  Group g covers
-    ``gsize[g]`` positions from ``gstart[g]`` and has weight ``gcount[g]``
-    with ``gpos[g]`` positive.  ``allowed`` (one flag per group, or None
-    for all) limits the search.  ``buf`` is a float64 scratch array of
-    six rows, each at least ``vals.size + 1`` long; its contents are
-    overwritten.  Returns the gain and the cut of every group; a gain of
-    0 means no cut.
+    ``gsize[g]`` positions from ``gstart[g]``, has weight ``gcount[g]``
+    with ``gpos[g]`` positive, and Gini impurity ``gparent[g]``.
+    ``allowed`` (one flag per group, or None for all) limits the search.
+    ``buf`` is a float64 scratch array of six rows, each at least
+    ``vals.size + 1`` long; its contents are overwritten.
+
+    Returns five arrays with one entry per group: the gain, the cut, the
+    position of the last row at or below the cut, and the weight and the
+    weighted positives of the rows from ``gstart`` to that position.  A
+    gain of 0 or less means no cut; a group with no boundary has 0 in all
+    five.
 
     Weights, weighted labels and the group sums are float64 holding
     integers, and every sum of them is at most the bootstrap's slot
     count, far below 2**53: the cumulative sums and their differences
     are exact, the counts the bootstrap slots gave.
     """
+    gend = gstart + gsize
     boundary = np.empty(vals.size, dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=boundary[:-1])
-    boundary[gstart + gsize - 1] = False
+    boundary[gend - 1] = False
     if allowed is not None:
-        boundary &= np.repeat(allowed, gsize)
-    at = np.flatnonzero(boundary)
-    gain, cuts = np.zeros(gstart.size), np.zeros(gstart.size)
+        boundary &= allowed.repeat(gsize)
+    at = boundary.nonzero()[0]
+    gain, cuts, n_below, pos_below = (np.zeros(gstart.size) for _ in range(4))
+    last = np.zeros(gstart.size, dtype=np.int64)
     if at.size == 0:
-        return gain, cuts
-    group = np.repeat(np.arange(gstart.size), gsize).take(at)
-    start = gstart.take(group)
+        return gain, cuts, last, n_below, pos_below
+    # each group's boundaries are one run of ``at``
+    head = at.searchsorted(gstart)
+    runs = at.searchsorted(gend) - head
+    group = np.arange(gstart.size).repeat(runs)
     ccount, cpos = buf[0, : wts.size + 1], buf[1, : wpos.size + 1]
     ccount[0] = cpos[0] = 0.0
-    np.cumsum(wts, out=ccount[1:])
-    np.cumsum(wpos, out=cpos[1:])
+    wts.cumsum(out=ccount[1:])
+    wpos.cumsum(out=cpos[1:])
 
     # the Gini expression in the level's buffers, operation by operation as
     # 1.0 - (a / n) ** 2 - (b / n) ** 2 rounds (``** 2`` is ``np.square``);
-    # n_right and pos_right take the cumulative sums' rows once those are read
+    # n_right and pos_right take the cumulative sums' rows once those are read,
+    # and n_left and pos_left are kept for the winning boundaries
     size = at.size
-    n, n_left, pos_left, weighted = (row[:size] for row in buf[2:])
+    n_left, pos_left, weighted, spare = (row[:size] for row in buf[2:])
     n_right, pos_right = buf[0, :size], buf[1, :size]
-    gcount.take(group, out=n)
     ccount[1:].take(at, out=n_left)
-    n_left -= ccount.take(start, out=weighted)
+    n_left -= ccount.take(gstart).take(group, out=weighted)
     cpos[1:].take(at, out=pos_left)
-    pos_left -= cpos.take(start, out=weighted)
-    np.subtract(n, n_left, out=n_right)
+    pos_left -= cpos.take(gstart).take(group, out=weighted)
+    gcount.take(group, out=n_right)
+    n_right -= n_left
     gpos.take(group, out=pos_right)
     pos_right -= pos_left
     g_left = np.divide(pos_left, n_left, out=weighted)
     np.square(g_left, out=g_left)
     np.subtract(1.0, g_left, out=g_left)
-    neg_left = np.subtract(n_left, pos_left, out=pos_left)
+    neg_left = np.subtract(n_left, pos_left, out=spare)
     neg_left /= n_left
     np.square(neg_left, out=neg_left)
     g_left -= neg_left
-    g_left *= n_left  # n_left * g_left, and n_left is read no more
-    g_right = np.divide(pos_right, n_right, out=n_left)
+    g_left *= n_left
+    g_right = np.divide(pos_right, n_right, out=spare)  # neg_left is read no more
     np.square(g_right, out=g_right)
     np.subtract(1.0, g_right, out=g_right)
     neg_right = np.subtract(n_right, pos_right, out=pos_right)
@@ -235,30 +259,26 @@ def _best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed, buf):
     g_right -= neg_right
     g_right *= n_right
     weighted += g_right
-    weighted /= n
+    weighted /= gcount.take(group, out=spare)  # n, and g_right is read no more
 
     # first minimum per group: the smallest cut wins a tie
-    runs = np.bincount(group, minlength=gstart.size)
-    won = np.flatnonzero(runs)
-    runs = runs.take(won)
-    head = np.cumsum(runs) - runs
+    won = runs.nonzero()[0]
+    runs, head = runs.take(won), head.take(won)
     low = np.minimum.reduceat(weighted, head)
-    at_low = np.flatnonzero(weighted == np.repeat(low, runs))
-    first = at_low.take(np.searchsorted(at_low, head))
+    at_low = (weighted == low.repeat(runs)).nonzero()[0]
+    first = at_low.take(at_low.searchsorted(head))
 
-    # Python floats (``**`` is C pow, not numpy's square), so the parent
-    # impurity rounds as the models' split rule has always rounded it
-    parent = np.array([
-        1.0 - (p / c) ** 2 - ((c - p) / c) ** 2
-        for p, c in zip(gpos.take(won).tolist(), gcount.take(won).tolist())
-    ])
-    gain[won] = parent - low
-    lo, hi = vals.take(at.take(first)), vals.take(at.take(first) + 1)
+    gain[won] = gparent.take(won) - low
+    below = at.take(first)
+    lo, hi = vals.take(below), vals.take(below + 1)
     mid = (lo + hi) / 2.0
     # the midpoint of adjacent doubles can round up to ``hi``, and a sum
     # can overflow; ``lo`` then cuts the same rows
     cuts[won] = np.where((mid >= lo) & (mid < hi), mid, lo)
-    return gain, cuts
+    last[won] = below
+    n_below[won] = n_left.take(first)
+    pos_below[won] = pos_left.take(first)
+    return gain, cuts, last, n_below, pos_below
 
 
 def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
@@ -268,27 +288,27 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
     rows.  Only the drawn rows (``w > 0``) take part, each weighted by
     its count, so the tree equals one grown on every bootstrap slot.
     """
-    drawn = w > 0
-    rows = np.flatnonzero(drawn)
-    n, d = rows.size, X.shape[1]
-    xs = np.ascontiguousarray(X[rows].T).ravel()  # feature f of drawn row r at f * n + r
-    ws = w.take(rows).astype(np.float64)  # integers, so every sum of them is exact
-    wys = ws * y.take(rows)
+    d = X.shape[1]
+    feats = np.arange(d)
+    # the open rows of every feature, node by node, each node sorted by
+    # that feature: row f of the (d, m) layout, flattened.  Each entry
+    # carries its row, its value of f, its weight and its weighted label
+    order = sorted_rows[w.take(sorted_rows) > 0]
+    n = order.size // d
+    vals = X.take(order.reshape(d, n) * d + feats[:, None]).ravel()
+    wts = w.take(order).astype(np.float64)  # integers, so every sum of them is exact
+    wpos = wts * y.take(order)
     cap = 2 * n - 1  # every leaf holds at least one drawn row
     feature = np.full(cap, -1, dtype=np.int64)
     value = np.zeros(cap)
     buf = np.empty((6, d * n + 1))  # _best_cuts' scratch, sized for the root level
 
     # per open node: drawn rows (size), their weight (count) and weighted positives
-    ids, size, count, pos = np.array([0]), np.array([n]), np.array([ws.sum()]), np.array([wys.sum()])
+    ids, size, count, pos = np.array([0]), np.array([n]), np.array([wts[:n].sum()]), np.array([wpos[:n].sum()])
     n_nodes = 1
     if _settled(count, pos, params.min_samples_split)[0]:
         value[0] = pos[0] / count[0]
         ids = ids[:0]
-    # the open rows of every feature, node by node, each node sorted by
-    # that feature: row f of the (d, m) layout, flattened
-    order = (np.cumsum(drawn) - 1).take(sorted_rows[drawn.take(sorted_rows)])
-    feats = np.arange(d)
     while ids.size:
         k, m = ids.size, int(size.sum())
         allowed = None
@@ -297,51 +317,63 @@ def _grow_tree(X, y, w, sorted_rows, params: ForestParams, rng) -> Tree:
             allowed = np.zeros((d, k), dtype=bool)
             allowed[pick, np.arange(k)[:, None]] = True
             allowed = allowed.ravel()
-        start = np.cumsum(size) - size
-        gstart = (feats[:, None] * m + start).ravel()
-        offset = np.repeat(feats * n, m)
-        gain, cuts = _best_cuts(
-            xs.take(order + offset), ws.take(order), wys.take(order),
-            gstart, np.tile(size, d), np.tile(count, d), np.tile(pos, d), allowed, buf,
+        gstart = (feats[:, None] * m + (size.cumsum() - size)).ravel()
+        # Python floats (``**`` is C pow, not numpy's square), so the parent
+        # impurity rounds as the models' split rule has always rounded it
+        parent = np.array([1.0 - (p / c) ** 2 - ((c - p) / c) ** 2 for p, c in zip(pos.tolist(), count.tolist())])
+        gain, cuts, last, n_below, pos_below = _best_cuts(
+            vals, wts, wpos, gstart, *(np.concatenate((a,) * d) for a in (size, count, pos, parent)), allowed, buf
         )
-        gain, cuts = gain.reshape(d, k), cuts.reshape(d, k)
-        best = np.argmax(gain, axis=0)  # first feature of the largest gain
-        cut = cuts[best, np.arange(k)]
-        ok = gain[best, np.arange(k)] > 0.0
+        win = gain.reshape(d, k).argmax(axis=0) * k + np.arange(k)  # first feature of the largest gain
+        ok = gain.take(win) > 0.0
         value[ids[~ok]] = pos[~ok] / count[~ok]
         n_split = int(ok.sum())
         if n_split == 0:
             break
 
-        # route the rows of splitting nodes; children get ids in node order,
-        # so those of the k-th internal node are 2k + 1 and 2k + 2
-        seg = np.repeat(np.arange(k), size)
-        sel = ok.take(seg)
-        samples, node = order[:m][sel], seg[sel]
-        go_left = xs.take(best.take(node) * n + samples) <= cut.take(node)
-        rank = np.cumsum(ok) - 1
-        child = 2 * rank.take(node) + ~go_left
-        c_size = np.bincount(child, minlength=2 * n_split)
-        c_count = np.bincount(child, weights=ws.take(samples), minlength=2 * n_split)
-        c_pos = np.bincount(child, weights=wys.take(samples), minlength=2 * n_split)
+        # a splitting node's rows sorted by its cut feature are its winning
+        # group's segment, and its left child is the segment up to the last
+        # row at or below the cut.  Children get ids in node order, so those
+        # of the k-th internal node are 2k + 1 and 2k + 2
+        win = win[ok]
+        feature[ids[ok]] = win // k
+        value[ids[ok]] = cuts.take(win)
+        seg = gstart.take(win)
+        c_start, c_size, c_count, c_pos = (a.repeat(2) for a in (seg, size[ok], count[ok], pos[ok]))
+        c_size[0::2] = last.take(win) + 1 - seg
+        c_count[0::2] = n_below.take(win)
+        c_pos[0::2] = pos_below.take(win)
+        c_start[1::2] += c_size[0::2]
+        c_size[1::2] -= c_size[0::2]
+        c_count[1::2] -= c_count[0::2]
+        c_pos[1::2] -= c_pos[0::2]
         c_ids = n_nodes + np.arange(2 * n_split)
         n_nodes += 2 * n_split
-        feature[ids[ok]] = best[ok]
-        value[ids[ok]] = cut[ok]
         done = _settled(c_count, c_pos, params.min_samples_split)
         value[c_ids[done]] = c_pos[done] / c_count[done]
         ids, size, count, pos = c_ids[~done], c_size[~done], c_count[~done], c_pos[~done]
+        if not ids.size:
+            break
 
         # next layout: a stable sort by (feature, open child); rows of settled
         # children and of nodes that did not split sort past all others.  The
         # keys take the narrowest unsigned type, so up to 16 bits numpy sorts
         # them by radix; a stable sort has one result in any key type
         past = 2 * n_split * d
-        slot = np.full(n, past)
-        slot[samples] = np.where(done.take(child), past, child)
-        key = slot.take(order) + np.repeat(feats * (2 * n_split), m)
-        key = key.astype(np.min_scalar_type(past + (d - 1) * 2 * n_split))
-        order = order.take(np.argsort(key, kind="stable")[: d * int(size.sum())])
+        key_type = np.min_scalar_type(past + (d - 1) * 2 * n_split)
+        slot = np.full(X.shape[0], past, dtype=key_type)
+        kept = int(size.sum())
+        # each open child's rows are one run of positions in its parent's winning segment
+        runs = np.arange(kept) + (c_start[~done] - (size.cumsum() - size)).repeat(size)
+        slot[order.take(runs)] = (~done).nonzero()[0].astype(key_type).repeat(size)
+        key = slot.take(order)
+        lanes = key.reshape(d, m)
+        lanes += (feats * (2 * n_split)).astype(key_type)[:, None]
+        perm = key.argsort(kind="stable")[: d * kept]
+        order = order.take(perm)  # one array at a time, so each old one is freed before the next is made
+        vals = vals.take(perm)
+        wts = wts.take(perm)
+        wpos = wpos.take(perm)
     return Tree(feature[:n_nodes].copy(), value[:n_nodes].copy())
 
 

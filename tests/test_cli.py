@@ -779,6 +779,28 @@ class TestConfigResolution:
 
 
 class TestErrorReporting:
+    @pytest.mark.parametrize("command", ["report", "split"])
+    @pytest.mark.parametrize("cases", ["missing.csv", "bare.csv", "bad.csv"])
+    def test_refused_cases_leave_no_out_directory(self, command, cases, tmp_path, capsys):
+        (tmp_path / "bare.csv").write_text("maker_id,y,y_hat\nm0,1,1\nm0,0,0\n")  # no feature column
+        (tmp_path / "bad.csv").write_text("maker_id,y,y_hat\nm0,2,1\nm0,0,0\n")
+        message = {
+            "missing.csv": "FileNotFoundError: ",
+            "bare.csv": "ValueError: {}: no feature columns; cannot train",
+            "bad.csv": "ValueError: {}: line 2: y and y_hat must be literal 0 or 1",
+        }[cases]
+        extra = ["--min-cases", "1"] if command == "report" else ["--ratio", "1:1"]
+        path, out = tmp_path / cases, tmp_path / "run"
+        code = main([command, "--cases", str(path), *extra, "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        if command == "split" and cases == "bare.csv":
+            # split needs no feature column: it writes both halves
+            assert code == 0 and sorted(os.listdir(out)) == ["a.csv", "b.csv", "split_manifest.json"]
+            return
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith(message.format(path))
+        assert not out.exists()
+
     def test_missing_file_is_json_exit_2(self, capsys):
         code = main(["train", "--cases", "/nonexistent/x.csv", "--out", "/tmp/f.json"])
         assert code == 2

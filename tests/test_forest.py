@@ -597,6 +597,27 @@ def format3_payloads(draw):
     return payload, np.array(rows, dtype=np.float64), n_inner
 
 
+def _compacting_predict(tree, columns):
+    """``Tree.predict`` as it was before the fixed-depth walk: rows that reach a leaf leave the walk."""
+    n = columns.shape[1]
+    column_major = columns.ravel()
+    left = 2 * np.cumsum(tree.feature >= 0) - 1
+    out = np.empty(n)
+    rows = np.arange(n)
+    node = np.zeros(n, dtype=np.int64)
+    feat = tree.feature.take(node)
+    while rows.size:
+        leaf = feat < 0
+        if leaf.any():
+            out[rows[leaf]] = tree.value.take(node[leaf])
+            inner = ~leaf
+            rows, node, feat = rows[inner], node[inner], feat[inner]
+        go_right = column_major.take(feat * n + rows) > tree.value.take(node)
+        node = left.take(node) + go_right
+        feat = tree.feature.take(node)
+    return out
+
+
 class TestFormat3:
     """Any tree the loader accepts sends every row to a leaf through the implied children."""
 
@@ -614,6 +635,8 @@ class TestFormat3:
         tree = forest.trees[0]
         expected = [_implied_walk(tree.feature, tree.value, x) for x in X]
         np.testing.assert_array_equal(forest.predict_propensity(X), expected)
+        columns = np.ascontiguousarray(X.T)
+        assert tree.predict(columns).tobytes() == _compacting_predict(tree, columns).tobytes()
 
 
 # a model file in the nested layout that preceded the flat node arrays
@@ -1032,6 +1055,229 @@ class TestAgainstSlotReference:
         _assert_matches_slots(X, y, ForestParams(n_trees=2, max_features=3, min_samples_split=2, seed=8))
 
 
+# -- the level-wise grower that gathered every level's values, weights and --
+# -- labels by row and routed rows by comparing values with the cut: the --
+# -- reference for the grower that carries the level arrays --
+
+
+def _level_best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed, buf):
+    """Best Gini cut of each (feature, node) group of one level.
+
+    ``vals`` holds the level's rows feature by feature and, within a
+    feature, node by node, sorted by that feature's value; ``wts`` and
+    ``wpos`` hold each row's weight and weighted label.  Group g covers
+    ``gsize[g]`` positions from ``gstart[g]`` and has weight ``gcount[g]``
+    with ``gpos[g]`` positive.  ``allowed`` (one flag per group, or None
+    for all) limits the search.  ``buf`` is a float64 scratch array of
+    six rows, each at least ``vals.size + 1`` long; its contents are
+    overwritten.  Returns the gain and the cut of every group; a gain of
+    0 means no cut.
+
+    Weights, weighted labels and the group sums are float64 holding
+    integers, and every sum of them is at most the bootstrap's slot
+    count, far below 2**53: the cumulative sums and their differences
+    are exact, the counts the bootstrap slots gave.
+    """
+    boundary = np.empty(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=boundary[:-1])
+    boundary[gstart + gsize - 1] = False
+    if allowed is not None:
+        boundary &= np.repeat(allowed, gsize)
+    at = np.flatnonzero(boundary)
+    gain, cuts = np.zeros(gstart.size), np.zeros(gstart.size)
+    if at.size == 0:
+        return gain, cuts
+    group = np.repeat(np.arange(gstart.size), gsize).take(at)
+    start = gstart.take(group)
+    ccount, cpos = buf[0, : wts.size + 1], buf[1, : wpos.size + 1]
+    ccount[0] = cpos[0] = 0.0
+    np.cumsum(wts, out=ccount[1:])
+    np.cumsum(wpos, out=cpos[1:])
+
+    # the Gini expression in the level's buffers, operation by operation as
+    # 1.0 - (a / n) ** 2 - (b / n) ** 2 rounds (``** 2`` is ``np.square``);
+    # n_right and pos_right take the cumulative sums' rows once those are read
+    size = at.size
+    n, n_left, pos_left, weighted = (row[:size] for row in buf[2:])
+    n_right, pos_right = buf[0, :size], buf[1, :size]
+    gcount.take(group, out=n)
+    ccount[1:].take(at, out=n_left)
+    n_left -= ccount.take(start, out=weighted)
+    cpos[1:].take(at, out=pos_left)
+    pos_left -= cpos.take(start, out=weighted)
+    np.subtract(n, n_left, out=n_right)
+    gpos.take(group, out=pos_right)
+    pos_right -= pos_left
+    g_left = np.divide(pos_left, n_left, out=weighted)
+    np.square(g_left, out=g_left)
+    np.subtract(1.0, g_left, out=g_left)
+    neg_left = np.subtract(n_left, pos_left, out=pos_left)
+    neg_left /= n_left
+    np.square(neg_left, out=neg_left)
+    g_left -= neg_left
+    g_left *= n_left  # n_left * g_left, and n_left is read no more
+    g_right = np.divide(pos_right, n_right, out=n_left)
+    np.square(g_right, out=g_right)
+    np.subtract(1.0, g_right, out=g_right)
+    neg_right = np.subtract(n_right, pos_right, out=pos_right)
+    neg_right /= n_right
+    np.square(neg_right, out=neg_right)
+    g_right -= neg_right
+    g_right *= n_right
+    weighted += g_right
+    weighted /= n
+
+    # first minimum per group: the smallest cut wins a tie
+    runs = np.bincount(group, minlength=gstart.size)
+    won = np.flatnonzero(runs)
+    runs = runs.take(won)
+    head = np.cumsum(runs) - runs
+    low = np.minimum.reduceat(weighted, head)
+    at_low = np.flatnonzero(weighted == np.repeat(low, runs))
+    first = at_low.take(np.searchsorted(at_low, head))
+
+    # Python floats (``**`` is C pow, not numpy's square), so the parent
+    # impurity rounds as the models' split rule has always rounded it
+    parent = np.array([
+        1.0 - (p / c) ** 2 - ((c - p) / c) ** 2
+        for p, c in zip(gpos.take(won).tolist(), gcount.take(won).tolist())
+    ])
+    gain[won] = parent - low
+    lo, hi = vals.take(at.take(first)), vals.take(at.take(first) + 1)
+    mid = (lo + hi) / 2.0
+    # the midpoint of adjacent doubles can round up to ``hi``, and a sum
+    # can overflow; ``lo`` then cuts the same rows
+    cuts[won] = np.where((mid >= lo) & (mid < hi), mid, lo)
+    return gain, cuts
+
+
+def _level_grow_tree(X, y, w, sorted_rows, params, rng):
+    """The tree of the rows of ``X`` drawn ``w`` times each.
+
+    ``sorted_rows`` is the forest's (d, N) stable sort of each feature's
+    rows.  Only the drawn rows (``w > 0``) take part, each weighted by
+    its count, so the tree equals one grown on every bootstrap slot.
+    """
+    drawn = w > 0
+    rows = np.flatnonzero(drawn)
+    n, d = rows.size, X.shape[1]
+    xs = np.ascontiguousarray(X[rows].T).ravel()  # feature f of drawn row r at f * n + r
+    ws = w.take(rows).astype(np.float64)  # integers, so every sum of them is exact
+    wys = ws * y.take(rows)
+    cap = 2 * n - 1  # every leaf holds at least one drawn row
+    feature = np.full(cap, -1, dtype=np.int64)
+    value = np.zeros(cap)
+    buf = np.empty((6, d * n + 1))  # _best_cuts' scratch, sized for the root level
+
+    # per open node: drawn rows (size), their weight (count) and weighted positives
+    ids, size, count, pos = np.array([0]), np.array([n]), np.array([ws.sum()]), np.array([wys.sum()])
+    n_nodes = 1
+    if _slot_settled(count, pos, params.min_samples_split)[0]:
+        value[0] = pos[0] / count[0]
+        ids = ids[:0]
+    # the open rows of every feature, node by node, each node sorted by
+    # that feature: row f of the (d, m) layout, flattened
+    order = (np.cumsum(drawn) - 1).take(sorted_rows[drawn.take(sorted_rows)])
+    feats = np.arange(d)
+    while ids.size:
+        k, m = ids.size, int(size.sum())
+        allowed = None
+        if params.max_features < d:
+            pick = np.argsort(rng.random((k, d)), axis=1)[:, : params.max_features]
+            allowed = np.zeros((d, k), dtype=bool)
+            allowed[pick, np.arange(k)[:, None]] = True
+            allowed = allowed.ravel()
+        start = np.cumsum(size) - size
+        gstart = (feats[:, None] * m + start).ravel()
+        offset = np.repeat(feats * n, m)
+        gain, cuts = _level_best_cuts(
+            xs.take(order + offset), ws.take(order), wys.take(order),
+            gstart, np.tile(size, d), np.tile(count, d), np.tile(pos, d), allowed, buf,
+        )
+        gain, cuts = gain.reshape(d, k), cuts.reshape(d, k)
+        best = np.argmax(gain, axis=0)  # first feature of the largest gain
+        cut = cuts[best, np.arange(k)]
+        ok = gain[best, np.arange(k)] > 0.0
+        value[ids[~ok]] = pos[~ok] / count[~ok]
+        n_split = int(ok.sum())
+        if n_split == 0:
+            break
+
+        # route the rows of splitting nodes; children get ids in node order,
+        # so those of the k-th internal node are 2k + 1 and 2k + 2
+        seg = np.repeat(np.arange(k), size)
+        sel = ok.take(seg)
+        samples, node = order[:m][sel], seg[sel]
+        go_left = xs.take(best.take(node) * n + samples) <= cut.take(node)
+        rank = np.cumsum(ok) - 1
+        child = 2 * rank.take(node) + ~go_left
+        c_size = np.bincount(child, minlength=2 * n_split)
+        c_count = np.bincount(child, weights=ws.take(samples), minlength=2 * n_split)
+        c_pos = np.bincount(child, weights=wys.take(samples), minlength=2 * n_split)
+        c_ids = n_nodes + np.arange(2 * n_split)
+        n_nodes += 2 * n_split
+        feature[ids[ok]] = best[ok]
+        value[ids[ok]] = cut[ok]
+        done = _slot_settled(c_count, c_pos, params.min_samples_split)
+        value[c_ids[done]] = c_pos[done] / c_count[done]
+        ids, size, count, pos = c_ids[~done], c_size[~done], c_count[~done], c_pos[~done]
+
+        # next layout: a stable sort by (feature, open child); rows of settled
+        # children and of nodes that did not split sort past all others.  The
+        # keys take the narrowest unsigned type, so up to 16 bits numpy sorts
+        # them by radix; a stable sort has one result in any key type
+        past = 2 * n_split * d
+        slot = np.full(n, past)
+        slot[samples] = np.where(done.take(child), past, child)
+        key = slot.take(order) + np.repeat(feats * (2 * n_split), m)
+        key = key.astype(np.min_scalar_type(past + (d - 1) * 2 * n_split))
+        order = order.take(np.argsort(key, kind="stable")[: d * int(size.sum())])
+    return Tree(feature[:n_nodes].copy(), value[:n_nodes].copy())
+
+
+def _level_train(X, y, params):
+    """``train_forest``'s trees, grown in this process by ``_level_grow_tree``."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n = X.shape[0]
+    sorted_rows = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    trees = []
+    for i in range(params.n_trees):
+        rng = substream(params.seed, "tree", i)
+        w = np.bincount(rng.integers(0, n, size=n), minlength=n) if params.bootstrap else np.ones(n, dtype=np.int64)
+        trees.append(_level_grow_tree(X, y.astype(np.int64), w, sorted_rows, params, rng))
+    return trees
+
+
+def _assert_matches_levels(X, y, params):
+    forest = train_forest(X, y, params)
+    columns = np.ascontiguousarray(np.vstack([X, X + 0.5, X - 0.5]).T)
+    for tree, ref in zip(forest.trees, _level_train(X, y, params), strict=True):
+        assert tree.feature.tobytes() == ref.feature.tobytes()
+        assert tree.value.tobytes() == ref.value.tobytes()
+        assert tree.predict(columns).tobytes() == _compacting_predict(tree, columns).tobytes()
+
+
+class TestAgainstLevelReference:
+    """Trees grown on carried level arrays, children routed from the winning cut, equal the gathering grower's."""
+
+    @given(training_sets(narrow=True))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_property(self, cpu_mask, case):
+        cpu_mask(1)  # no worker pool per example
+        _assert_matches_levels(*case)
+
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    @pytest.mark.parametrize("max_features", [1, 2, 6])
+    def test_deep_trees_on_a_cohort(self, cpu_mask, bootstrap, max_features):
+        # levels of about a hundred open nodes, many children settling mid-level
+        rng = np.random.default_rng(9)
+        X = np.round(rng.normal(size=(5000, 6)), 1)
+        y = (X[:, 1] - X[:, 4] + rng.normal(0.0, 3.0, 5000) > 0).astype(int)
+        cpu_mask(1)
+        params = ForestParams(n_trees=2, max_features=max_features, min_samples_split=2, bootstrap=bootstrap, seed=8)
+        _assert_matches_levels(X, y, params)
+
+
 # -- the Gini pass that allocated each step's array, on integer sums: --
 # -- the reference for the buffered pass --
 
@@ -1091,11 +1337,21 @@ def _alloc_best_cuts(vals, wts, wpos, gstart, gsize, gcount, gpos, allowed):
     return gain, cuts
 
 
+# adjacent doubles, whose midpoint rounds to one of them, and signed zeros, which tie
+EDGE_VALUES = [-0.0, 0.0, 5e-324, 1.0, float(np.nextafter(1.0, 2.0)), 3.0, float(np.nextafter(3.0, 4.0)), 1e308]
+
+
 @st.composite
-def gini_levels(draw):
-    """One level's ``_alloc_best_cuts`` arguments: groups of rows sorted by value, integer weights."""
+def gini_levels(draw, edges=False):
+    """One level's ``_alloc_best_cuts`` arguments: groups of rows sorted by value, integer weights.
+
+    ``edges`` draws every value from ``EDGE_VALUES``.
+    """
     grid = draw(st.booleans())  # heavy ties
-    value = st.integers(0, 3).map(float) if grid else st.floats(-1e3, 1e3, allow_nan=False)
+    if edges:
+        value = st.sampled_from(EDGE_VALUES)
+    else:
+        value = st.integers(0, 3).map(float) if grid else st.floats(-1e3, 1e3, allow_nan=False)
     weight = st.integers(1, 3) | st.integers(1, 10**6)
     groups = draw(st.lists(
         st.lists(st.tuples(value, weight, st.integers(0, 1)), min_size=1, max_size=30), min_size=1, max_size=8,
@@ -1120,22 +1376,49 @@ def _doubled(level):
     )
 
 
+def _parent_impurity(gcount, gpos):
+    """Each group's Gini impurity in Python floats, as the grower computes it once per node."""
+    return np.array([1.0 - (p / c) ** 2 - ((c - p) / c) ** 2 for p, c in zip(gpos.tolist(), gcount.tolist())])
+
+
 def _buffered_best_cuts(level, buf):
     """``forest._best_cuts`` on a level of integer weights, passed as the grower passes them: float64."""
     vals, wts, wpos, gstart, gsize, gcount, gpos, allowed = level
-    as_float = [a.astype(np.float64) for a in (wts, wpos)]
+    wts, wpos, gcount, gpos = (a.astype(np.float64) for a in (wts, wpos, gcount, gpos))
     return forest_module._best_cuts(
-        vals, *as_float, gstart, gsize, gcount.astype(np.float64), gpos.astype(np.float64), allowed, buf
+        vals, wts, wpos, gstart, gsize, gcount, gpos, _parent_impurity(gcount, gpos), allowed, buf
     )
 
 
-def _assert_same_cuts(got, want):
+def _searched(level):
+    """Whether each group has a boundary the pass may cut at: two distinct values, and the group allowed."""
+    vals, _, _, gstart, gsize, _, _, allowed = level
+    two = np.array([np.unique(vals[a : a + size]).size > 1 for a, size in zip(gstart, gsize)], dtype=bool)
+    return two if allowed is None else two & allowed
+
+
+def _assert_same_cuts(got, level):
+    """``got``'s gain and cut are ``_alloc_best_cuts``' bytes; the rest is the part of each group at or below the cut."""
+    want = _alloc_best_cuts(*level)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+    vals, wts, wpos, gstart, gsize, _, _, _ = level
+    last, n_below, pos_below = got[2:]
+    assert last.dtype == np.int64
+    searched = _searched(level)
+    assert not last[~searched].any() and not n_below[~searched].any() and not pos_below[~searched].any()
+    for g in searched.nonzero()[0]:
+        seg = slice(gstart[g], gstart[g] + gsize[g])
+        below = vals[seg] <= want[1][g]
+        k = int(below.sum())
+        assert 0 < k < gsize[g] and below[:k].all()  # a proper prefix of the sorted group
+        assert last[g] == gstart[g] + k - 1
+        assert n_below[g] == wts[seg][:k].sum() and pos_below[g] == wpos[seg][:k].sum()
 
 
 class TestBufferedGiniPass:
-    """The Gini pass in reused level buffers equals the allocating pass on integer sums, byte for byte."""
+    """The Gini pass in reused level buffers equals the allocating pass on integer sums, byte for byte,
+    and returns where each cut falls in its group with the weight and positives up to there."""
 
     @given(gini_levels())
     @settings(max_examples=300, deadline=None)
@@ -1143,11 +1426,59 @@ class TestBufferedGiniPass:
         doubled = _doubled(level)
         buf = np.full((6, doubled[0].size + 1), np.nan)
         # a larger level first leaves every row of the buffer written past the next level's end
-        _assert_same_cuts(_buffered_best_cuts(doubled, buf), _alloc_best_cuts(*doubled))
-        _assert_same_cuts(_buffered_best_cuts(level, buf), _alloc_best_cuts(*level))
+        _assert_same_cuts(_buffered_best_cuts(doubled, buf), doubled)
+        _assert_same_cuts(_buffered_best_cuts(level, buf), level)
         # and a buffer exactly as long as the level needs
         tight = np.full((6, level[0].size + 1), np.nan)
-        _assert_same_cuts(_buffered_best_cuts(level, tight), _alloc_best_cuts(*level))
+        _assert_same_cuts(_buffered_best_cuts(level, tight), level)
+
+
+class TestChildrenFromTheCut:
+    """The grower's children, taken from the winning boundary, are the rows ``x <= cut`` and the rest."""
+
+    @given(gini_levels(edges=True))
+    @settings(max_examples=300, deadline=None)
+    def test_children_equal_a_bincount_over_the_cut(self, level):
+        vals, wts, wpos, gstart, gsize, gcount, gpos, _ = level
+        gain, cuts, last, n_below, pos_below = _buffered_best_cuts(level, np.empty((6, vals.size + 1)))
+        for g in _searched(level).nonzero()[0]:
+            seg = slice(gstart[g], gstart[g] + gsize[g])
+            side = (vals[seg] > cuts[g]).astype(np.int64)  # 0 left, 1 right
+            size = last[g] + 1 - gstart[g]
+            assert [size, gsize[g] - size] == np.bincount(side, minlength=2).tolist()
+            assert [n_below[g], gcount[g] - n_below[g]] == np.bincount(side, wts[seg], minlength=2).tolist()
+            assert [pos_below[g], gpos[g] - pos_below[g]] == np.bincount(side, wpos[seg], minlength=2).tolist()
+
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_trees_on_edge_values(self, cpu_mask, bootstrap):
+        # every cut falls between adjacent doubles or at a signed zero tie
+        rng = np.random.default_rng(12)
+        X = rng.choice(EDGE_VALUES, size=(600, 3))
+        y = ((X[:, 0] > 0.0) ^ (rng.random(600) < 0.2)).astype(int)
+        params = ForestParams(n_trees=3, max_features=2, min_samples_split=2, bootstrap=bootstrap, seed=6)
+        cpu_mask(1)
+        _assert_matches_levels(X, y, params)
+        if not bootstrap:
+            # each leaf predicts the positive share of the training rows that ``x <= cut`` sends it
+            forest = train_forest(X, y, params)
+            for tree in forest.trees:
+                leaf = _leaf_of(tree, X)
+                counts, positives = np.bincount(leaf), np.bincount(leaf, y)
+                reached = counts.nonzero()[0]
+                assert (tree.feature[reached] < 0).all()
+                assert tree.value[reached].tolist() == (positives[reached] / counts[reached]).tolist()
+
+
+def _leaf_of(tree, X):
+    """The leaf each row of ``X`` reaches, one row at a time, sent left when its value is at most the cut."""
+    left = 2 * np.cumsum(tree.feature >= 0) - 1
+    out = []
+    for x in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            node = int(left[node]) + int(not x[tree.feature[node]] <= tree.value[node])
+        out.append(node)
+    return np.array(out)
 
 
 def _splits_per_level(tree):
