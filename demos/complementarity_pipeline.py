@@ -12,6 +12,7 @@ import numpy as np
 
 from rocbench import (
     ComplementaritySpec,
+    ConfusionCounts,
     ForestParams,
     Verdicts,
     benchmark_maker_bayesian,
@@ -44,12 +45,12 @@ forest = train_forest(
 roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
 print(f"forest validation AUC: {roc_val.auc():.4f}")
 
-# benchmark every maker on their classification-split confusion table
-counts = classification.counts_by_maker()
+# benchmark every maker on their classification-split confusion table: one row per maker, in maker order
+table = classification.counts_by_maker()
 verdicts = Verdicts.from_rows(
-    benchmark_maker_bayesian(m, counts[m], roc_val, n_draws=2000,
+    benchmark_maker_bayesian(m, ConfusionCounts(*row.tolist()), roc_val, n_draws=2000,
                              seed=substream(seed, "posterior", m))
-    for m in classification.makers
+    for m, row in zip(classification.makers, table)
 )
 replaced = set(verdicts["maker_id"][verdicts["replace"]])
 hit_capable = len(replaced & set(cohort.capable_ids))

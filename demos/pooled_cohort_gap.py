@@ -11,6 +11,7 @@ than every single member.
 import numpy as np
 
 from rocbench import (
+    ConfusionCounts,
     HeterogeneousCutoffsSpec,
     concave_reference_tpr,
     cutoff_pair,
@@ -24,9 +25,10 @@ data = result.data
 
 # every maker individually lands on the curve (up to sampling noise)
 print("maker    cutoff    fpr_hat  tpr_hat   curve tpr at fpr")
-counts = data.counts_by_maker()
-for m, c in list(zip(data.makers, result.cutoffs))[:5]:
-    pair = rate_pair(counts[m])
+# one row of confusion counts per maker, in the order of data.makers
+table = data.counts_by_maker()
+for m, c, row in list(zip(data.makers, result.cutoffs, table))[:5]:
+    pair = rate_pair(ConfusionCounts(*row.tolist()))
     print(f"{m}    {c:.3f}    {pair.alpha:.4f}   {pair.beta:.4f}    {concave_reference_tpr(pair.alpha):.4f}")
 print("... (45 more, all the same story)")
 

@@ -35,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import DEFAULT_PRIOR_WEIGHT, LossKind, benchmark_maker_bayesian, read_bayesian_csv, write_bayesian_csv
-from .core import CohortDataset, rate_pair, read_cases_csv, stratified_split, write_cases_csv
+from .core import (
+    CohortDataset, ConfusionCounts, _class_sums, rate_pair, read_cases_csv, stratified_split, write_cases_csv,
+)
 from .csvio import format_float, write_json
 from .forest import ForestParams, _check_integers, load_forest, save_forest, train_forest
 from .frequentist import CaseLabel, benchmark_maker_frequentist, write_frequentist_csv
@@ -174,8 +176,8 @@ def _pair_dict(pair) -> dict:
 
 def _benchmarkable(data: CohortDataset, min_cases: int) -> tuple[CohortDataset, int]:
     """The cases of the makers with at least ``min_cases`` cases and both outcome classes, and the others' count."""
-    by_class = np.bincount(2 * data.maker_index + data.y, minlength=2 * len(data.makers)).reshape(-1, 2)
-    keep_codes = np.flatnonzero((by_class.sum(axis=1) >= min_cases) & by_class.all(axis=1))
+    positives, negatives = _class_sums(*data.counts_by_maker().T)
+    keep_codes = np.flatnonzero((positives + negatives >= min_cases) & (positives > 0) & (negatives > 0))
     dropped = len(data.makers) - keep_codes.size
     if dropped == 0:
         return data, 0
@@ -189,15 +191,21 @@ def _parse_floats(text: str) -> list[float]:
 
 
 # Each stage below runs in `report` and in its subcommand.
-def _verdicts(counts: dict, roc, *routes) -> list[Verdicts]:
-    """One table per route, in maker order; ``route(maker, counts, roc)`` is a maker's row.
+def _verdicts(data: CohortDataset, roc, *routes) -> list[Verdicts]:
+    """One table per route over the makers of a benchmarked cohort, in maker order; ``route(maker, counts, roc)``
+    is a maker's row.
 
-    Each maker is one ``map_forked`` task that runs every route in turn and draws from its own
-    substreams, so the verdicts, and the failure reported (the first in maker order), do not
-    depend on the CPU count.
+    Each maker is one ``map_forked`` task that builds the maker's counts from the cohort's table, runs every
+    route in turn and draws from its own substreams, so the verdicts, and the failure reported (the first in
+    maker order), do not depend on the CPU count.
     """
-    makers = list(counts.items())
-    rows = map_forked(lambda i: [route(*makers[i], roc) for route in routes], len(makers))
+    table = data.counts_by_maker()
+
+    def task(i):
+        counts = ConfusionCounts(*table[i].tolist())
+        return [route(data.makers[i], counts, roc) for route in routes]
+
+    rows = map_forked(task, len(data.makers))
     return [Verdicts.from_rows(r[k] for r in rows) for k in range(len(routes))]
 
 
@@ -320,27 +328,28 @@ def _scored_cases(args) -> tuple[CohortDataset, np.ndarray]:
 
 def _cmd_roc(args) -> int:
     data, scores = _scored_cases(args)
-    write_roc_csv(_out_file(args), build_roc(scores, data.y))
+    roc = build_roc(scores, data.y)  # before the output directory is made, so a refused curve leaves none
+    write_roc_csv(_out_file(args), roc)
     return 0
 
 
 def _bench_inputs(args) -> tuple:
-    """Counts of the benchmarkable makers of the cases file; the curve; the config."""
+    """The cases of the benchmarkable makers of the cases file; the curve; the config."""
     cfg = _load_config(args)
     data, _ = _benchmarkable(read_cases_csv(args.cases), cfg.min_cases)
-    return data.counts_by_maker(), read_roc_csv(args.roc), cfg
+    return data, read_roc_csv(args.roc), cfg
 
 
 def _cmd_bench_freq(args) -> int:
-    counts, roc, cfg = _bench_inputs(args)
-    (verdicts,) = _verdicts(counts, roc, _frequentist(cfg, args.cov))
+    data, roc, cfg = _bench_inputs(args)
+    (verdicts,) = _verdicts(data, roc, _frequentist(cfg, args.cov))
     write_frequentist_csv(_out_file(args), verdicts)
     return 0
 
 
 def _cmd_bench_bayes(args) -> int:
-    counts, roc, cfg = _bench_inputs(args)
-    (verdicts,) = _verdicts(counts, roc, _bayesian(cfg))
+    data, roc, cfg = _bench_inputs(args)
+    (verdicts,) = _verdicts(data, roc, _bayesian(cfg))
     write_bayesian_csv(_out_file(args), verdicts)
     return 0
 
@@ -387,7 +396,6 @@ def _cmd_report(args) -> int:
     train, validation = stratified_split(
         classification, cfg.inner_ratio, substream(cfg.seed, "split", "inner")
     )
-    counts = classification.counts_by_maker()
     forest = train_forest(train.features, train.y, cfg.forest_params())
     # one scoring pass, so one fork, for both splits
     val_scores, scores = np.split(
@@ -396,7 +404,7 @@ def _cmd_report(args) -> int:
     roc_val = build_roc(val_scores, validation.y)
     roc_perf = build_roc(scores, performance.y)
 
-    verdicts_freq, verdicts_bayes = _verdicts(counts, roc_val, _frequentist(cfg), _bayesian(cfg))
+    verdicts_freq, verdicts_bayes = _verdicts(classification, roc_val, _frequentist(cfg), _bayesian(cfg))
 
     raw_pair = rate_pair(performance.pooled_counts())
     combined_bayes = combine_decisions(performance, verdicts_bayes, scores)

@@ -92,9 +92,9 @@ def _cell_key(group, y: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     return 4 * group + 2 * y.astype(np.uint8) + y_hat.astype(np.uint8)
 
 
-def _tally_cells(key: np.ndarray, n_groups: int) -> list[list[int]]:
-    """Each group's counts of ``_cell_key`` values, in field order."""
-    return np.bincount(key, minlength=4 * n_groups).reshape(-1, 4)[:, _FIELD_CELLS].tolist()
+def _tally_cells(key: np.ndarray, n_groups: int) -> np.ndarray:
+    """Each group's counts of ``_cell_key`` values, in field order: an ``(n_groups, 4)`` integer table."""
+    return np.bincount(key, minlength=4 * n_groups).reshape(-1, 4)[:, _FIELD_CELLS]
 
 
 def _cells(counts: ConfusionCounts) -> tuple[int, int, int, int]:
@@ -123,7 +123,7 @@ def tally_confusion(y: np.ndarray, y_hat: np.ndarray) -> ConfusionCounts:
     # the test np.isin(y, (0, 1)) makes, as two elementwise comparisons without its set-up
     if not (((y == 0) | (y == 1)).all() and ((y_hat == 0) | (y_hat == 1)).all()):
         raise ValueError("y and y_hat must be 0 or 1")
-    return ConfusionCounts(*_tally_cells(_cell_key(0, y, y_hat), 1)[0])
+    return ConfusionCounts(*_tally_cells(_cell_key(0, y, y_hat), 1)[0].tolist())
 
 
 def rate_pair(counts: ConfusionCounts) -> RatePair:
@@ -193,10 +193,14 @@ class CohortDataset:
         """Fraction of positive outcomes across all cases."""
         return float(self.y.mean())
 
-    def counts_by_maker(self) -> dict[str, ConfusionCounts]:
-        """Confusion counts of every maker that has cases, in maker order."""
+    def counts_by_maker(self) -> np.ndarray:
+        """Read-only ``(len(makers), 4)`` table: row i holds ``makers[i]``'s counts in field order.
+
+        A maker with no case, which only a hand-built cohort has, gets a zero row.
+        """
         table = _tally_cells(_cell_key(self.maker_index, self.y, self.y_hat), len(self.makers))
-        return {maker: ConfusionCounts(*t) for maker, t in zip(self.makers, table) if any(t)}
+        table.flags.writeable = False
+        return table
 
     def subset(self, rows: np.ndarray) -> "CohortDataset":
         """New cohort keeping the given case rows, in the given order.

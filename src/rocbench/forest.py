@@ -475,9 +475,10 @@ def forest_from_json(text: str) -> Forest:
 
 
 def save_forest(path, forest: Forest) -> None:
-    text = forest_to_json(forest) + "\n"  # before the open, so a failure leaves no partial file
+    text = forest_to_json(forest)  # before the open, so a failure leaves no partial file
     with open(path, "w") as fh:
         fh.write(text)
+        fh.write("\n")  # apart, so the model text is not copied
 
 
 def load_forest(path) -> Forest:

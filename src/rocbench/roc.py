@@ -323,21 +323,6 @@ class RocCurve:
             best[lo : lo + chunk] = np.sqrt(d2.min(axis=1))
         return best
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "RocCurve":
-        """Curve through given (fpr, tpr) vertices; anchors added if missing.
-
-        The vertices get synthetic strictly decreasing thresholds on [0, 1].
-        """
-        pts = [(float(p[0]), float(p[1])) for p in pairs]
-        prepend = not pts or pts[0] != (0.0, 0.0)
-        append = not pts or pts[-1] != (1.0, 1.0)
-        full = ([(0.0, 0.0)] if prepend else []) + pts + ([(1.0, 1.0)] if append else [])
-        arr = np.asarray(full)
-        return cls(np.linspace(1.0, 0.0, arr.shape[0]), arr[:, 0], arr[:, 1])
-
 
 def build_roc(scores, labels) -> RocCurve:
     """Empirical ROC of rule ``positive iff score > c`` over distinct scores.

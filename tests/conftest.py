@@ -2,7 +2,22 @@
 
 import os
 
+import numpy as np
 import pytest
+
+from rocbench.roc import RocCurve
+
+
+def curve_from_pairs(pairs) -> RocCurve:
+    """Curve through given (fpr, tpr) vertices, with the (0, 0) and (1, 1) anchors added if missing.
+
+    The vertices get synthetic strictly decreasing thresholds on [0, 1].
+    """
+    pts = [(float(p[0]), float(p[1])) for p in pairs]
+    head = [] if pts[:1] == [(0.0, 0.0)] else [(0.0, 0.0)]
+    tail = [] if pts[-1:] == [(1.0, 1.0)] else [(1.0, 1.0)]
+    arr = np.asarray(head + pts + tail)
+    return RocCurve(np.linspace(1.0, 0.0, arr.shape[0]), arr[:, 0], arr[:, 1])
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from rocbench import (
     IncentiveSpec,
     PredictedDoctorSpec,
     RatePair,
-    RocCurve,
     Verdicts,
     asymptotic_covariance,
     benchmark_maker_bayesian,
@@ -44,6 +43,8 @@ from rocbench import (
     substream,
     train_forest,
 )
+
+from conftest import curve_from_pairs
 
 
 def _counts_from_cells(cells) -> ConfusionCounts:
@@ -95,7 +96,7 @@ def test_criterion_03_posterior_mean_and_duality():
     assert linf <= 0.005, f"posterior cell-mean Linf error {linf:.6f} > 0.005 at 1e5 draws"
 
     # exact duality: both searches share one candidate grid
-    curve = RocCurve.from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
+    curve = curve_from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
     small = sample_posterior(params, 2000, seed=1)
     dom = max_dominance(small, curve)
     value, theta = min_posterior_loss(small, curve)
@@ -122,7 +123,7 @@ def test_criterion_04_dominating_segment_brute_force():
             continue  # need strictly decreasing slopes for strict concavity
         betas = np.cumsum(widths * slopes)
         betas /= betas[-1]
-        curve = RocCurve.from_pairs(
+        curve = curve_from_pairs(
             [(0.0, 0.0)] + list(zip(alphas, betas[:-1])) + [(1.0, 1.0)]
         )
         assert curve.concavity_violations() == []
@@ -161,14 +162,14 @@ def _complementarity_run(seed: int):
     roc_val = build_roc(forest.predict_propensity(validation.features), validation.y)
     scores = forest.predict_propensity(performance.features)
     roc_perf = build_roc(scores, performance.y)
-    counts = classification.counts_by_maker()
+    table = classification.counts_by_maker()
     verdicts = Verdicts.from_rows(
         (
             benchmark_maker_bayesian(
-                m, counts[m], roc_val, n_draws=2000,
+                m, ConfusionCounts(*row.tolist()), roc_val, n_draws=2000,
                 seed=substream(seed, "posterior", m), credible_level=0.95,
             )
-            for m in classification.makers
+            for m, row in zip(classification.makers, table)
         )
     )
     combined = combine_decisions(performance, verdicts, scores)
@@ -265,7 +266,7 @@ def test_criterion_07_randomized_acceptance_boundaries():
 
 def test_criterion_08_delta_test_size():
     t0 = time.perf_counter()
-    curve = RocCurve.from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
+    curve = curve_from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
     # least favorable null: the maker sits exactly on the curve's interior
     probs = _cell_probs(alpha=0.25, beta=float(curve.tpr_at_fpr(0.25)), p=0.5)
     rng = np.random.default_rng(0)

@@ -33,13 +33,15 @@ from rocbench.core import ConfusionCounts, RatePair
 from rocbench.replacement import Verdicts
 from rocbench.roc import RocCurve, build_roc, read_roc_csv
 
+from conftest import curve_from_pairs
+
 
 def steep_curve():
-    return RocCurve.from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
+    return curve_from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
 
 
 def two_segment():
-    return RocCurve.from_pairs([(0.0, 0.0), (0.2, 0.8), (1.0, 1.0)])
+    return curve_from_pairs([(0.0, 0.0), (0.2, 0.8), (1.0, 1.0)])
 
 
 def make_draws(pairs):
@@ -247,7 +249,7 @@ class TestCandidateGrid:
 
     def test_repeated_knots_and_draws_on_knots(self):
         # vertical runs repeat fprs among the vertices; draws repeat knots and grid points
-        roc = RocCurve.from_pairs([(0.0, 0.0), (0.0, 0.3), (0.25, 0.5), (0.25, 0.9), (1.0, 1.0)])
+        roc = curve_from_pairs([(0.0, 0.0), (0.0, 0.3), (0.25, 0.5), (0.25, 0.9), (1.0, 1.0)])
         draws = make_draws([(0.25, 0.1), (0.25, 0.95), (0.0, 0.0), (1.0, 1.0), (0.5, 0.2), (0.5, 0.2)])
         self.assert_np_unique(roc, draws, 5)
         assert curve_candidate_grid(roc, draws, 5).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -337,14 +339,14 @@ class TestMaxDominance:
         params = posterior_params(ConfusionCounts(n11=40, n01=60, n10=60, n00=140))
         draws = sample_posterior(params, 500, 8)
         hi = two_segment()
-        lo = RocCurve.from_pairs([(0.0, 0.0), (0.2, 0.8**1.5), (1.0, 1.0)])
+        lo = curve_from_pairs([(0.0, 0.0), (0.2, 0.8**1.5), (1.0, 1.0)])
         assert max_dominance(draws, lo).q_max <= max_dominance(draws, hi).q_max
 
 
 class TestLossCatalog:
     """One dominating on-curve candidate against one below-curve maker."""
 
-    ROC = RocCurve.from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
+    ROC = curve_from_pairs([(0.0, 0.0), (0.5, 0.9), (1.0, 1.0)])
     TM = (0.28, 0.504)
     TH = (0.3, 0.5)
 
@@ -377,7 +379,7 @@ class TestLossCatalog:
 
     def test_diagonal_horizontal_rounded_gap(self):
         # tpr_at_fpr(a) rounds up to the knot (1, 1), so the maker at (a, 1) is dominated with a zero gap
-        roc = RocCurve.from_pairs([(0.0, 0.0), (0.01, 0.5), (1.0, 1.0)])
+        roc = curve_from_pairs([(0.0, 0.0), (0.01, 0.5), (1.0, 1.0)])
         a = np.nextafter(1.0, 0.0)
         assert loss_eval(LossKind.DIAGONAL_HORIZONTAL, (a, roc.tpr_at_fpr(a)), (a, 1.0), roc) == 1.0
 
@@ -529,7 +531,7 @@ class TestRowsOfEveryLossKind:
 
     @pytest.mark.parametrize("kind", [kind for kind in LossKind if kind is not LossKind.BASELINE], ids=str)
     def test_row_is_unchanged(self, kind):
-        roc = RocCurve.from_pairs([(0.0, 0.25), (0.125, 0.5), (0.125, 0.625), (0.375, 0.75), (0.375, 0.8125),
+        roc = curve_from_pairs([(0.0, 0.25), (0.125, 0.5), (0.125, 0.625), (0.375, 0.75), (0.375, 0.8125),
                                    (0.75, 0.9375)])
         counts = ConfusionCounts(n11=40, n01=30, n10=60, n00=70)
         row = benchmark_maker_bayesian("m", counts, roc, n_draws=300, seed=7, credible_level=0.7, kind=kind,
@@ -694,7 +696,7 @@ class TestBenchmarkBayesian:
         assert v["q_max"] >= 0.95
 
     def test_strong_maker_retained_on_diagonal(self):
-        roc = RocCurve.from_pairs([(0.0, 0.0), (1.0, 1.0)])
+        roc = curve_from_pairs([(0.0, 0.0), (1.0, 1.0)])
         v = benchmark_maker_bayesian("m8", self.COUNTS, roc, seed=3)
         assert not v["replace"]  # (0.3, 0.4) sits above the chance line
 

@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rocbench import cli, frequentist, synthetic
-from rocbench.cli import RunConfig, build_parser, main
-from rocbench.core import rate_pair, read_cases_csv, write_cases_csv
+from rocbench.cli import OUT_ENV, RunConfig, build_parser, main
+from rocbench.core import CohortDataset, ConfusionCounts, rate_pair, read_cases_csv, write_cases_csv
 from rocbench.forest import Forest, load_forest
 from rocbench.frequentist import benchmark_maker_frequentist, read_frequentist_csv, write_frequentist_csv
 from rocbench.replacement import Verdicts
@@ -255,9 +255,10 @@ class TestBenchmarks:
             "--out", str(out), "--min-cases", "1", "--cov", "asymptotic", "--level", "0.9",
         ]) == 0
         roc = read_roc_csv(workdir["roc"])
+        data = read_cases_csv(workdir["cases"])
         loop = Verdicts.from_rows(
-            benchmark_maker_frequentist(m, c, roc, level=0.9, cov_method="asymptotic")
-            for m, c in read_cases_csv(workdir["cases"]).counts_by_maker().items()
+            benchmark_maker_frequentist(m, ConfusionCounts(*row), roc, level=0.9, cov_method="asymptotic")
+            for m, row in zip(data.makers, data.counts_by_maker().tolist())
         )
         # the file as written: labels, and cuts at the precision verdict files print
         write_frequentist_csv(tmp_path / "loop.csv", loop)
@@ -801,6 +802,22 @@ class TestErrorReporting:
         assert json.loads(lines[0])["error"].startswith(message.format(path))
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["--out", OUT_ENV])
+    def test_refused_curve_leaves_no_out_directory(self, via, workdir, tmp_path, capsys, monkeypatch):
+        # every case negative: the curve is refused before the output directory is made
+        cases = tmp_path / "negatives.csv"
+        cases.write_text("maker_id,y,y_hat,f1\na,0,0,0.1\na,0,1,0.3\nb,0,0,0.5\n")
+        target = tmp_path / "newdir"
+        argv = ["roc", "--cases", str(cases), "--model", str(workdir["model"])]
+        if via == "--out":
+            argv += ["--out", str(target / "roc.csv")]
+        else:
+            monkeypatch.setenv(OUT_ENV, str(target))
+        assert main(argv) == 2
+        expected = {"error": "ValueError: need at least one positive and one negative label"}
+        assert capsys.readouterr().err.splitlines() == [json.dumps(expected)]
+        assert not target.exists()
+
     def test_missing_file_is_json_exit_2(self, capsys):
         code = main(["train", "--cases", "/nonexistent/x.csv", "--out", "/tmp/f.json"])
         assert code == 2
@@ -874,6 +891,27 @@ def cohort_report(cohort):
     return out
 
 
+@st.composite
+def gate_cohorts(draw):
+    """Hand-built cohorts of 1-5 makers and up to 30 cases; some makers may have no case or one class."""
+    n_makers = draw(st.integers(1, 5))
+    cases = draw(st.lists(st.tuples(st.integers(0, n_makers - 1), st.integers(0, 1), st.integers(0, 1)),
+                          max_size=30))
+    maker_index, y, y_hat = (np.array([case[k] for case in cases], dtype=np.int64) for k in range(3))
+    return CohortDataset([f"m{k}" for k in range(n_makers)], maker_index, y, y_hat)
+
+
+def case_loop_gate(data, min_cases):
+    """The makers with at least ``min_cases`` cases and both outcome classes, from one pass over the cases, and
+    the count of the others."""
+    n, classes = {}, {}
+    for code, yi in zip(data.maker_index.tolist(), data.y.tolist()):
+        n[code] = n.get(code, 0) + 1
+        classes.setdefault(code, set()).add(yi)
+    kept = [data.makers[code] for code in n if n[code] >= min_cases and classes[code] == {0, 1}]
+    return kept, len(data.makers) - len(kept)
+
+
 class TestMakerGate:
     """A maker with fewer than --min-cases cases or with one outcome class is dropped, not refused: every output
     equals that of the file without the maker's rows, but for the count of dropped makers."""
@@ -886,7 +924,8 @@ class TestMakerGate:
     def test_report_drops_the_maker(self, cohort, cohort_report, extra, size, classes, tmp_path, capsys):
         _, cases = cohort
         added = _with_maker(cases, tmp_path / "cases.csv", "zz_added", **extra)
-        c = read_cases_csv(added).counts_by_maker()["zz_added"]
+        data = read_cases_csv(added)
+        c = ConfusionCounts(*data.counts_by_maker()[data.makers.index("zz_added")].tolist())
         assert (c.n, c.n11 + c.n10 > 0, c.n01 + c.n00 > 0) == (size, *classes)
         assert main(["report", "--cases", str(added), "--out", str(tmp_path / "run")] + REPORT_FLAGS) == 0
         assert capsys.readouterr().err == ""
@@ -919,6 +958,28 @@ class TestMakerGate:
             assert json.loads(capsys.readouterr().err) == {
                 "error": "ValueError: no maker has at least 301 cases and both outcome classes"}
         assert not (tmp_path / "run" / "summary.json").exists()
+
+    @given(gate_cohorts(), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_gate_keeps_the_makers_a_case_loop_keeps(self, data, min_cases):
+        kept, dropped = case_loop_gate(data, min_cases)
+        if not kept:
+            with pytest.raises(ValueError, match=f"no maker has at least {min_cases} cases and both outcome classes"):
+                cli._benchmarkable(data, min_cases)
+            return
+        got, got_dropped = cli._benchmarkable(data, min_cases)
+        assert (sorted(got.makers), got_dropped) == (sorted(kept), dropped)
+        # every kept maker keeps all of its cases
+        rows = dict(zip(data.makers, data.counts_by_maker().tolist()))
+        assert dict(zip(got.makers, got.counts_by_maker().tolist())) == {m: rows[m] for m in kept}
+
+    def test_gate_drops_a_maker_without_cases(self):
+        # only a hand-built cohort lists a maker with no case; its zero row is dropped and counted
+        data = CohortDataset(["a", "ghost", "b"], np.array([0, 0, 2, 2]), np.array([1, 0, 0, 1]),
+                             np.array([1, 0, 1, 1]))
+        got, dropped = cli._benchmarkable(data, 1)
+        assert (got.makers, dropped) == (("a", "b"), 1)
+        assert got.counts_by_maker().tolist() == [[1, 0, 0, 1], [1, 1, 0, 0]]
 
 
 class TestOutEnvVar:
@@ -1007,8 +1068,8 @@ class TestCpuMasks:
         # six makers over four processes: the parent benchmarks maker 0, three workers makers 1-2, 3-4 and 5;
         # maker 2's bootstrap aborts after maker 4's has, and maker 2 is named under every mask, on every run
         _, cases = cohort
-        makers = read_cases_csv(cases).counts_by_maker()
-        counts = list(makers.values())
+        data = read_cases_csv(cases)
+        counts = [ConfusionCounts(*row) for row in data.counts_by_maker().tolist()]
         assert len(set(counts)) == 6
         boot = frequentist.bootstrap_covariance
 
@@ -1019,7 +1080,7 @@ class TestCpuMasks:
             return boot(c, *rest)
 
         monkeypatch.setattr(frequentist, "bootstrap_covariance", abort)
-        expected = json.dumps({"error": f"RuntimeError: maker {list(makers)[2]!r}: bootstrap aborted"}) + "\n"
+        expected = json.dumps({"error": f"RuntimeError: maker {data.makers[2]!r}: bootstrap aborted"}) + "\n"
         for mask in (1, 2, 4, 4, 4):
             cpu_mask(mask)
             assert main(["bench-freq", "--cases", str(cases), "--roc", str(workdir["roc"]), "--min-cases", "50",
@@ -1034,16 +1095,17 @@ class TestCurveTablesAcrossForks:
 
     @pytest.mark.parametrize("loss", ["baseline", "diagonal-vertical"])
     def test_forked_verdicts_equal_in_process_verdicts(self, workdir, cpu_mask, assert_childless, loss):
-        counts = read_cases_csv(workdir["cases"]).counts_by_maker()
-        assert len(counts) == 4
+        data = read_cases_csv(workdir["cases"])
+        table = data.counts_by_maker()
+        assert table.shape == (4, 4) and table.sum(axis=1).all()
         cfg = RunConfig(seed=5, n_draws=300, n_resamples=30, grid_size=64, loss_kind=loss)
         routes = (cli._frequentist(cfg), cli._bayesian(cfg))
-        first = next(iter(counts.items()))
+        first = data.makers[0], ConfusionCounts(*table[0].tolist())
         tables = []
         for mask in (1, 3):  # in-process; forked
             cpu_mask(mask)
             roc = read_roc_csv(workdir["roc"])
-            verdicts = cli._verdicts(counts, roc, *routes)
+            verdicts = cli._verdicts(data, roc, *routes)
             assert_childless()
             names = [route(*first, roc).keys() for route in routes]
             tables.append([{name: repr(v[name].tolist()) for name in keys} for v, keys in zip(verdicts, names)])

@@ -110,15 +110,18 @@ class TestCohortDataset:
 
     def test_counts_by_maker(self):
         data = small_cohort()
-        counts = data.counts_by_maker()
-        assert counts["beta"] == ConfusionCounts(1, 0, 0, 1)
-        assert counts["alfa"] == ConfusionCounts(1, 1, 1, 0)
+        table = data.counts_by_maker()
+        assert data.makers == ("beta", "alfa")
+        assert [ConfusionCounts(*row) for row in table.tolist()] == [ConfusionCounts(1, 0, 0, 1),
+                                                                     ConfusionCounts(1, 1, 1, 0)]
+
+    def test_maker_without_cases_gets_a_zero_row(self):
+        data = CohortDataset(["a", "ghost", "b"], np.array([0, 2, 2]), np.array([1, 0, 1]), np.array([1, 1, 0]))
+        assert data.counts_by_maker().tolist() == [[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 0]]
 
     def test_pooled_counts_is_sum(self):
         data = small_cohort()
-        per_maker = data.counts_by_maker().values()
-        fields = ("n11", "n01", "n10", "n00")
-        assert data.pooled_counts() == ConfusionCounts(*(sum(getattr(c, f) for c in per_maker) for f in fields))
+        assert data.pooled_counts() == ConfusionCounts(*data.counts_by_maker().sum(axis=0).tolist())
 
     def test_subset_orders_makers_by_first_appearance(self):
         data = small_cohort()
@@ -159,10 +162,8 @@ class TestStratifiedSplit:
         data = self.make(10)
         left, right = stratified_split(data, (7, 3), seed=0)
         # every cell of 10 splits exactly 7:3
-        for c, m in left.counts_by_maker()["m"].__dict__.items():
-            assert m == 7
-        for c, m in right.counts_by_maker()["m"].__dict__.items():
-            assert m == 3
+        assert left.counts_by_maker().tolist() == [[7, 7, 7, 7]]
+        assert right.counts_by_maker().tolist() == [[3, 3, 3, 3]]
 
     def test_rates_preserved(self):
         data = self.make(20)
@@ -215,8 +216,7 @@ class TestStratifiedSplit:
         left, right = stratified_split(data, (a, b), seed=seed)
         # per cell: the second side gets floor(m*b/(a+b)), the rest go left
         want_right = (13 * b) // (a + b)
-        for m in right.counts_by_maker()["m"].__dict__.values():
-            assert m == want_right
+        assert right.counts_by_maker().tolist() == [[want_right] * 4]
         assert left.n_cases == 4 * (13 - want_right)
 
 
@@ -232,11 +232,11 @@ def loop_iter_makers(data):
 
 
 def loop_counts_by_maker(data):
-    out = {}
-    for maker, rows in loop_iter_makers(data):
-        if rows.size:
-            out[maker] = tally_confusion(data.y[rows], data.y_hat[rows])
-    return out
+    """Each maker's counts in field order, in maker order; zeros for a maker without cases."""
+    return [
+        list(vars(tally_confusion(data.y[rows], data.y_hat[rows])).values()) if rows.size else [0, 0, 0, 0]
+        for _, rows in loop_iter_makers(data)
+    ]
 
 
 def loop_subset(data, rows):
@@ -297,8 +297,11 @@ class TestGroupingMatchesLoops:
     @settings(max_examples=200, deadline=None)
     def test_counts_by_maker(self, data):
         got = data.counts_by_maker()
-        want = loop_counts_by_maker(data)
-        assert list(got.items()) == list(want.items())
+        assert got.shape == (len(data.makers), 4)
+        assert got.tolist() == loop_counts_by_maker(data)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 1
 
     @given(cohorts(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -428,11 +431,11 @@ FIELD_OF = {(1, 1): 0, (0, 1): 1, (1, 0): 2, (0, 0): 3}
 
 
 def case_loop_counts(data):
-    """Per maker with cases, its counts from one pass over the cases, in maker order."""
-    cells = {m: [0, 0, 0, 0] for m in data.makers}
+    """Each maker's counts from one pass over the cases, in maker order; zeros for a maker without cases."""
+    cells = [[0, 0, 0, 0] for _ in data.makers]
     for code, yi, hi in zip(data.maker_index.tolist(), data.y.tolist(), data.y_hat.tolist()):
-        cells[data.makers[code]][FIELD_OF[yi, hi]] += 1
-    return {m: ConfusionCounts(*c) for m, c in cells.items() if any(c)}
+        cells[code][FIELD_OF[yi, hi]] += 1
+    return cells
 
 
 def old_key_split(data, ratio, seed):
@@ -479,8 +482,8 @@ class TestCellLayout:
         rows = pick.draw(st.lists(st.integers(0, max(data.n_cases - 1, 0)), max_size=data.n_cases))
         for cohort in (data, data.subset(rows)):
             got = cohort.counts_by_maker()
-            assert list(got.items()) == list(case_loop_counts(cohort).items())
-            assert all(type(v) is int for c in got.values() for v in vars(c).values())
+            assert got.tolist() == case_loop_counts(cohort)
+            assert got.dtype.kind == "i"
 
     @pytest.mark.parametrize("draw", [
         lambda rng: rng.dirichlet([0.1, 3.0, 0.5, 20.0], size=2000),

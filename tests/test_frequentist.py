@@ -23,17 +23,18 @@ from rocbench.frequentist import (
     write_frequentist_csv,
 )
 from rocbench.replacement import Verdicts
-from rocbench.roc import RocCurve
+
+from conftest import curve_from_pairs
 
 CHI2_2DF_95 = 5.991464547107979
 
 
 def diagonal():
-    return RocCurve.from_pairs([(0.0, 0.0), (1.0, 1.0)])
+    return curve_from_pairs([(0.0, 0.0), (1.0, 1.0)])
 
 
 def two_segment():
-    return RocCurve.from_pairs([(0.0, 0.0), (0.2, 0.8), (1.0, 1.0)])
+    return curve_from_pairs([(0.0, 0.0), (0.2, 0.8), (1.0, 1.0)])
 
 
 class TestAsymptoticCovariance:
@@ -289,7 +290,7 @@ class TestClassifyMaker:
     def test_notch_left_of_a_vertical_run_reaches_the_curve(self):
         # the curve jumps from tpr 0.2 to 0.8 at fpr 0.5; just left of the
         # jump the circle's top (about 0.21) clears the chord
-        roc = RocCurve.from_pairs([(0.0, 0.0), (0.5, 0.2), (0.5, 0.8), (1.0, 1.0)])
+        roc = curve_from_pairs([(0.0, 0.0), (0.5, 0.2), (0.5, 0.8), (1.0, 1.0)])
         e = confidence_ellipse(RatePair(0.52, 0.19), np.diag([1.5e-4, 1.5e-4]), 0.95)
         assert classify_maker(e, roc) is CaseLabel.CASE3
 
@@ -297,7 +298,7 @@ class TestClassifyMaker:
         # the curve is 0 up to fpr 0.3; the thin rising ellipse around
         # (0.35, 0) stays under the curve except where clipping raises its
         # lower-left end, left of fpr 0.3, to tpr 0
-        roc = RocCurve.from_pairs([(0.0, 0.0), (0.3, 0.0), (1.0, 1.0)])
+        roc = curve_from_pairs([(0.0, 0.0), (0.3, 0.0), (1.0, 1.0)])
         cov = (0.1**2 / CHI2_2DF_95) * np.array([[1.0, 1 - 1e-6], [1 - 1e-6, 1.0]])
         e = confidence_ellipse(RatePair(0.35, 0.0), cov, 0.95)
         assert roc.ellipse_gap(e.center, cov, e.chi2_quantile) == 0.0
@@ -397,7 +398,7 @@ class TestBenchmarkMaker:
 
     def test_on_curve_maker_retained(self):
         counts = ConfusionCounts(n11=240, n01=400, n10=160, n00=600)  # (0.4, 0.6)
-        roc = RocCurve.from_pairs([(0.0, 0.0), (0.4, 0.6), (1.0, 1.0)])
+        roc = curve_from_pairs([(0.0, 0.0), (0.4, 0.6), (1.0, 1.0)])
         v = benchmark_maker_frequentist("m2", counts, roc, seed=5)
         assert v["case_label"] in ("case2", "case3")
         assert np.isnan([v["c_lower"], v["c_upper"], v["threshold"]]).all()
@@ -433,7 +434,7 @@ class TestFrequentistCsv:
             "m1", TestBenchmarkMaker.COUNTS, roc, seed=0
         )
         counts = ConfusionCounts(n11=240, n01=400, n10=160, n00=600)
-        curve = RocCurve.from_pairs([(0.0, 0.0), (0.4, 0.6), (1.0, 1.0)])
+        curve = curve_from_pairs([(0.0, 0.0), (0.4, 0.6), (1.0, 1.0)])
         v2 = benchmark_maker_frequentist("m2", counts, curve, seed=5)
         return Verdicts.from_rows([v1, v2])
 

@@ -18,13 +18,15 @@ from rocbench.roc import (
     write_roc_csv,
 )
 
+from conftest import curve_from_pairs
+
 
 def two_segment():
-    return RocCurve.from_pairs([(0.0, 0.0), (0.2, 0.8), (1.0, 1.0)])
+    return curve_from_pairs([(0.0, 0.0), (0.2, 0.8), (1.0, 1.0)])
 
 
 def diagonal():
-    return RocCurve.from_pairs([(0.0, 0.0), (1.0, 1.0)])
+    return curve_from_pairs([(0.0, 0.0), (1.0, 1.0)])
 
 
 def hand_curve():
@@ -143,7 +145,7 @@ class TestCurveEvaluation:
             getattr(hand_curve(), query)(x)
 
     def test_auc_trapezoid(self):
-        roc = RocCurve.from_pairs([(0, 0), (0.5, 0.75), (1, 1)])
+        roc = curve_from_pairs([(0, 0), (0.5, 0.75), (1, 1)])
         assert roc.auc() == pytest.approx(0.625)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 300))
@@ -180,7 +182,7 @@ class TestCurveEvaluation:
             assert (np.diff(roc.tpr_at_fpr(a)) >= 0.0).all()
 
     def test_auc_ignores_collinear_points(self):
-        a = RocCurve.from_pairs([(0, 0), (0.5, 0.5), (1, 1)])
+        a = curve_from_pairs([(0, 0), (0.5, 0.5), (1, 1)])
         assert a.auc() == pytest.approx(diagonal().auc())
 
 
@@ -201,7 +203,7 @@ def curves_with_runs(draw):
     k = draw(st.integers(1, 12))
     alphas = sorted(draw(st.lists(st.integers(0, size), min_size=k, max_size=k)))
     betas = sorted(draw(st.lists(st.integers(0, size), min_size=k, max_size=k)))
-    return RocCurve.from_pairs([(a / size, b / size) for a, b in zip(alphas, betas)])
+    return curve_from_pairs([(a / size, b / size) for a, b in zip(alphas, betas)])
 
 
 def _queries(draw, roc, values):
@@ -232,7 +234,7 @@ class TestScalarFastPaths:
 
     def test_the_chord_is_clamped_one_ulp_left_of_a_knot(self):
         # unclamped, the chord into knot 0.5 rounds one ulp above the knot's bottom just left of it
-        roc = RocCurve.from_pairs([(0.008333333333333333, 0.15), (0.5, 0.4166666666666667), (0.8916666666666667, 0.7),
+        roc = curve_from_pairs([(0.008333333333333333, 0.15), (0.5, 0.4166666666666667), (0.8916666666666667, 0.7),
                                    (0.9, 0.8333333333333334)])
         a = np.nextafter(0.5, 0.0)
         assert roc.tpr_at_fpr(float(a)) == roc.tpr_at_fpr(np.array([a]))[0] == 0.4166666666666667
@@ -470,7 +472,7 @@ class TestConcavity:
         assert diagonal().concavity_violations() == []
 
     def test_violation_index(self):
-        roc = RocCurve.from_pairs([(0, 0), (0.5, 0.2), (0.6, 0.9), (1, 1)])
+        roc = curve_from_pairs([(0, 0), (0.5, 0.2), (0.6, 0.9), (1, 1)])
         assert roc.concavity_violations() == [1]
 
     def test_concave_score_model_clean(self):
@@ -479,7 +481,7 @@ class TestConcavity:
         roc = build_roc(x, (rng.random(20000) < x).astype(int))
         # empirical curves wiggle; the reference strictly concave family is clean
         grid = np.linspace(0, 1, 101)
-        smooth = RocCurve.from_pairs(list(zip(grid, 2 * np.sqrt(grid) - grid)))
+        smooth = curve_from_pairs(list(zip(grid, 2 * np.sqrt(grid) - grid)))
         assert smooth.concavity_violations() == []
         assert roc.auc() > 0.7
 
@@ -517,7 +519,7 @@ class TestJensenGap:
         # two adjacent vertices share a straight segment: no strict gap there
         assume(max(knots) - min(knots) >= 2)
         grid = np.linspace(0, 1, 101)
-        roc = RocCurve.from_pairs(list(zip(grid, 2 * np.sqrt(grid) - grid)))
+        roc = curve_from_pairs(list(zip(grid, 2 * np.sqrt(grid) - grid)))
         alphas = grid[sorted(knots)]
         betas = np.array([roc.tpr_at_fpr(float(a)) for a in alphas])
         a_bar, b_bar = alphas.mean(), betas.mean()
@@ -558,7 +560,7 @@ class TestCurveValidation:
             RocCurve(thresholds=[1.0, 0.5, 0.0], alphas=[0, 0.6, 1], betas=[0, 1.0, 0.9])
 
     def test_from_pairs_adds_anchors(self):
-        roc = RocCurve.from_pairs([(0.2, 0.8)])
+        roc = curve_from_pairs([(0.2, 0.8)])
         np.testing.assert_allclose(roc.alphas, [0, 0.2, 1])
         np.testing.assert_allclose(roc.betas, [0, 0.8, 1])
 
